@@ -36,7 +36,6 @@ class BoundResult:
 
     e_ph: float
     s_star: float
-    slack: float
 
 
 def binary_entropy(x: float) -> float:
@@ -166,7 +165,7 @@ def phase_bound(case: tuple[int, int], announcement_type: int, e_bit: float) -> 
         factor = 1.5 if announcement_type == 1 else 3.0
         if announcement_type not in (1, 2):
             raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
-        return BoundResult(e_ph=min(factor * e_bit, 1.0), s_star=factor, slack=0.0)
+        return BoundResult(e_ph=min(factor * e_bit, 1.0), s_star=factor)
     if case not in ((1, 2), (2, 1)):
         raise ValueError(f"no phase-error bound for case {case}")
     intercept = f_type1 if announcement_type == 1 else g_type2
@@ -178,4 +177,4 @@ def phase_bound(case: tuple[int, int], announcement_type: int, e_bit: float) -> 
         lambda s: s * e_bit + intercept(s), float(a), float(b), _REFINE_TOL
     )
     e_ph = min(e_ph, float(values[j]))
-    return BoundResult(e_ph=min(max(e_ph, 0.0), 1.0), s_star=s_star, slack=_REFINE_TOL * e_bit)
+    return BoundResult(e_ph=min(max(e_ph, 0.0), 1.0), s_star=s_star)

@@ -13,18 +13,14 @@ import sys
 import numpy as np
 
 from .bounds import f_type1, g_type2, phase_bound
-from .config import ConfigError, ScenarioConfig
-from .optics import DetectorParams, mu_response
-from .scenario import csv_lines, optimize_mu, run_sweep
+from .config import ScenarioConfig
+from .optics import ChannelParams, DetectorParams, mu_response
+from .scenario import _fmt, csv_lines, optimize_mu, point_at, run_sweep
 from .verify import all_passed, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _write_lines(lines: list[str], path: str | None) -> None:
@@ -68,12 +64,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_mu_table(args) -> int:
-    try:
-        det = DetectorParams(eta=args.eta, dark=args.dark)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    t_arm = 10 ** (-args.loss * (args.distance / 2) / 10)
+    det = DetectorParams(eta=args.eta, dark=args.dark)
+    t_arm = ChannelParams(args.loss, args.distance).t_arm
     table = mu_response(det, t_arm, protocol=args.protocol, n_max=args.n_max)
     lines = ["n,m,yield_t1,ebit_t1,yield_t2,ebit_t2"]
     for (n, m), e in sorted(table.entries.items()):
@@ -108,28 +100,7 @@ def _load_config(args) -> ScenarioConfig:
 def _cmd_rate_curve(args) -> int:
     config = _load_config(args)
     if args.mu is not None:
-        from .scenario import RateCurvePoint, evaluate_rate
-
-        points = []
-        for d in config.distances():
-            rate, gains, breakdown = evaluate_rate(config, d, args.mu)
-            if breakdown is None:
-                g1 = g2 = 0.0
-                total = rate / gains.herald_probability
-            else:
-                g1, g2, total = breakdown.G1, breakdown.G2, breakdown.total
-            points.append(
-                RateCurvePoint(
-                    distance_km=d,
-                    mu_opt=args.mu,
-                    G1=g1,
-                    G2=g2,
-                    total=total,
-                    e_tot_1=gains.type1.e_tot,
-                    e_tot_2=gains.type2.e_tot,
-                    p_herald=gains.herald_probability,
-                )
-            )
+        points = [point_at(config, d, args.mu) for d in config.distances()]
     else:
         points = run_sweep(config)
     _write_lines(csv_lines(points), args.output or config.output_path)
@@ -202,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 SCENARIOS = ("qnd_coherent", "spdc_heralded", "bb84_baseline")
@@ -53,8 +54,9 @@ class ScenarioConfig:
             raise ConfigError("negative loss coefficient")
         if self.ec_inefficiency < 1:
             raise ConfigError("error-correction inefficiency below 1")
-        if self.distance_step_km <= 0 or self.distance_stop_km < self.distance_start_km:
-            raise ConfigError("empty or inverted distance grid")
+        grid = (self.distance_start_km, self.distance_stop_km, self.distance_step_km)
+        if not all(map(math.isfinite, grid)) or grid[2] <= 0 or grid[1] < grid[0]:
+            raise ConfigError("empty, inverted or non-finite distance grid")
         if not 0 < self.mu_min < self.mu_max:
             raise ConfigError("invalid mean-photon-number bounds")
         if self.n_cutoff < 2:

@@ -6,17 +6,32 @@ basis, feeding four threshold detectors.  Detector order throughout is
 (D_LD, D_LDbar, D_RD, D_RDbar) = (left transmitted, left reflected,
 right transmitted, right reflected).
 
-Photon loss (channel transmittance times detector efficiency) is applied
-as binomial thinning per arm before the beamsplitter; loss commutes
-through passive linear optics so this is exact.  Each photon-number
-sector is simulated independently (phase-randomized sources), by exact
-multinomial expansion of the creation-operator monomials -- no sampling.
+Photon loss (channel transmittance times detector efficiency) commutes
+through passive linear optics, so the response factors exactly in two:
+
+* the lossless arrival table A[a, b] holds the yield and error-weighted
+  yield of each announcement type when a and b photons reach the
+  beamsplitter from Alice's and Bob's arm.  It is an exact multinomial
+  expansion of the creation-operator monomials with dark counts on every
+  detector -- no sampling -- averaged over the protocol's signal states.
+  It depends only on the dark-count rate, the protocol, the BB84 basis
+  and the photon-number cutoff, so it is built once per combination, at
+  the cutoff asked for;
+* binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
+  photon number at survival s = t_arm * eta.
+
+The response to an (n, m) emission is Y[n, m] = sum_ab B[n, a] B[m, b]
+A[a, b].  The relay's nondemolition postselection of <= 1 arriving photon
+per arm acts between channel and detectors, so it only cuts the columns
+of the channel thinning: B = B(t_arm)[:, :2] @ B(eta).  Each photon-number
+sector is independent (phase-randomized sources).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial, sqrt
+from functools import lru_cache
+from math import comb, factorial, inf, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +64,11 @@ class ChannelParams:
     distance_km: float
 
     def __post_init__(self):
-        if self.loss_db_per_km < 0 or self.distance_km < 0:
-            raise ValueError("loss coefficient and distance must be nonnegative")
+        if not (0 <= self.loss_db_per_km < inf and 0 <= self.distance_km < inf):
+            raise ValueError(
+                "loss coefficient and distance must be finite and nonnegative, got "
+                f"{self.loss_db_per_km} dB/km and {self.distance_km} km"
+            )
 
     @property
     def t_arm(self) -> float:
@@ -80,14 +98,32 @@ class ClickPattern(NamedTuple):
 
 
 _ALL_PATTERNS = [ClickPattern(*(bool((p >> j) & 1) for j in range(4))) for p in range(16)]
+_PATTERN_CLICKS = np.array(_ALL_PATTERNS, dtype=bool)
+# _PATTERN_TYPES[p, t - 1] is 1 where pattern p announces type t
+_PATTERN_TYPES = np.array([[pat.classify() == t for t in (1, 2)] for pat in _ALL_PATTERNS], float)
 
 
-def _mode_amplitudes(pol: Complex, arm: str) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _binomial_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(n, k), the exponent k and the exponent max(n - k, 0) for n, k <= n_max."""
+    k = np.arange(n_max + 1)
+    binom = np.array([[comb(i, j) for j in k] for i in k], dtype=float)
+    return binom, k, np.maximum(k[:, None] - k[None, :], 0)
+
+
+def thinning_matrix(s: float, n_max: int) -> np.ndarray:
+    """Binomial thinning B[n, k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
+    the probability that k of n photons survive, each with probability s."""
+    binom, k, lost = _binomial_table(n_max)
+    return binom * s**k * ((1 - s) ** k)[lost]
+
+
+def _mode_amplitudes(pol: Complex, arm: str) -> list[complex]:
     """Creation-operator amplitudes of one input photon over the four
     output modes (L0x, L1x, R0x, R1x)."""
-    a0, a1 = pol
+    a0, a1 = (complex(a) / sqrt(2) for a in pol)
     sign = 1.0 if arm == "a" else -1.0
-    return np.array([a0, a1, sign * a0, sign * a1]) / sqrt(2)
+    return [a0, a1, sign * a0, sign * a1]
 
 
 def _partitions(total: int):
@@ -97,25 +133,43 @@ def _partitions(total: int):
                 yield (p0, p1, p2, total - p0 - p1 - p2)
 
 
+def _monomials(n: int, pol: Complex | None, arm: str) -> list[tuple[tuple[int, ...], complex]]:
+    """Expansion of (sum_j u_j a_j^dag)^n: occupation tuple and coefficient."""
+    if not n:
+        return [((0, 0, 0, 0), 1.0)]
+    u = _mode_amplitudes(pol, arm)
+    return [
+        (p, factorial(n) / prod(factorial(x) for x in p) * prod(u[j] ** p[j] for j in range(4)))
+        for p in _partitions(n)
+    ]
+
+
 def output_photon_distribution(
     n: int, m: int, pol_a: Complex | None, pol_b: Complex | None
 ) -> dict[tuple[int, int, int, int], float]:
     """Exact photon-number distribution over the four output modes for n
     photons in pol_a from Alice's arm and m in pol_b from Bob's."""
-    u = _mode_amplitudes(pol_a, "a") if n else None
-    w = _mode_amplitudes(pol_b, "b") if m else None
     amps: dict[tuple[int, int, int, int], complex] = {}
     norm = sqrt(factorial(n) * factorial(m))
-    for p in _partitions(n):
-        cp = factorial(n) / np.prod([factorial(x) for x in p])
-        up = np.prod([u[j] ** p[j] for j in range(4)]) if n else 1.0
-        for q in _partitions(m):
-            cq = factorial(m) / np.prod([factorial(x) for x in q])
-            wq = np.prod([w[j] ** q[j] for j in range(4)]) if m else 1.0
-            k = tuple(p[j] + q[j] for j in range(4))
-            amp = cp * cq * up * wq * np.prod([sqrt(factorial(kj)) for kj in k]) / norm
+    for p, up in _monomials(n, pol_a, "a"):
+        for q, wq in _monomials(m, pol_b, "b"):
+            k = (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+            amp = up * wq * prod(sqrt(factorial(kj)) for kj in k) / norm
             amps[k] = amps.get(k, 0.0) + amp
     return {k: float(abs(a) ** 2) for k, a in amps.items() if abs(a) > 1e-300}
+
+
+def _lossless_clicks(
+    na: int, mb: int, pol_a: Complex | None, pol_b: Complex | None, dark: float
+) -> np.ndarray:
+    """Probabilities of the 16 click patterns when na and mb photons reach
+    the beamsplitter: a detector fires iff a photon hits it or it
+    dark-counts."""
+    dist = output_photon_distribution(na, mb, pol_a, pol_b)
+    hit = (np.array(list(dist)) >= 1)[:, None, :]
+    clicks = _PATTERN_CLICKS[None, :, :]
+    per_detector = np.where(hit, clicks, np.where(clicks, dark, 1 - dark))
+    return np.array(list(dist.values())) @ per_detector.prod(axis=2)
 
 
 def mu_click_distribution(
@@ -129,46 +183,111 @@ def mu_click_distribution(
 ) -> dict[ClickPattern, float]:
     """Probability of each of the 16 click patterns.
 
-    Per-photon survival t_arm * eta is applied as binomial thinning before
-    the interference; a threshold detector fires iff at least one photon
+    Per-photon survival t_arm * eta thins each arm's photons before the
+    interference; a threshold detector fires iff at least one photon
     arrives or a dark count occurs.
     """
     if n > n_max or m > n_max:
         raise ValueError(f"photon numbers ({n}, {m}) above cap {n_max}")
-    s = t_arm * det.eta
-    d = det.dark
+    thin = thinning_matrix(t_arm * det.eta, max(n, m))
     probs = np.zeros(16)
     for na in range(n + 1):
-        wa = comb(n, na) * s**na * (1 - s) ** (n - na)
         for mb in range(m + 1):
-            wb = comb(m, mb) * s**mb * (1 - s) ** (m - mb)
-            if wa * wb == 0.0:
-                continue
-            for k, pk in output_photon_distribution(na, mb, pol_a, pol_b).items():
-                for idx in range(16):
-                    pr = 1.0
-                    for j in range(4):
-                        click = (idx >> j) & 1
-                        if k[j] >= 1:
-                            if not click:
-                                pr = 0.0
-                                break
-                        else:
-                            pr *= d if click else 1 - d
-                    if pr:
-                        probs[idx] += wa * wb * pk * pr
+            w = thin[n, na] * thin[m, mb]
+            if w:
+                probs += w * _lossless_clicks(na, mb, pol_a, pol_b, det.dark)
     return {_ALL_PATTERNS[i]: float(probs[i]) for i in range(16)}
 
 
-def _type_probabilities(dist: dict[ClickPattern, float]) -> tuple[float, float]:
-    p1 = p2 = 0.0
-    for pat, p in dist.items():
-        t = pat.classify()
-        if t == 1:
-            p1 += p
-        elif t == 2:
-            p2 += p
-    return p1, p2
+# Flip rules per (basis, type): True means the accepted Bell outcome is
+# anticorrelated in that encoding, so one party flips and i == i' is an
+# error.  psi-+ are both anticorrelated in x; psi+ is correlated in z.
+_BB84_ANTICORRELATED = {("key", 1): True, ("key", 2): True, ("test", 1): True, ("test", 2): False}
+
+
+def _signal_pairs(protocol: str, bb84_basis: str) -> list[tuple[Complex, Complex, np.ndarray]]:
+    """The protocol's signal-state pairs (pol_a, pol_b, W): W maps the pair's
+    (Type1, Type2) probabilities to its share of (yield_1, error_1,
+    yield_2, error_2).
+
+    SARG04 averages uniformly over the bit pairs and over the accepted
+    rotation values (all k for Type1, k in {0, 2} for Type2; the k = k'
+    sifting probability is a separate factor of the rate engine), and
+    Alice flips for Type1, so i == i' is an error there.  BB84 uses the
+    x-basis key states or z-basis test states with the per-type
+    correlation flips of the Bell outcomes.
+    """
+    pairs = []
+    if protocol == "sarg04":
+        phis = [phi_state(i) for i in range(4)]
+        for i in (0, 1):
+            for ip in (0, 1):
+                for k in range(4):
+                    w1 = 1 / 16
+                    w2 = 1 / 8 if k in (0, 2) else 0.0
+                    weights = [[w1, w1 * (i == ip), 0, 0], [0, 0, w2, w2 * (i != ip)]]
+                    r = rotation(k)
+                    pairs.append((r @ phis[i], r @ phis[ip], np.array(weights)))
+        return pairs
+    if protocol != "bb84":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if bb84_basis not in ("key", "test"):
+        raise ValueError(f"bb84 basis must be 'key' or 'test', got {bb84_basis!r}")
+    kets = ("0x", "1x") if bb84_basis == "key" else ("0z", "1z")
+    for i in (0, 1):
+        for ip in (0, 1):
+            errs = [(i == ip) == _BB84_ANTICORRELATED[(bb84_basis, t)] for t in (1, 2)]
+            weights = 0.25 * np.array([[1, errs[0], 0, 0], [0, 0, 1, errs[1]]])
+            pairs.append((basis_ket(kets[i]), basis_ket(kets[ip]), weights))
+    return pairs
+
+
+@lru_cache(maxsize=64)
+def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.ndarray:
+    """Lossless arrival table A[a, b] = (yield_1, error_1, yield_2, error_2)
+    for a, b <= n_max photons reaching the beamsplitter, where error_t is
+    the error-weighted yield of announcement type t.  Read-only."""
+    if not 0 <= n_max <= N_MAX_CAP:
+        raise ValueError(f"n_max must be in [0, {N_MAX_CAP}], got {n_max}")
+    pairs = _signal_pairs(protocol, bb84_basis)
+    table = np.zeros((n_max + 1, n_max + 1, 4))
+    for a in range(n_max + 1):
+        for b in range(n_max + 1):
+            for pol_a, pol_b, weights in pairs:
+                clicks = _lossless_clicks(a, b, pol_a, pol_b, dark)
+                table[a, b] += clicks @ _PATTERN_TYPES @ weights
+    table.flags.writeable = False
+    return table
+
+
+def relay_yields(
+    det: DetectorParams,
+    t_arm: float,
+    protocol: str = "sarg04",
+    bb84_basis: str = "key",
+    n_max: int = N_MAX_DEFAULT,
+    qnd: bool = False,
+) -> np.ndarray:
+    """Y[n, m] = (yield_1, error_1, yield_2, error_2) of the relay for every
+    emission n, m <= n_max: the arrival table thinned by each arm's loss.
+
+    With `qnd` the relay accepts at most one arriving photon per arm, so
+    only arrivals {0, 1} of the channel thinning reach the detectors.
+    """
+    if qnd:
+        cut = min(n_max, 1)
+        table = arrival_table(det.dark, protocol, bb84_basis, cut)
+        thin = thinning_matrix(t_arm, n_max)[:, : cut + 1] @ thinning_matrix(det.eta, cut)
+    else:
+        table = arrival_table(det.dark, protocol, bb84_basis, n_max)
+        thin = thinning_matrix(t_arm * det.eta, n_max)
+    return np.einsum("ia,jb,abc->ijc", thin, thin, table)
+
+
+def error_rate(errors: float, detections: float) -> float:
+    """Bit error rate errors / detections; the uninformative 0.5 where
+    nothing is detected."""
+    return float(errors / detections) if detections > 0 else 0.5
 
 
 class MuEntry(NamedTuple):
@@ -181,62 +300,10 @@ class MuEntry(NamedTuple):
     yield_type2: float
     ebit_type2: float
 
-
-def _sarg04_entry(n, m, det, t_arm, n_max) -> MuEntry:
-    y1 = y2 = err1 = err2 = 0.0
-    rk = [rotation(k) for k in range(4)]
-    phis = [phi_state(i) for i in range(4)]
-    for i in (0, 1):
-        for ip in (0, 1):
-            for k in range(4):
-                pa = rk[k] @ phis[i] if n else None
-                pb = rk[k] @ phis[ip] if m else None
-                dist = mu_click_distribution(n, m, pa, pb, det, t_arm, n_max)
-                p1, p2 = _type_probabilities(dist)
-                # uniform over bit pairs (1/4) and over k within the
-                # k = k' slice; the k = k' sifting probability itself is
-                # accounted as a separate factor by the rate engine
-                y1 += 0.25 * 0.25 * p1
-                if i == ip:  # Alice flips for Type1, so i == i' disagrees
-                    err1 += 0.25 * 0.25 * p1
-                if k in (0, 2):
-                    y2 += 0.25 * 0.5 * p2
-                    if i != ip:
-                        err2 += 0.25 * 0.5 * p2
-    return MuEntry(
-        yield_type1=y1,
-        ebit_type1=err1 / y1 if y1 > 0 else 0.5,
-        yield_type2=y2,
-        ebit_type2=err2 / y2 if y2 > 0 else 0.5,
-    )
-
-
-# Flip rules per (basis, type): True means the accepted Bell outcome is
-# anticorrelated in that encoding, so one party flips and i == i' is an
-# error.  psi-+ are both anticorrelated in x; psi+ is correlated in z.
-_BB84_ANTICORRELATED = {("key", 1): True, ("key", 2): True, ("test", 1): True, ("test", 2): False}
-
-
-def _bb84_entry(n, m, det, t_arm, n_max, basis) -> MuEntry:
-    kets = ("0x", "1x") if basis == "key" else ("0z", "1z")
-    y = [0.0, 0.0]
-    err = [0.0, 0.0]
-    for i in (0, 1):
-        for ip in (0, 1):
-            pa = basis_ket(kets[i]) if n else None
-            pb = basis_ket(kets[ip]) if m else None
-            dist = mu_click_distribution(n, m, pa, pb, det, t_arm, n_max)
-            for tix, p in enumerate(_type_probabilities(dist)):
-                y[tix] += 0.25 * p
-                anti = _BB84_ANTICORRELATED[(basis, tix + 1)]
-                if (i == ip) == anti:
-                    err[tix] += 0.25 * p
-    return MuEntry(
-        yield_type1=y[0],
-        ebit_type1=err[0] / y[0] if y[0] > 0 else 0.5,
-        yield_type2=y[1],
-        ebit_type2=err[1] / y[1] if y[1] > 0 else 0.5,
-    )
+    @classmethod
+    def from_yields(cls, y) -> "MuEntry":
+        """Entry from one row (yield_1, error_1, yield_2, error_2) of relay_yields."""
+        return cls(float(y[0]), error_rate(y[1], y[0]), float(y[2]), error_rate(y[3], y[2]))
 
 
 def yields_and_errors(
@@ -248,20 +315,11 @@ def yields_and_errors(
     bb84_basis: str = "key",
     n_max: int = N_MAX_CAP,
 ) -> MuEntry:
-    """Conditional yields and bit error rates for an (n, m) emission.
-
-    SARG04 averages over the signal states and the accepted rotation
-    values (all k for Type1, k in {0, 2} for Type2) and applies the
-    Type1 bit flip.  BB84 uses the x-basis key states or z-basis test
-    states with the per-type correlation flips of the Bell outcomes.
-    """
-    if protocol == "sarg04":
-        return _sarg04_entry(n, m, det, t_arm, n_max)
-    if protocol == "bb84":
-        if bb84_basis not in ("key", "test"):
-            raise ValueError(f"bb84 basis must be 'key' or 'test', got {bb84_basis!r}")
-        return _bb84_entry(n, m, det, t_arm, n_max, bb84_basis)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    """Conditional yields and bit error rates for an (n, m) emission
+    (see relay_yields and _signal_pairs)."""
+    if n > n_max or m > n_max:
+        raise ValueError(f"photon numbers ({n}, {m}) above cap {n_max}")
+    return MuEntry.from_yields(relay_yields(det, t_arm, protocol, bb84_basis, max(n, m))[n, m])
 
 
 @dataclass(frozen=True)
@@ -283,11 +341,8 @@ def mu_response(
     n_max: int = N_MAX_DEFAULT,
 ) -> MuResponse:
     """Evaluate the relay response for every (n, m) with n, m <= n_max."""
-    if n_max > N_MAX_CAP:
-        raise ValueError(f"n_max {n_max} above cap {N_MAX_CAP}")
+    y = relay_yields(det, t_arm, protocol, bb84_basis, n_max)
     entries = {
-        (n, m): yields_and_errors(n, m, det, t_arm, protocol, bb84_basis, n_max)
-        for n in range(n_max + 1)
-        for m in range(n_max + 1)
+        (n, m): MuEntry.from_yields(y[n, m]) for n in range(n_max + 1) for m in range(n_max + 1)
     }
     return MuResponse(det=det, t_arm=t_arm, protocol=protocol, n_max=n_max, entries=entries)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 from .bounds import binary_entropy, phase_bound
-from .optics import DetectorParams, MuEntry, MuResponse, mu_response
+from .optics import DetectorParams, error_rate, relay_yields
 from .sources import HeraldedSource, PhotonNumberDist
 
 # probability that the broadcast rotation labels satisfy the sifting rule:
@@ -72,53 +71,6 @@ def _emission_dist(source) -> tuple[PhotonNumberDist, float]:
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
-def _binom(n: int, k: int, p: float) -> float:
-    return comb(n, k) * p**k * (1 - p) ** (n - k)
-
-
-def _qnd_entry(n: int, m: int, t_arm: float, base: MuResponse) -> MuEntry:
-    """Relay response for an (n, m) emission when the relay accepts only
-    <=1 arriving photon per arm.  Channel loss thins the arrivals; the
-    base response covers arrivals in {0, 1} with detector loss only."""
-    y1 = y2 = err1 = err2 = 0.0
-    for na in range(min(n, 1) + 1):
-        wa = _binom(n, na, t_arm)
-        for mb in range(min(m, 1) + 1):
-            w = wa * _binom(m, mb, t_arm)
-            if w == 0.0:
-                continue
-            e = base.entries[(na, mb)]
-            y1 += w * e.yield_type1
-            err1 += w * e.yield_type1 * e.ebit_type1
-            y2 += w * e.yield_type2
-            err2 += w * e.yield_type2 * e.ebit_type2
-    return MuEntry(
-        yield_type1=y1,
-        ebit_type1=err1 / y1 if y1 > 0 else 0.5,
-        yield_type2=y2,
-        ebit_type2=err2 / y2 if y2 > 0 else 0.5,
-    )
-
-
-def relay_response_for(
-    det: DetectorParams,
-    t_arm: float,
-    qnd: bool,
-    protocol: str = "sarg04",
-    bb84_basis: str = "key",
-    n_max: int = 2,
-) -> MuResponse:
-    """Precompute the relay response needed by assemble_gains.
-
-    With the photon-number postselection the channel loss is handled by
-    arrival statistics, so the optics are evaluated at full arm
-    transmittance with arrivals capped at one photon.
-    """
-    if qnd:
-        return mu_response(det, 1.0, protocol, bb84_basis, n_max=1)
-    return mu_response(det, t_arm, protocol, bb84_basis, n_max=n_max)
-
-
 def assemble_gains(
     source_a,
     source_b,
@@ -128,37 +80,32 @@ def assemble_gains(
     protocol: str = "sarg04",
     bb84_basis: str = "key",
     n_max: int = 2,
-    response: MuResponse | None = None,
 ) -> GainTable:
     """Per-(n,m) gains Q = p_n p_m * sift * yield for both types.
 
-    `response` may be supplied to amortize the optics over a parameter
-    sweep; it must come from relay_response_for with matching settings.
+    With `qnd` the relay accepts at most one arriving photon per arm
+    (see optics.relay_yields).
     """
     dist_a, herald_a = _emission_dist(source_a)
     dist_b, herald_b = _emission_dist(source_b)
     if qnd and (herald_a != 1.0 or herald_b != 1.0):
         raise ValueError("photon-number postselection expects bare source distributions")
-    if response is None:
-        response = relay_response_for(det, t_arm, qnd, protocol, bb84_basis, n_max)
+    y = relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd).tolist()
+    photons = range(n_max + 1)
+    weight = {(n, m): dist_a.prob(n) * dist_b.prob(m) for n in photons for m in photons}
     sift = SIFT_FACTOR if protocol == "sarg04" else {1: 1.0, 2: 1.0}
-    q = {1: {}, 2: {}}
-    e = {1: {}, 2: {}}
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            entry = (
-                _qnd_entry(n, m, t_arm, response) if qnd else response.entries[(n, m)]
-            )
-            w = dist_a.prob(n) * dist_b.prob(m)
-            q[1][(n, m)] = w * sift[1] * entry.yield_type1
-            e[1][(n, m)] = entry.ebit_type1
-            q[2][(n, m)] = w * sift[2] * entry.yield_type2
-            e[2][(n, m)] = entry.ebit_type2
     per_type = {}
     for t in (1, 2):
-        q_tot = sum(q[t].values())
-        e_tot = sum(q[t][nm] * e[t][nm] for nm in q[t]) / q_tot if q_tot > 0 else 0.0
-        per_type[t] = TypeGains(q=q[t], ebit=e[t], q_tot=q_tot, e_tot=e_tot)
+        col_y, col_e = 2 * t - 2, 2 * t - 1  # yield and error-weighted yield of type t
+        q = {(n, m): w * sift[t] * y[n][m][col_y] for (n, m), w in weight.items()}
+        q_tot = sum(q.values())
+        errors = sum(w * sift[t] * y[n][m][col_e] for (n, m), w in weight.items())
+        per_type[t] = TypeGains(
+            q=q,
+            ebit={(n, m): error_rate(y[n][m][col_e], y[n][m][col_y]) for n, m in weight},
+            q_tot=q_tot,
+            e_tot=errors / q_tot if q_tot > 0 else 0.0,
+        )
     return GainTable(
         type1=per_type[1],
         type2=per_type[2],
@@ -241,12 +188,10 @@ def bb84_baseline_rate(
         + key_gains.type2.q_tot * key_gains.type2.e_tot
     ) / q_tot
     tq11 = test_gains.type1.q[(1, 1)] + test_gains.type2.q[(1, 1)]
-    if tq11 > 0:
-        e_ph = (
-            test_gains.type1.q[(1, 1)] * test_gains.type1.ebit[(1, 1)]
-            + test_gains.type2.q[(1, 1)] * test_gains.type2.ebit[(1, 1)]
-        ) / tq11
-    else:
-        e_ph = 0.5
+    e_ph = error_rate(
+        test_gains.type1.q[(1, 1)] * test_gains.type1.ebit[(1, 1)]
+        + test_gains.type2.q[(1, 1)] * test_gains.type2.ebit[(1, 1)],
+        tq11,
+    )
     raw = _privacy_term(q11, e_ph) - ec_inefficiency * q_tot * binary_entropy(min(e_tot, 1.0))
     return max(raw, 0.0)

@@ -12,34 +12,20 @@ optimum is per pump pulse.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bounds import golden_section_minimize
 from .config import ScenarioConfig
-from .optics import DetectorParams
-from .rates import (
-    GainTable,
-    KeyRateBreakdown,
-    assemble_gains,
-    bb84_baseline_rate,
-    key_rate,
-    relay_response_for,
-)
+from .optics import ChannelParams, DetectorParams
+from .rates import GainTable, KeyRateBreakdown, assemble_gains, bb84_baseline_rate, key_rate
 from .sources import poisson_source, spdc_heralded
 
 MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
 
-WORKERS_ENV = "MDI_SARG04_WORKERS"
-
 CSV_HEADER = (
     "distance_km,mu_opt,G1,G2,total,total_per_pulse,e_tot_1,e_tot_2,p_herald"
 )
-
-_cached_relay_response = lru_cache(maxsize=128)(relay_response_for)
 
 
 @dataclass(frozen=True)
@@ -59,26 +45,21 @@ class RateCurvePoint:
         return self.total * self.p_herald
 
 
-def _t_arm(config: ScenarioConfig, distance_km: float) -> float:
-    return 10 ** (-config.loss_db_per_km * (distance_km / 2) / 10)
-
-
-def _detector(config: ScenarioConfig) -> DetectorParams:
-    return DetectorParams(eta=config.eta, dark=config.dark)
+def _relay(config: ScenarioConfig, distance_km: float) -> tuple[DetectorParams, float]:
+    """Relay detector and one-arm transmittance at one distance."""
+    det = DetectorParams(eta=config.eta, dark=config.dark)
+    return det, ChannelParams(config.loss_db_per_km, distance_km).t_arm
 
 
 def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
     """Gain table of the configured scenario at one distance and mu."""
-    det = _detector(config)
-    t = _t_arm(config, distance_km)
+    det, t = _relay(config, distance_km)
     if config.scenario == "qnd_coherent":
         src = poisson_source(mu, config.n_cutoff)
-        response = _cached_relay_response(det, 1.0, True, "sarg04", "key", 2)
-        return assemble_gains(src, src, det, t, qnd=True, response=response)
+        return assemble_gains(src, src, det, t, qnd=True)
     if config.scenario == "spdc_heralded":
         src = spdc_heralded(mu, det, config.n_cutoff, config.spdc_pair_statistics)
-        response = _cached_relay_response(det, t, False, "sarg04", "key", 2)
-        return assemble_gains(src, src, det, t, response=response)
+        return assemble_gains(src, src, det, t)
     raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
 
 
@@ -86,16 +67,11 @@ def evaluate_rate(
     config: ScenarioConfig, distance_km: float, mu: float
 ) -> tuple[float, GainTable, KeyRateBreakdown | None]:
     """Key rate per pump pulse at one (distance, mu) point."""
-    det = _detector(config)
-    t = _t_arm(config, distance_km)
     if config.scenario == "bb84_baseline":
+        det, t = _relay(config, distance_km)
         src = poisson_source(mu, config.n_cutoff)
-        key_resp = _cached_relay_response(det, t, False, "bb84", "key", 2)
-        test_resp = _cached_relay_response(det, t, False, "bb84", "test", 2)
-        kg = assemble_gains(src, src, det, t, protocol="bb84", response=key_resp)
-        tg = assemble_gains(
-            src, src, det, t, protocol="bb84", bb84_basis="test", response=test_resp
-        )
+        kg = assemble_gains(src, src, det, t, protocol="bb84")
+        tg = assemble_gains(src, src, det, t, protocol="bb84", bb84_basis="test")
         return bb84_baseline_rate(kg, tg, config.ec_inefficiency), kg, None
     gains = evaluate_gains(config, distance_km, mu)
     breakdown = key_rate(
@@ -117,10 +93,8 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
     grid = [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
     rates = [evaluate_rate(config, distance_km, mu)[0] for mu in grid]
     best = max(range(len(grid)), key=lambda j: rates[j])
-    if rates[best] <= 0.0:
-        mu_opt = grid[best]
-        zero = True
-    else:
+    mu_opt = grid[best]
+    if rates[best] > 0.0:
         a = math.log(grid[max(best - 1, 0)])
         b = math.log(grid[min(best + 1, len(grid) - 1)])
         log_mu, neg = golden_section_minimize(
@@ -129,11 +103,14 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
             b,
             MU_REL_TOL,
         )
-        mu_opt = math.exp(log_mu)
-        if -neg < rates[best]:
-            mu_opt = grid[best]
-        zero = False
-    rate, gains, breakdown = evaluate_rate(config, distance_km, mu_opt)
+        if -neg >= rates[best]:
+            mu_opt = math.exp(log_mu)
+    return point_at(config, distance_km, mu_opt)
+
+
+def point_at(config: ScenarioConfig, distance_km: float, mu: float) -> RateCurvePoint:
+    """Rate-curve row of the configured scenario at one (distance, mu)."""
+    rate, gains, breakdown = evaluate_rate(config, distance_km, mu)
     if breakdown is None:  # bb84 comparator
         g1 = g2 = 0.0
         total = rate / gains.herald_probability
@@ -141,46 +118,26 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
         g1, g2, total = breakdown.G1, breakdown.G2, breakdown.total
     return RateCurvePoint(
         distance_km=distance_km,
-        mu_opt=mu_opt,
+        mu_opt=mu,
         G1=g1,
         G2=g2,
         total=total,
         e_tot_1=gains.type1.e_tot,
         e_tot_2=gains.type2.e_tot,
         p_herald=gains.herald_probability,
-        zero_rate=zero,
+        zero_rate=rate <= 0.0,
     )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
-def _point_for(args: tuple[ScenarioConfig, float]) -> RateCurvePoint:
-    return optimize_mu(*args)
 
 
 def run_sweep(config: ScenarioConfig, output_path: str | None = None) -> list[RateCurvePoint]:
     """Optimize mu at every distance on the grid; optionally write CSV.
 
-    Output is deterministic for a fixed config; distance ordering is
-    preserved regardless of worker completion order.
+    Output is deterministic for a fixed config.
     """
     distances = config.distances()
     if not distances:
         raise ValueError("empty distance grid")
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_point_for, [(config, d) for d in distances]))
-    else:
-        points = [optimize_mu(config, d) for d in distances]
+    points = [optimize_mu(config, d) for d in distances]
     path = output_path or config.output_path
     if path:
         write_csv(points, path)

@@ -10,11 +10,11 @@ acceptance applied inside the relay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, factorial
+from math import exp, factorial
 
 import numpy as np
 
-from .optics import DetectorParams
+from .optics import DetectorParams, thinning_matrix
 
 DEFAULT_CUTOFF = 6
 TAIL_TOL = 1e-6
@@ -134,15 +134,9 @@ def propagate_through_loss(dist: PhotonNumberDist, t: float) -> PhotonNumberDist
     """Binomial thinning of a photon-number distribution with survival t."""
     if not 0 < t <= 1:
         raise ValueError(f"transmittance must be in (0, 1], got {t}")
-    c = dist.cutoff
-    out = np.zeros(c + 1)
-    for n in range(c + 1):
-        pn = dist.probs[n]
-        if pn == 0.0:
-            continue
-        for k in range(n + 1):
-            out[k] += pn * comb(n, k) * t**k * (1 - t) ** (n - k)
-    return PhotonNumberDist(probs=out, tail_mass=dist.tail_mass)
+    return PhotonNumberDist(
+        probs=dist.probs @ thinning_matrix(t, dist.cutoff), tail_mass=dist.tail_mass
+    )
 
 
 def qnd_accept_probability(dist_arriving: PhotonNumberDist) -> tuple[float, PhotonNumberDist]:

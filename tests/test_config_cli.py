@@ -33,6 +33,9 @@ class TestConfig:
             {"ec_inefficiency": 0.5},
             {"mu_min": 2.0, "mu_max": 1.0},
             {"distance_step_km": 0.0},
+            {"distance_step_km": float("nan")},
+            {"distance_start_km": float("nan")},
+            {"distance_stop_km": float("inf")},
             {"type_selection": "all"},
             {"photon_terms": "everything"},
         ):
@@ -116,3 +119,25 @@ class TestCliOptimizeMu:
         assert data["distance_km"] == 0.0
         assert data["total"] > 0
         assert not data["zero_rate"]
+
+
+class TestCliBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mu-table", "--distance", "-10"],
+            ["mu-table", "--loss", "-1", "--distance", "10"],
+            ["mu-table", "--n-max", "-1"],
+            ["mu-table", "--n-max", "4"],
+            ["optimize-mu", "--distance", "-10"],
+            ["optimize-mu", "--distance", "nan"],
+            ["rate-curve", "--mu", "-1", "--distance", "10"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_flag_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

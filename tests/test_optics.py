@@ -1,6 +1,8 @@
 """Fock-optics model of the measurement unit: click patterns, yields,
 error rates."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from mdi_sarg04.optics import (
     mu_click_distribution,
     mu_response,
     output_photon_distribution,
+    thinning_matrix,
     yields_and_errors,
 )
 
@@ -32,6 +35,23 @@ class TestParams:
         ch = ChannelParams(loss_db_per_km=0.21, distance_km=40.0)
         assert abs(ch.t_arm - 10 ** (-0.21 * 20 / 10)) < 1e-15
         assert ChannelParams(0.21, 0.0).t_arm == 1.0
+
+    def test_channel_validation(self):
+        bad = ((-0.1, 10.0), (0.21, -1.0), (float("inf"), 10.0), (0.21, float("nan")))
+        for loss, distance in bad:
+            with pytest.raises(ValueError):
+                ChannelParams(loss, distance)
+
+
+class TestThinning:
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.045, 1.0])
+    def test_matches_binomial_loop(self, s):
+        b = thinning_matrix(s, 12)
+        for n in range(13):
+            for k in range(13):
+                want = comb(n, k) * s**k * (1 - s) ** (n - k) if k <= n else 0.0
+                assert b[n, k] == pytest.approx(want, rel=1e-14, abs=1e-300)
+        np.testing.assert_allclose(b.sum(axis=1), 1.0, rtol=1e-13)
 
 
 class TestClickClassification:
