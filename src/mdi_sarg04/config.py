@@ -50,17 +50,19 @@ class ScenarioConfig:
             raise ConfigError(f"detector efficiency {self.eta} outside (0, 1]")
         if not 0 <= self.dark < 1:
             raise ConfigError(f"dark-count probability {self.dark} outside [0, 1)")
-        if self.loss_db_per_km < 0:
-            raise ConfigError("negative loss coefficient")
-        if self.ec_inefficiency < 1:
-            raise ConfigError("error-correction inefficiency below 1")
+        if not 0 <= self.loss_db_per_km < math.inf:
+            raise ConfigError("negative or non-finite loss coefficient")
+        if not 1 <= self.ec_inefficiency < math.inf:
+            raise ConfigError("error-correction inefficiency below 1 or non-finite")
         grid = (self.distance_start_km, self.distance_stop_km, self.distance_step_km)
-        if not all(map(math.isfinite, grid)) or grid[2] <= 0 or grid[1] < grid[0]:
-            raise ConfigError("empty, inverted or non-finite distance grid")
-        if not 0 < self.mu_min < self.mu_max:
+        if not all(map(math.isfinite, grid)) or grid[0] < 0 or grid[2] <= 0 or grid[1] < grid[0]:
+            raise ConfigError("empty, inverted, negative or non-finite distance grid")
+        if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
-        if self.n_cutoff < 2:
-            raise ConfigError("source cutoff must be at least 2")
+        if not isinstance(self.n_cutoff, int) or self.n_cutoff < 2:
+            raise ConfigError("source cutoff must be an integer of at least 2")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError("output path must be a string or null")
 
     def distances(self) -> list[float]:
         grid = []

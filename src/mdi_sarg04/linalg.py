@@ -133,18 +133,6 @@ def min_eigenvalue(h: Complex, tol: float = HERMITIAN_TOL) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def check_density_operator(rho: Complex, tol: float = 1e-9) -> None:
-    """Raise if rho is not Hermitian, unit-trace and PSD within tolerance."""
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, 1e-12):
-        raise ValueError("density operator is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density operator trace {tr} deviates from 1")
-    if np.linalg.eigvalsh(rho)[0] < -tol:
-        raise ValueError("density operator has a negative eigenvalue")
-
-
 def permute_qubits(v: Complex, order: list) -> Complex:
     """Reorder the tensor factors of a state vector.
 

@@ -10,7 +10,6 @@ per-photon-number gain and error rate is known exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .bounds import binary_entropy, phase_bound
 from .optics import DetectorParams, error_rate, relay_yields
@@ -114,14 +113,54 @@ def assemble_gains(
     )
 
 
-@lru_cache(maxsize=65536)
-def _cached_phase_bound(case: tuple[int, int], announcement_type: int, e_bit: float) -> float:
-    return phase_bound(case, announcement_type, e_bit).e_ph
-
-
 def _privacy_term(q: float, e_ph: float) -> float:
     # e_ph >= 0.5 carries no key; clamping into [0, 0.5] makes the term 0
     return q * (1.0 - binary_entropy(min(e_ph, 0.5)))
+
+
+def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
+    """Phase-error bound e_ph of every (type, (n, m)) key term.
+
+    The bit error rates come from the relay yields alone, so the bounds
+    depend on the distance and not on the mean photon number.
+    """
+    return {
+        (t, nm): phase_bound(nm, t, gains.for_type(t).ebit[nm]).e_ph
+        for t in (1, 2)
+        for nm in (((1, 1),) if one_one_only else KEY_CASES)
+        if nm in gains.for_type(t).q
+    }
+
+
+def key_fractions(
+    gains: GainTable, e_ph: dict, ec_inefficiency: float, type_selection: str = "both"
+) -> KeyRateBreakdown:
+    """Asymptotic key fractions G_i per announcement type.
+
+    G_i sums the privacy-amplified terms bounded in `e_ph` (from
+    `phase_bounds`) and subtracts the error-correction cost over the whole
+    sifted key.  Negative G_i are clamped to zero in `total`; raw values
+    are kept in G1/G2 for diagnostics.
+    """
+    if ec_inefficiency < 1:
+        raise ValueError(f"error-correction inefficiency must be >= 1, got {ec_inefficiency}")
+    include = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}.get(type_selection)
+    if include is None:
+        raise ValueError(f"unknown type selection {type_selection!r}")
+    contributions: dict = {}
+    raw = {}
+    ec_total = 0.0
+    for t in (1, 2):
+        tg = gains.for_type(t)
+        terms = {(t, nm): _privacy_term(tg.q[nm], b) for (bt, nm), b in e_ph.items() if bt == t}
+        contributions.update(terms)
+        ec = ec_inefficiency * tg.q_tot * binary_entropy(min(tg.e_tot, 1.0))
+        ec_total += ec
+        raw[t] = sum(terms.values()) - ec
+    total = sum(max(raw[t], 0.0) for t in include)
+    return KeyRateBreakdown(
+        G1=raw[1], G2=raw[2], total=total, contributions=contributions, ec_cost=ec_total
+    )
 
 
 def key_rate(
@@ -130,43 +169,8 @@ def key_rate(
     one_one_only: bool = False,
     type_selection: str = "both",
 ) -> KeyRateBreakdown:
-    """Asymptotic key fractions G_i per announcement type.
-
-    G_i sums the privacy-amplified single- and mixed-photon-number terms
-    and subtracts the error-correction cost over the whole sifted key.
-    Negative G_i are clamped to zero in `total`; raw values are kept in
-    G1/G2 for diagnostics.
-    """
-    if ec_inefficiency < 1:
-        raise ValueError(f"error-correction inefficiency must be >= 1, got {ec_inefficiency}")
-    if type_selection not in ("both", "type1_only", "type2_only"):
-        raise ValueError(f"unknown type selection {type_selection!r}")
-    cases = ((1, 1),) if one_one_only else KEY_CASES
-    contributions: dict = {}
-    raw = {}
-    ec_total = 0.0
-    for t in (1, 2):
-        tg = gains.for_type(t)
-        g = 0.0
-        for nm in cases:
-            if nm not in tg.q or tg.q[nm] == 0.0:
-                continue
-            e_ph = _cached_phase_bound(nm, t, tg.ebit[nm])
-            term = _privacy_term(tg.q[nm], e_ph)
-            contributions[(t, nm)] = term
-            g += term
-        ec = ec_inefficiency * tg.q_tot * binary_entropy(min(tg.e_tot, 1.0))
-        ec_total += ec
-        raw[t] = g - ec
-    include = {
-        "both": (1, 2),
-        "type1_only": (1,),
-        "type2_only": (2,),
-    }[type_selection]
-    total = sum(max(raw[t], 0.0) for t in include)
-    return KeyRateBreakdown(
-        G1=raw[1], G2=raw[2], total=total, contributions=contributions, ec_cost=ec_total
-    )
+    """Key fractions of one gain table, with its phase-error bounds solved."""
+    return key_fractions(gains, phase_bounds(gains, one_one_only), ec_inefficiency, type_selection)
 
 
 def bb84_baseline_rate(

@@ -12,12 +12,13 @@ optimum is per pump pulse.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bounds import golden_section_minimize
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams
-from .rates import GainTable, KeyRateBreakdown, assemble_gains, bb84_baseline_rate, key_rate
+from .rates import GainTable, assemble_gains, bb84_baseline_rate, key_fractions, phase_bounds
 from .sources import poisson_source, spdc_heralded
 
 MU_COARSE_POINTS = 40
@@ -63,24 +64,33 @@ def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> Gai
     raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
 
 
-def evaluate_rate(
-    config: ScenarioConfig, distance_km: float, mu: float
-) -> tuple[float, GainTable, KeyRateBreakdown | None]:
+def rate_at(config: ScenarioConfig, distance_km: float) -> Callable[[float], tuple]:
+    """mu -> (key rate per pump pulse, gains, breakdown) at one distance.
+
+    The phase-error bounds depend on the distance only, so they are solved
+    from the first gain table asked for and reused for every later mu.
+    """
+    det, t = _relay(config, distance_km)
+    e_ph: dict = {}
+
+    def rate(mu: float):
+        if config.scenario == "bb84_baseline":
+            src = poisson_source(mu, config.n_cutoff)
+            kg = assemble_gains(src, src, det, t, protocol="bb84")
+            tg = assemble_gains(src, src, det, t, protocol="bb84", bb84_basis="test")
+            return bb84_baseline_rate(kg, tg, config.ec_inefficiency), kg, None
+        gains = evaluate_gains(config, distance_km, mu)
+        if not e_ph:
+            e_ph.update(phase_bounds(gains, config.photon_terms == "one_one_only"))
+        breakdown = key_fractions(gains, e_ph, config.ec_inefficiency, config.type_selection)
+        return breakdown.total * gains.herald_probability, gains, breakdown
+
+    return rate
+
+
+def evaluate_rate(config: ScenarioConfig, distance_km: float, mu: float) -> tuple:
     """Key rate per pump pulse at one (distance, mu) point."""
-    if config.scenario == "bb84_baseline":
-        det, t = _relay(config, distance_km)
-        src = poisson_source(mu, config.n_cutoff)
-        kg = assemble_gains(src, src, det, t, protocol="bb84")
-        tg = assemble_gains(src, src, det, t, protocol="bb84", bb84_basis="test")
-        return bb84_baseline_rate(kg, tg, config.ec_inefficiency), kg, None
-    gains = evaluate_gains(config, distance_km, mu)
-    breakdown = key_rate(
-        gains,
-        config.ec_inefficiency,
-        one_one_only=(config.photon_terms == "one_one_only"),
-        type_selection=config.type_selection,
-    )
-    return breakdown.total * gains.herald_probability, gains, breakdown
+    return rate_at(config, distance_km)(mu)
 
 
 def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
@@ -89,28 +99,28 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
     Coarse logarithmic grid followed by golden-section refinement to a
     relative tolerance of 1e-4; both senders share the same mu.
     """
+    rate = rate_at(config, distance_km)
     lo, hi = math.log(config.mu_min), math.log(config.mu_max)
     grid = [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
-    rates = [evaluate_rate(config, distance_km, mu)[0] for mu in grid]
+    rates = [rate(mu)[0] for mu in grid]
     best = max(range(len(grid)), key=lambda j: rates[j])
     mu_opt = grid[best]
     if rates[best] > 0.0:
         a = math.log(grid[max(best - 1, 0)])
         b = math.log(grid[min(best + 1, len(grid) - 1)])
-        log_mu, neg = golden_section_minimize(
-            lambda x: -evaluate_rate(config, distance_km, math.exp(x))[0],
-            a,
-            b,
-            MU_REL_TOL,
-        )
+        log_mu, neg = golden_section_minimize(lambda x: -rate(math.exp(x))[0], a, b, MU_REL_TOL)
         if -neg >= rates[best]:
             mu_opt = math.exp(log_mu)
-    return point_at(config, distance_km, mu_opt)
+    return _point(distance_km, mu_opt, rate(mu_opt))
 
 
 def point_at(config: ScenarioConfig, distance_km: float, mu: float) -> RateCurvePoint:
     """Rate-curve row of the configured scenario at one (distance, mu)."""
-    rate, gains, breakdown = evaluate_rate(config, distance_km, mu)
+    return _point(distance_km, mu, evaluate_rate(config, distance_km, mu))
+
+
+def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
+    rate, gains, breakdown = result
     if breakdown is None:  # bb84 comparator
         g1 = g2 = 0.0
         total = rate / gains.herald_probability

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdi_sarg04.bounds import (
+    S_MAX,
     BoundResult,
     binary_entropy,
     cubic_value,
@@ -114,6 +115,15 @@ class TestPhaseBound:
         dense = min(f_type1(s) for s in np.arange(0.0, 10.0, 1e-4))
         assert abs(phase_bound((1, 2), 1, 0.0).e_ph - dense) <= 1e-6
 
+    @pytest.mark.parametrize("t, intercept", [(1, f_type1), (2, g_type2)])
+    def test_window_edges_are_exact(self, t, intercept):
+        # e = 0: the objective decreases across the whole window
+        r = phase_bound((1, 2), t, 0.0)
+        assert r.s_star == S_MAX
+        assert r.e_ph == intercept(S_MAX)
+        # e = 0.9: the objective increases across the whole window
+        assert phase_bound((1, 2), t, 0.9).s_star == 0.0
+
     def test_role_swapped_case_matches(self):
         for e in (0.0, 0.03, 0.12):
             for t in (1, 2):
@@ -159,3 +169,5 @@ class TestPhaseBound:
             phase_bound((1, 2), 1, 1.5)
         with pytest.raises(ValueError):
             phase_bound((2, 2), 1, 0.1)
+        with pytest.raises(ValueError):
+            phase_bound((1, 2), 3, 0.1)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from mdi_sarg04.config import ScenarioConfig
+from mdi_sarg04.rates import key_rate
 from mdi_sarg04.scenario import (
     csv_lines,
+    evaluate_gains,
     evaluate_rate,
     optimize_mu,
+    point_at,
     run_sweep,
     write_csv,
 )
@@ -34,6 +37,17 @@ class TestOptimizeMu:
         point = optimize_mu(cfg, 300.0)
         assert point.zero_rate
         assert point.total == 0.0
+
+    @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
+    def test_optimum_row_equals_one_shot_row(self, scenario):
+        # the bounds optimize_mu reuses across mu must belong to its distance
+        cfg = dataclasses.replace(SHORT, scenario=scenario)
+        for d in (5.0, 40.0):
+            p = optimize_mu(cfg, d)
+            assert dataclasses.asdict(p) == dataclasses.asdict(point_at(cfg, d, p.mu_opt))
+            if scenario != "bb84_baseline":
+                b = key_rate(evaluate_gains(cfg, d, p.mu_opt), cfg.ec_inefficiency)
+                assert (p.G1, p.G2, p.total) == (b.G1, b.G2, b.total)
 
     def test_heralded_scenario_runs(self):
         cfg = dataclasses.replace(SHORT, scenario="spdc_heralded")
