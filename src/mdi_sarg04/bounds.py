@@ -40,14 +40,27 @@ class BoundResult:
     s_star: float
 
 
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity."""
-    if x < -1e-12 or x > 1 + 1e-12:
-        raise ValueError(f"entropy argument {x} outside [0, 1]")
+def _entropy(x: float) -> float:
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
-    return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
+    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+
+
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity.
+
+    Elementwise on arrays; a float for a float.  Each element goes through
+    libm's log2, so an array gives bit for bit the values of its elements
+    (numpy's log2 differs from it in the last bit for some arguments).
+    """
+    arr = np.asarray(x, dtype=float)
+    values = arr.ravel().tolist()
+    if any(v < -1e-12 or v > 1 + 1e-12 for v in values):
+        raise ValueError(f"entropy argument {x} outside [0, 1]")
+    if arr.ndim == 0:
+        return _entropy(values[0])
+    return np.array([_entropy(v) for v in values]).reshape(arr.shape)
 
 
 def f_type1(s1: float) -> float:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 SCENARIOS = ("qnd_coherent", "spdc_heralded", "bb84_baseline")
 TYPE_SELECTIONS = ("both", "type1_only", "type2_only")
 PHOTON_TERMS = ("one_one_only", "up_to_two")
+# largest distance grid a config may ask for; each point is one mu optimization
+MAX_DISTANCE_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -57,6 +59,8 @@ class ScenarioConfig:
         grid = (self.distance_start_km, self.distance_stop_km, self.distance_step_km)
         if not all(map(math.isfinite, grid)) or grid[0] < 0 or grid[2] <= 0 or grid[1] < grid[0]:
             raise ConfigError("empty, inverted, negative or non-finite distance grid")
+        if (grid[1] + 1e-9 - grid[0]) / grid[2] >= MAX_DISTANCE_POINTS:
+            raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
         if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
         if not isinstance(self.n_cutoff, int) or self.n_cutoff < 2:
@@ -65,12 +69,10 @@ class ScenarioConfig:
             raise ConfigError("output path must be a string or null")
 
     def distances(self) -> list[float]:
-        grid = []
-        d = self.distance_start_km
-        while d <= self.distance_stop_km + 1e-9:
-            grid.append(round(d, 9))
-            d += self.distance_step_km
-        return grid
+        """Points start + i*step up to stop (with 1e-9 km slack), rounded to 9 decimals."""
+        start, step = self.distance_start_km, self.distance_step_km
+        count = math.floor((self.distance_stop_km + 1e-9 - start) / step) + 1
+        return [round(start + i * step, 9) for i in range(count)]
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

@@ -284,10 +284,13 @@ def relay_yields(
     return np.einsum("ia,jb,abc->ijc", thin, thin, table)
 
 
-def error_rate(errors: float, detections: float) -> float:
+def error_rate(errors: float | np.ndarray, detections: float | np.ndarray) -> float | np.ndarray:
     """Bit error rate errors / detections; the uninformative 0.5 where
-    nothing is detected."""
-    return float(errors / detections) if detections > 0 else 0.5
+    nothing is detected.  Elementwise on arrays; a float for floats."""
+    errors, detections = np.asarray(errors, dtype=float), np.asarray(detections, dtype=float)
+    rate = np.full(np.broadcast_shapes(errors.shape, detections.shape), 0.5)
+    np.divide(errors, detections, out=rate, where=detections > 0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 class MuEntry(NamedTuple):

@@ -5,14 +5,21 @@ per-(n,m) gains, applies the phase-error bounds, and evaluates the
 asymptotic key-rate formula per announcement type, plus a simplified
 MDI-BB84 comparator.  Infinite decoy states are assumed: every
 per-photon-number gain and error rate is known exactly.
+
+Gains, totals and key fractions are arrays over a leading axis of mean
+photon numbers (`gain_kernel`); the table of one source pair
+(`assemble_gains`) is the one-row view of the same arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import binary_entropy, phase_bound
-from .optics import DetectorParams, error_rate, relay_yields
+from .optics import N_MAX_DEFAULT, DetectorParams, error_rate, relay_yields
 from .sources import HeraldedSource, PhotonNumberDist
 
 # probability that the broadcast rotation labels satisfy the sifting rule:
@@ -21,15 +28,30 @@ SIFT_FACTOR = {1: 0.25, 2: 0.125}
 
 KEY_CASES = ((1, 1), (1, 2), (2, 1))
 
+# announcement types whose key fraction counts in the total, per type selection
+INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
+
 
 @dataclass(frozen=True)
 class TypeGains:
-    """Per-(n,m) gains and bit error rates for one announcement type."""
+    """Per-(n,m) gains and bit error rates for one announcement type.
 
-    q: dict[tuple[int, int], float]
+    In a table over mean photon numbers each gain and total is an array
+    with one entry per mean photon number; the bit error rates depend on
+    the relay alone and are floats."""
+
+    q: dict[tuple[int, int], float | np.ndarray]
     ebit: dict[tuple[int, int], float]
-    q_tot: float
-    e_tot: float
+    q_tot: float | np.ndarray
+    e_tot: float | np.ndarray
+
+    def at(self, k: int) -> "TypeGains":
+        return TypeGains(
+            q={nm: float(v[k]) for nm, v in self.q.items()},
+            ebit=self.ebit,
+            q_tot=float(self.q_tot[k]),
+            e_tot=float(self.e_tot[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -40,7 +62,7 @@ class GainTable:
 
     type1: TypeGains
     type2: TypeGains
-    herald_probability: float = 1.0
+    herald_probability: float | np.ndarray = 1.0
     protocol: str = "sarg04"
 
     def for_type(self, announcement_type: int) -> TypeGains:
@@ -50,16 +72,32 @@ class GainTable:
             return self.type2
         raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
+    def at(self, k: int) -> "GainTable":
+        """Row k of a table over mean photon numbers, with floats."""
+        return GainTable(
+            self.type1.at(k), self.type2.at(k), float(self.herald_probability[k]), self.protocol
+        )
+
 
 @dataclass(frozen=True)
 class KeyRateBreakdown:
     """Per-type key fractions with the positive term breakdown."""
 
-    G1: float
-    G2: float
-    total: float
+    G1: float | np.ndarray
+    G2: float | np.ndarray
+    total: float | np.ndarray
     contributions: dict = field(default_factory=dict)
-    ec_cost: float = 0.0
+    ec_cost: float | np.ndarray = 0.0
+
+    def at(self, k: int) -> "KeyRateBreakdown":
+        """Row k of the key fractions over mean photon numbers, with floats."""
+        return KeyRateBreakdown(
+            G1=float(self.G1[k]),
+            G2=float(self.G2[k]),
+            total=float(self.total[k]),
+            contributions={key: float(v[k]) for key, v in self.contributions.items()},
+            ec_cost=float(self.ec_cost[k]),
+        )
 
 
 def _emission_dist(source) -> tuple[PhotonNumberDist, float]:
@@ -70,6 +108,42 @@ def _emission_dist(source) -> tuple[PhotonNumberDist, float]:
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
+def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTable]:
+    """(p_a, p_b, herald_probability) -> gain table over K mean photon
+    numbers, at the relay yields `y` (N, N, 4) of optics.relay_yields.
+
+    q[k, t, n, m] = p_a[k, n] p_b[k, m] sift[t] Y[n, m, yield_t], and the
+    same product with the error-weighted yield, for emission probabilities
+    p_a, p_b of shape (K, N) and the joint heralding probability (K,) of
+    each row.  Everything that depends on the relay alone, the bit error
+    rates included, is computed here once.
+    """
+    sift = np.array([SIFT_FACTOR[1], SIFT_FACTOR[2]] if protocol == "sarg04" else [1.0, 1.0])
+    # rows (yield_1, error_1, yield_2, error_2) over row-major (n, m); the sift
+    # factors are powers of two, so (w * sift) * Y == w * (sift * Y) exactly
+    sifted = (y * np.repeat(sift, 2)).reshape(-1, 4).T
+    photons = range(y.shape[0])
+    cases = [(n, m) for n in photons for m in photons]
+    ebit = error_rate(y[..., 1::2], y[..., 0::2])
+    ebits = [dict(zip(cases, ebit[..., i].ravel().tolist())) for i in (0, 1)]
+
+    def gains(p_a: np.ndarray, p_b: np.ndarray, herald_probability: np.ndarray) -> GainTable:
+        w = (p_a[:, :, None] * p_b[:, None, :]).reshape(len(p_a), 1, -1)
+        terms = w * sifted
+        # a running sum over (n, m): the additions of a float sum over the gains
+        totals = np.add.accumulate(terms, axis=-1)[..., -1]
+        q_tot = totals[:, 0::2]
+        e_tot = np.zeros(q_tot.shape)
+        np.divide(totals[:, 1::2], q_tot, out=e_tot, where=q_tot > 0)
+        per_type = [
+            TypeGains(dict(zip(cases, terms[:, 2 * i].T)), ebits[i], q_tot[:, i], e_tot[:, i])
+            for i in (0, 1)
+        ]
+        return GainTable(*per_type, herald_probability=herald_probability, protocol=protocol)
+
+    return gains
+
+
 def assemble_gains(
     source_a,
     source_b,
@@ -78,9 +152,10 @@ def assemble_gains(
     qnd: bool = False,
     protocol: str = "sarg04",
     bb84_basis: str = "key",
-    n_max: int = 2,
+    n_max: int = N_MAX_DEFAULT,
 ) -> GainTable:
-    """Per-(n,m) gains Q = p_n p_m * sift * yield for both types.
+    """Per-(n,m) gains Q = p_n p_m * sift * yield for both types: the
+    one-row `gain_kernel` table of one source pair.
 
     With `qnd` the relay accepts at most one arriving photon per arm
     (see optics.relay_yields).
@@ -89,33 +164,9 @@ def assemble_gains(
     dist_b, herald_b = _emission_dist(source_b)
     if qnd and (herald_a != 1.0 or herald_b != 1.0):
         raise ValueError("photon-number postselection expects bare source distributions")
-    y = relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd).tolist()
-    photons = range(n_max + 1)
-    weight = {(n, m): dist_a.prob(n) * dist_b.prob(m) for n in photons for m in photons}
-    sift = SIFT_FACTOR if protocol == "sarg04" else {1: 1.0, 2: 1.0}
-    per_type = {}
-    for t in (1, 2):
-        col_y, col_e = 2 * t - 2, 2 * t - 1  # yield and error-weighted yield of type t
-        q = {(n, m): w * sift[t] * y[n][m][col_y] for (n, m), w in weight.items()}
-        q_tot = sum(q.values())
-        errors = sum(w * sift[t] * y[n][m][col_e] for (n, m), w in weight.items())
-        per_type[t] = TypeGains(
-            q=q,
-            ebit={(n, m): error_rate(y[n][m][col_e], y[n][m][col_y]) for n, m in weight},
-            q_tot=q_tot,
-            e_tot=errors / q_tot if q_tot > 0 else 0.0,
-        )
-    return GainTable(
-        type1=per_type[1],
-        type2=per_type[2],
-        herald_probability=herald_a * herald_b,
-        protocol=protocol,
-    )
-
-
-def _privacy_term(q: float, e_ph: float) -> float:
-    # e_ph >= 0.5 carries no key; clamping into [0, 0.5] makes the term 0
-    return q * (1.0 - binary_entropy(min(e_ph, 0.5)))
+    y = relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd)
+    p_a, p_b = (np.array([[d.prob(n) for n in range(n_max + 1)]]) for d in (dist_a, dist_b))
+    return gain_kernel(y, protocol)(p_a, p_b, np.array([herald_a * herald_b])).at(0)
 
 
 def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
@@ -132,6 +183,16 @@ def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
     }
 
 
+def _privacy_factor(e_ph: float | np.ndarray) -> float | np.ndarray:
+    # 1 - h(e_ph); e_ph >= 0.5 carries no key, and clamping it to 0.5 makes this 0
+    return 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
+
+
+def privacy_factors(e_ph: dict) -> dict:
+    """1 - h(e_ph) of every key term bounded in `e_ph` (from `phase_bounds`)."""
+    return dict(zip(e_ph, _privacy_factor(list(e_ph.values())).tolist()))
+
+
 def key_fractions(
     gains: GainTable, e_ph: dict, ec_inefficiency: float, type_selection: str = "both"
 ) -> KeyRateBreakdown:
@@ -144,23 +205,27 @@ def key_fractions(
     """
     if ec_inefficiency < 1:
         raise ValueError(f"error-correction inefficiency must be >= 1, got {ec_inefficiency}")
-    include = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}.get(type_selection)
+    include = INCLUDED_TYPES.get(type_selection)
     if include is None:
         raise ValueError(f"unknown type selection {type_selection!r}")
-    contributions: dict = {}
-    raw = {}
-    ec_total = 0.0
-    for t in (1, 2):
-        tg = gains.for_type(t)
-        terms = {(t, nm): _privacy_term(tg.q[nm], b) for (bt, nm), b in e_ph.items() if bt == t}
-        contributions.update(terms)
-        ec = ec_inefficiency * tg.q_tot * binary_entropy(min(tg.e_tot, 1.0))
-        ec_total += ec
-        raw[t] = sum(terms.values()) - ec
-    total = sum(max(raw[t], 0.0) for t in include)
-    return KeyRateBreakdown(
-        G1=raw[1], G2=raw[2], total=total, contributions=contributions, ec_cost=ec_total
-    )
+    return fractions_from_factors(gains, privacy_factors(e_ph), ec_inefficiency, include)
+
+
+def fractions_from_factors(
+    gains: GainTable, factors: dict, ec_inefficiency: float, include: tuple[int, ...]
+) -> KeyRateBreakdown:
+    """The arithmetic of `key_fractions`, with the privacy factors of
+    `privacy_factors` and the included announcement types; over mean
+    photon numbers when the gains are."""
+    types = {1: gains.type1, 2: gains.type2}
+    contributions = {(t, nm): types[t].q[nm] * f for (t, nm), f in factors.items()}
+    h = binary_entropy(np.minimum([types[1].e_tot, types[2].e_tot], 1.0))
+    ec = {t: ec_inefficiency * tg.q_tot * h[t - 1] for t, tg in types.items()}
+    raw = {t: sum(v for (u, _), v in contributions.items() if u == t) - ec[t] for t in types}
+    total = 0.0
+    for t in include:
+        total = total + np.maximum(raw[t], 0.0)
+    return KeyRateBreakdown(raw[1], raw[2], total, contributions, ec[1] + ec[2])
 
 
 def key_rate(
@@ -175,27 +240,25 @@ def key_rate(
 
 def bb84_baseline_rate(
     key_gains: GainTable, test_gains: GainTable, ec_inefficiency: float
-) -> float:
+) -> float | np.ndarray:
     """Simplified asymptotic MDI-BB84 comparator.
 
     R = Q^(1,1) [1 - h(e_ph^(1,1))] - f_EC Q_tot h(E_tot), with both
     announcement types combined, the key-basis gains providing Q and
     E_tot and the test-basis (1,1) error providing the phase error.
-    Clamped at zero.
+    Clamped at zero, and zero where nothing is detected; over mean photon
+    numbers when the gains are.
     """
-    q11 = key_gains.type1.q[(1, 1)] + key_gains.type2.q[(1, 1)]
-    q_tot = key_gains.type1.q_tot + key_gains.type2.q_tot
-    if q_tot == 0.0:
-        return 0.0
-    e_tot = (
-        key_gains.type1.q_tot * key_gains.type1.e_tot
-        + key_gains.type2.q_tot * key_gains.type2.e_tot
-    ) / q_tot
-    tq11 = test_gains.type1.q[(1, 1)] + test_gains.type2.q[(1, 1)]
+    k1, k2, t1, t2 = key_gains.type1, key_gains.type2, test_gains.type1, test_gains.type2
+    q11 = k1.q[(1, 1)] + k2.q[(1, 1)]
+    q_tot = k1.q_tot + k2.q_tot
+    e_tot = np.zeros_like(q_tot)
+    np.divide(k1.q_tot * k1.e_tot + k2.q_tot * k2.e_tot, q_tot, out=e_tot, where=q_tot != 0)
     e_ph = error_rate(
-        test_gains.type1.q[(1, 1)] * test_gains.type1.ebit[(1, 1)]
-        + test_gains.type2.q[(1, 1)] * test_gains.type2.ebit[(1, 1)],
-        tq11,
+        t1.q[(1, 1)] * t1.ebit[(1, 1)] + t2.q[(1, 1)] * t2.ebit[(1, 1)],
+        t1.q[(1, 1)] + t2.q[(1, 1)],
     )
-    raw = _privacy_term(q11, e_ph) - ec_inefficiency * q_tot * binary_entropy(min(e_tot, 1.0))
-    return max(raw, 0.0)
+    ec = ec_inefficiency * q_tot * binary_entropy(np.minimum(e_tot, 1.0))
+    raw = q11 * _privacy_factor(e_ph) - ec
+    rate = np.where(q_tot == 0, 0.0, np.maximum(raw, 0.0))
+    return float(rate) if rate.ndim == 0 else rate

@@ -15,11 +15,22 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import golden_section_minimize
 from .config import ScenarioConfig
-from .optics import ChannelParams, DetectorParams
-from .rates import GainTable, assemble_gains, bb84_baseline_rate, key_fractions, phase_bounds
-from .sources import poisson_source, spdc_heralded
+from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay_yields
+from .rates import (
+    INCLUDED_TYPES,
+    GainTable,
+    assemble_gains,
+    bb84_baseline_rate,
+    fractions_from_factors,
+    gain_kernel,
+    phase_bounds,
+    privacy_factors,
+)
+from .sources import poisson_probs, poisson_source, spdc_heralded
 
 MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
@@ -64,54 +75,94 @@ def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> Gai
     raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
 
 
-def rate_at(config: ScenarioConfig, distance_km: float) -> Callable[[float], tuple]:
-    """mu -> (key rate per pump pulse, gains, breakdown) at one distance.
+def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray) -> tuple:
+    """Emission probabilities p[k, n] for n <= N_MAX_DEFAULT and the joint
+    heralding probability, at every mean photon number mu_k."""
+    if config.scenario != "spdc_heralded":
+        return poisson_probs(mu, N_MAX_DEFAULT), np.ones(len(mu))
+    sources = [
+        spdc_heralded(m, det, config.n_cutoff, config.spdc_pair_statistics) for m in mu.tolist()
+    ]
+    p = [[s.conditional.prob(n) for n in range(N_MAX_DEFAULT + 1)] for s in sources]
+    return np.array(p), np.array([s.p_herald * s.p_herald for s in sources])
 
-    The phase-error bounds depend on the distance only, so they are solved
-    from the first gain table asked for and reused for every later mu.
+
+def rate_at(config: ScenarioConfig, distance_km: float) -> Callable[[np.ndarray], tuple]:
+    """mu -> (key rate per pump pulse, gains, breakdown) at one distance,
+    over the 1-D array of mean photon numbers mu (breakdown None for the
+    BB84 comparator).
+
+    The relay yields depend on the distance only and are computed here
+    once; so are the phase-error bounds and their privacy factors, from
+    the first gain table.
     """
     det, t = _relay(config, distance_km)
-    e_ph: dict = {}
+    if config.scenario == "bb84_baseline":
+        key_gains = gain_kernel(relay_yields(det, t, "bb84", "key"), "bb84")
+        test_gains = gain_kernel(relay_yields(det, t, "bb84", "test"), "bb84")
 
-    def rate(mu: float):
-        if config.scenario == "bb84_baseline":
-            src = poisson_source(mu, config.n_cutoff)
-            kg = assemble_gains(src, src, det, t, protocol="bb84")
-            tg = assemble_gains(src, src, det, t, protocol="bb84", bb84_basis="test")
+        def bb84_rate(mu: np.ndarray):
+            p, herald = _emission_probs(config, det, mu)
+            kg, tg = key_gains(p, p, herald), test_gains(p, p, herald)
             return bb84_baseline_rate(kg, tg, config.ec_inefficiency), kg, None
-        gains = evaluate_gains(config, distance_km, mu)
-        if not e_ph:
-            e_ph.update(phase_bounds(gains, config.photon_terms == "one_one_only"))
-        breakdown = key_fractions(gains, e_ph, config.ec_inefficiency, config.type_selection)
-        return breakdown.total * gains.herald_probability, gains, breakdown
+
+        return bb84_rate
+
+    gains_at = gain_kernel(relay_yields(det, t, qnd=config.scenario == "qnd_coherent"))
+    include = INCLUDED_TYPES[config.type_selection]
+    factors: dict = {}
+
+    def rate(mu: np.ndarray):
+        p, herald = _emission_probs(config, det, mu)
+        gains = gains_at(p, p, herald)
+        if not factors:
+            e_ph = phase_bounds(gains, config.photon_terms == "one_one_only")
+            factors.update(privacy_factors(e_ph))
+        breakdown = fractions_from_factors(gains, factors, config.ec_inefficiency, include)
+        return breakdown.total * herald, gains, breakdown
 
     return rate
 
 
+def _row(result: tuple, k: int = 0) -> tuple:
+    """Row k of a `rate_at` result, with floats."""
+    rate, gains, breakdown = result
+    return float(rate[k]), gains.at(k), None if breakdown is None else breakdown.at(k)
+
+
 def evaluate_rate(config: ScenarioConfig, distance_km: float, mu: float) -> tuple:
     """Key rate per pump pulse at one (distance, mu) point."""
-    return rate_at(config, distance_km)(mu)
+    return _row(rate_at(config, distance_km)(np.array([mu])))
+
+
+def mu_grid(config: ScenarioConfig) -> list[float]:
+    """The coarse logarithmic mu grid of `optimize_mu`, MU_COARSE_POINTS
+    points from mu_min to mu_max."""
+    lo, hi = math.log(config.mu_min), math.log(config.mu_max)
+    return [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
 
 
 def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
     """Maximize the per-pulse key rate over the mean photon number.
 
-    Coarse logarithmic grid followed by golden-section refinement to a
-    relative tolerance of 1e-4; both senders share the same mu.
+    Coarse logarithmic grid, evaluated in one call, followed by
+    golden-section refinement to a relative tolerance of 1e-4; both
+    senders share the same mu.
     """
     rate = rate_at(config, distance_km)
-    lo, hi = math.log(config.mu_min), math.log(config.mu_max)
-    grid = [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
-    rates = [rate(mu)[0] for mu in grid]
-    best = max(range(len(grid)), key=lambda j: rates[j])
+    grid = mu_grid(config)
+    rates = rate(np.array(grid))[0]
+    best = int(np.argmax(rates))
     mu_opt = grid[best]
     if rates[best] > 0.0:
         a = math.log(grid[max(best - 1, 0)])
         b = math.log(grid[min(best + 1, len(grid) - 1)])
-        log_mu, neg = golden_section_minimize(lambda x: -rate(math.exp(x))[0], a, b, MU_REL_TOL)
+        log_mu, neg = golden_section_minimize(
+            lambda x: -rate(np.array([math.exp(x)]))[0][0], a, b, MU_REL_TOL
+        )
         if -neg >= rates[best]:
             mu_opt = math.exp(log_mu)
-    return _point(distance_km, mu_opt, rate(mu_opt))
+    return _point(distance_km, mu_opt, _row(rate(np.array([mu_opt]))))
 
 
 def point_at(config: ScenarioConfig, distance_km: float, mu: float) -> RateCurvePoint:

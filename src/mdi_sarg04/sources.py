@@ -10,7 +10,7 @@ acceptance applied inside the relay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial
+from math import exp, factorial, inf
 
 import numpy as np
 
@@ -60,15 +60,24 @@ class HeraldedSource:
     degenerate: bool = False
 
 
+def poisson_probs(mu: np.ndarray | list[float], n_max: int) -> np.ndarray:
+    """Closed-form Poisson p[k, n] = exp(-mu_k) mu_k^n / n! for n <= n_max,
+    one row per entry mu_k of the 1-D `mu`.  Built element by element with
+    libm's exp and pow, which numpy's vectorized exp does not match bit
+    for bit."""
+    rows = np.asarray(mu, dtype=float).tolist()
+    if not all(0 <= m < inf for m in rows):
+        raise ValueError(f"mean photon numbers must be finite and nonnegative, got {mu}")
+    return np.array([[exp(-m) * m**n / factorial(n) for n in range(n_max + 1)] for m in rows])
+
+
 def poisson_source(mu: float, cutoff: int = DEFAULT_CUTOFF) -> PhotonNumberDist:
     """Phase-randomized coherent source: p_n = exp(-mu) mu^n / n!.
 
     The cutoff is raised automatically until the tail mass is below 1e-6.
     """
-    if mu < 0:
-        raise ValueError(f"mean photon number must be nonnegative, got {mu}")
     while True:
-        probs = np.array([exp(-mu) * mu**n / factorial(n) for n in range(cutoff + 1)])
+        probs = poisson_probs([mu], cutoff)[0]
         tail = max(1.0 - probs.sum(), 0.0)
         if tail <= TAIL_TOL or cutoff >= _CUTOFF_HARD_CAP:
             return PhotonNumberDist(probs=probs, tail_mass=tail)
@@ -94,13 +103,13 @@ def spdc_heralded(
     probability 1 - (1-dark)(1-eta)^n; the signal distribution is the
     pair distribution reweighted by the click probability.
     """
-    if pump_mu < 0:
-        raise ValueError(f"mean pair number must be nonnegative, got {pump_mu}")
+    if not 0 <= pump_mu < inf:
+        raise ValueError(f"mean pair number must be finite and nonnegative, got {pump_mu}")
     while True:
         if pair_statistics == "thermal":
             pairs = thermal_pair_probs(pump_mu, cutoff)
         elif pair_statistics == "poisson":
-            pairs = np.array([exp(-pump_mu) * pump_mu**n / factorial(n) for n in range(cutoff + 1)])
+            pairs = poisson_probs([pump_mu], cutoff)[0]
         else:
             raise ValueError(f"unknown pair statistics {pair_statistics!r}")
         tail = max(1.0 - pairs.sum(), 0.0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mdi_sarg04.cli import main
-from mdi_sarg04.config import ConfigError, ScenarioConfig
+from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
 
 
 class TestConfig:
@@ -36,6 +36,9 @@ class TestConfig:
             {"distance_step_km": float("nan")},
             {"distance_start_km": float("nan")},
             {"distance_stop_km": float("inf")},
+            # a step below the float spacing of the start: 1.0 + 1e-20 == 1.0
+            {"distance_start_km": 1.0, "distance_stop_km": 2.0, "distance_step_km": 1e-20},
+            {"distance_stop_km": 1e6, "distance_step_km": 1e-3},
             {"type_selection": "all"},
             {"photon_terms": "everything"},
         ):
@@ -51,6 +54,10 @@ class TestConfig:
     def test_distance_grid(self):
         cfg = ScenarioConfig(distance_start_km=0.0, distance_stop_km=6.0, distance_step_km=2.0)
         assert cfg.distances() == [0.0, 2.0, 4.0, 6.0]
+        fine = ScenarioConfig(distance_start_km=0.1, distance_stop_km=0.4, distance_step_km=0.1)
+        assert fine.distances() == [0.1, 0.2, 0.3, 0.4]
+        top = ScenarioConfig(distance_stop_km=MAX_DISTANCE_POINTS - 1.0, distance_step_km=1.0)
+        assert len(top.distances()) == MAX_DISTANCE_POINTS
 
 
 class TestCliVerify:
@@ -132,6 +139,9 @@ class TestCliBadInput:
             ["optimize-mu", "--distance", "-10"],
             ["optimize-mu", "--distance", "nan"],
             ["rate-curve", "--mu", "-1", "--distance", "10"],
+            ["rate-curve", "--mu", "nan", "--distance", "10"],
+            ["rate-curve", "--mu", "inf", "--distance", "10"],
+            ["rate-curve", "--scenario", "spdc_heralded", "--mu", "nan", "--distance", "10"],
         ],
         ids=" ".join,
     )

@@ -9,12 +9,14 @@ import os
 import string
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
-from mdi_sarg04.scenario import point_at
+from mdi_sarg04.scenario import mu_grid, optimize_mu, point_at, rate_at
 
 DEFAULT = ScenarioConfig()
 
@@ -42,6 +44,22 @@ def test_point_is_physical_and_falls_with_distance(config, d1, d2, mu):
         assert 0.0 <= p.e_tot_1 <= 1.0
         assert 0.0 <= p.e_tot_2 <= 1.0
     assert far.total_per_pulse <= near.total_per_pulse
+
+
+@settings(max_examples=15, deadline=None)
+@given(valid_configs, st.floats(0.0, 100.0))
+def test_grid_rows_match_points_and_bound_the_optimum(config, d):
+    grid = mu_grid(config)
+    rates, gains, breakdown = rate_at(config, d)(np.array(grid))
+    for k, mu in enumerate(grid):
+        p = point_at(config, d, mu)
+        row = [rates[k], gains.type1.e_tot[k], gains.type2.e_tot[k], gains.herald_probability[k]]
+        want = [p.total_per_pulse, p.e_tot_1, p.e_tot_2, p.p_herald]
+        if breakdown is not None:
+            row += [breakdown.G1[k], breakdown.G2[k], breakdown.total[k]]
+            want += [p.G1, p.G2, p.total]
+        assert row == pytest.approx(want, rel=1e-12, abs=0.0), mu
+    assert optimize_mu(config, d).total_per_pulse >= max(rates)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
