@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams, mu_response
-from .scenario import _fmt, csv_lines, optimize_mu, point_at, run_sweep
+from .scenario import _fmt, csv_lines, optimize_mu, points_at, run_sweep
 from .verify import all_passed, verify_suite
 
 EXIT_OK = 0
@@ -46,19 +46,12 @@ def _cmd_bounds(args) -> int:
     lines = [
         "s,f_s,g_s,e_bit,e_ph_11_t1,e_ph_11_t2,e_ph_12_t1,e_ph_12_t2"
     ]
-    for s in np.round(np.arange(0.0, 5.0 + 1e-9, 0.05), 10):
-        e_bit = float(s) / 10.0
-        row = [
-            float(s),
-            f_type1(float(s)),
-            g_type2(float(s)),
-            e_bit,
-            phase_bound((1, 1), 1, e_bit).e_ph,
-            phase_bound((1, 1), 2, e_bit).e_ph,
-            phase_bound((1, 2), 1, e_bit).e_ph,
-            phase_bound((1, 2), 2, e_bit).e_ph,
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
+    s = np.round(np.arange(0.0, 5.0 + 1e-9, 0.05), 10)
+    e_bit = s / 10.0
+    columns = [s, f_type1(s), g_type2(s), e_bit] + [
+        phase_bound(case, t, e_bit).e_ph for case in ((1, 1), (1, 2)) for t in (1, 2)
+    ]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns))]
     _write_lines(lines, args.output)
     return EXIT_OK
 
@@ -100,7 +93,7 @@ def _load_config(args) -> ScenarioConfig:
 def _cmd_rate_curve(args) -> int:
     config = _load_config(args)
     if args.mu is not None:
-        points = [point_at(config, d, args.mu) for d in config.distances()]
+        points = points_at(config, config.distances(), args.mu)
     else:
         points = run_sweep(config)
     _write_lines(csv_lines(points), args.output or config.output_path)

@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .sources import CUTOFF_HARD_CAP
+
 SCENARIOS = ("qnd_coherent", "spdc_heralded", "bb84_baseline")
 TYPE_SELECTIONS = ("both", "type1_only", "type2_only")
 PHOTON_TERMS = ("one_one_only", "up_to_two")
@@ -63,8 +65,8 @@ class ScenarioConfig:
             raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
         if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
-        if not isinstance(self.n_cutoff, int) or self.n_cutoff < 2:
-            raise ConfigError("source cutoff must be an integer of at least 2")
+        if not isinstance(self.n_cutoff, int) or not 2 <= self.n_cutoff <= CUTOFF_HARD_CAP:
+            raise ConfigError(f"source cutoff must be an integer from 2 to {CUTOFF_HARD_CAP}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError("output path must be a string or null")
 

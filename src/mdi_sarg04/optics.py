@@ -111,11 +111,13 @@ def _binomial_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return binom, k, np.maximum(k[:, None] - k[None, :], 0)
 
 
-def thinning_matrix(s: float, n_max: int) -> np.ndarray:
-    """Binomial thinning B[n, k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
-    the probability that k of n photons survive, each with probability s."""
+def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
+    """Binomial thinning B[..., n, k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
+    the probability that k of n photons survive, each with probability s;
+    one matrix per element of an array s."""
     binom, k, lost = _binomial_table(n_max)
-    return binom * s**k * ((1 - s) ** k)[lost]
+    s = np.asarray(s, dtype=float)[..., None]
+    return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., lost]
 
 
 def _mode_amplitudes(pol: Complex, arm: str) -> list[complex]:
@@ -262,7 +264,7 @@ def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np
 
 def relay_yields(
     det: DetectorParams,
-    t_arm: float,
+    t_arm: float | np.ndarray,
     protocol: str = "sarg04",
     bb84_basis: str = "key",
     n_max: int = N_MAX_DEFAULT,
@@ -270,18 +272,21 @@ def relay_yields(
 ) -> np.ndarray:
     """Y[n, m] = (yield_1, error_1, yield_2, error_2) of the relay for every
     emission n, m <= n_max: the arrival table thinned by each arm's loss.
+    For a 1-D array of transmittances, one contraction gives Y at all of
+    them, shape (D, n_max + 1, n_max + 1, 4).
 
     With `qnd` the relay accepts at most one arriving photon per arm, so
     only arrivals {0, 1} of the channel thinning reach the detectors.
     """
+    t_arm = np.asarray(t_arm, dtype=float)
     if qnd:
         cut = min(n_max, 1)
         table = arrival_table(det.dark, protocol, bb84_basis, cut)
-        thin = thinning_matrix(t_arm, n_max)[:, : cut + 1] @ thinning_matrix(det.eta, cut)
+        thin = thinning_matrix(t_arm, n_max)[..., : cut + 1] @ thinning_matrix(det.eta, cut)
     else:
         table = arrival_table(det.dark, protocol, bb84_basis, n_max)
         thin = thinning_matrix(t_arm * det.eta, n_max)
-    return np.einsum("ia,jb,abc->ijc", thin, thin, table)
+    return np.einsum("...ia,...jb,abc->...ijc", thin, thin, table)
 
 
 def error_rate(errors: float | np.ndarray, detections: float | np.ndarray) -> float | np.ndarray:

@@ -6,9 +6,10 @@ asymptotic key-rate formula per announcement type, plus a simplified
 MDI-BB84 comparator.  Infinite decoy states are assumed: every
 per-photon-number gain and error rate is known exactly.
 
-Gains, totals and key fractions are arrays over a leading axis of mean
-photon numbers (`gain_kernel`); the table of one source pair
-(`assemble_gains`) is the one-row view of the same arrays.
+Gains, totals and key fractions are arrays over mean photon numbers,
+and over (distance, mean photon number) in a sweep (`gain_kernel`); the
+table of one source pair (`assemble_gains`) is the one-row view of the
+same arrays.
 """
 
 from __future__ import annotations
@@ -37,18 +38,19 @@ class TypeGains:
     """Per-(n,m) gains and bit error rates for one announcement type.
 
     In a table over mean photon numbers each gain and total is an array
-    with one entry per mean photon number; the bit error rates depend on
-    the relay alone and are floats."""
+    with one entry per mean photon number (per distance and mean photon
+    number in a sweep); the bit error rates depend on the relay alone and
+    are floats at one distance, (D, 1) arrays at D distances."""
 
     q: dict[tuple[int, int], float | np.ndarray]
-    ebit: dict[tuple[int, int], float]
+    ebit: dict[tuple[int, int], float | np.ndarray]
     q_tot: float | np.ndarray
     e_tot: float | np.ndarray
 
-    def at(self, k: int) -> "TypeGains":
+    def at(self, k) -> "TypeGains":
         return TypeGains(
             q={nm: float(v[k]) for nm, v in self.q.items()},
-            ebit=self.ebit,
+            ebit={nm: float(v[k]) if np.ndim(v) else v for nm, v in self.ebit.items()},
             q_tot=float(self.q_tot[k]),
             e_tot=float(self.e_tot[k]),
         )
@@ -72,8 +74,9 @@ class GainTable:
             return self.type2
         raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
-    def at(self, k: int) -> "GainTable":
-        """Row k of a table over mean photon numbers, with floats."""
+    def at(self, k) -> "GainTable":
+        """Entry k of a table over mean photon numbers (an index tuple over
+        distances and mean photon numbers), with floats."""
         return GainTable(
             self.type1.at(k), self.type2.at(k), float(self.herald_probability[k]), self.protocol
         )
@@ -89,8 +92,8 @@ class KeyRateBreakdown:
     contributions: dict = field(default_factory=dict)
     ec_cost: float | np.ndarray = 0.0
 
-    def at(self, k: int) -> "KeyRateBreakdown":
-        """Row k of the key fractions over mean photon numbers, with floats."""
+    def at(self, k) -> "KeyRateBreakdown":
+        """Entry k of the key fractions (see GainTable.at), with floats."""
         return KeyRateBreakdown(
             G1=float(self.G1[k]),
             G2=float(self.G2[k]),
@@ -109,36 +112,47 @@ def _emission_dist(source) -> tuple[PhotonNumberDist, float]:
 
 
 def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTable]:
-    """(p_a, p_b, herald_probability) -> gain table over K mean photon
-    numbers, at the relay yields `y` (N, N, 4) of optics.relay_yields.
+    """(p_a, p_b, herald_probability) -> gain table at the relay yields `y`
+    of optics.relay_yields: (N, N, 4) at one distance or (D, N, N, 4) at D.
 
-    q[k, t, n, m] = p_a[k, n] p_b[k, m] sift[t] Y[n, m, yield_t], and the
-    same product with the error-weighted yield, for emission probabilities
-    p_a, p_b of shape (K, N) and the joint heralding probability (K,) of
-    each row.  Everything that depends on the relay alone, the bit error
-    rates included, is computed here once.
+    q[..., t, n, m] = p_a[..., n] p_b[..., m] sift[t] Y[n, m, yield_t], and
+    the same product with the error-weighted yield, for emission
+    probabilities of shape mu.shape + (N,) and the joint heralding
+    probability of shape mu.shape.  At one distance a 1-D mu of K mean
+    photon numbers gives gains over K; at D distances the gains are (D, K)
+    for a 1-D mu shared by all distances and (D, 1) for one mu per
+    distance (mu of shape (D, 1)).  Everything that depends on the relay
+    alone, the bit error rates included ((D, 1) at D distances), is
+    computed here once.
     """
     sift = np.array([SIFT_FACTOR[1], SIFT_FACTOR[2]] if protocol == "sarg04" else [1.0, 1.0])
-    # rows (yield_1, error_1, yield_2, error_2) over row-major (n, m); the sift
-    # factors are powers of two, so (w * sift) * Y == w * (sift * Y) exactly
-    sifted = (y * np.repeat(sift, 2)).reshape(-1, 4).T
-    photons = range(y.shape[0])
+    if y.ndim == 4:  # a mu axis after the distance axis, for the gains to broadcast along
+        y = y[:, None]
+    # (yield_1, error_1, yield_2, error_2); the sift factors are powers of two,
+    # so (w * sift) * Y == w * (sift * Y) exactly
+    sifted = y * np.repeat(sift, 2)
+    photons = range(y.shape[-2])
     cases = [(n, m) for n in photons for m in photons]
     ebit = error_rate(y[..., 1::2], y[..., 0::2])
-    ebits = [dict(zip(cases, ebit[..., i].ravel().tolist())) for i in (0, 1)]
+    ebits = [{(n, m): ebit[..., n, m, i] for n, m in cases} for i in (0, 1)]
 
     def gains(p_a: np.ndarray, p_b: np.ndarray, herald_probability: np.ndarray) -> GainTable:
-        w = (p_a[:, :, None] * p_b[:, None, :]).reshape(len(p_a), 1, -1)
-        terms = w * sifted
-        # a running sum over (n, m): the additions of a float sum over the gains
-        totals = np.add.accumulate(terms, axis=-1)[..., -1]
-        q_tot = totals[:, 0::2]
-        e_tot = np.zeros(q_tot.shape)
-        np.divide(totals[:, 1::2], q_tot, out=e_tot, where=q_tot > 0)
-        per_type = [
-            TypeGains(dict(zip(cases, terms[:, 2 * i].T)), ebits[i], q_tot[:, i], e_tot[:, i])
-            for i in (0, 1)
-        ]
+        q: tuple[dict, dict] = ({}, {})
+        # running sums over (n, m): the additions of a float sum over the gains
+        totals = [0.0] * 4
+        for n, m in cases:
+            w = p_a[..., n] * p_b[..., m]
+            for row in range(4):
+                term = w * sifted[..., n, m, row]
+                totals[row] = totals[row] + term
+                if row % 2 == 0:
+                    q[row // 2][(n, m)] = term
+        per_type = []
+        for i in (0, 1):
+            q_tot, errors = totals[2 * i], totals[2 * i + 1]
+            e_tot = np.zeros(q_tot.shape)
+            np.divide(errors, q_tot, out=e_tot, where=q_tot > 0)
+            per_type.append(TypeGains(q[i], ebits[i], q_tot, e_tot))
         return GainTable(*per_type, herald_probability=herald_probability, protocol=protocol)
 
     return gains
@@ -173,7 +187,8 @@ def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
     """Phase-error bound e_ph of every (type, (n, m)) key term.
 
     The bit error rates come from the relay yields alone, so the bounds
-    depend on the distance and not on the mean photon number.
+    depend on the distance and not on the mean photon number: one
+    `phase_bound` array call per key term covers every distance of a table.
     """
     return {
         (t, nm): phase_bound(nm, t, gains.for_type(t).ebit[nm]).e_ph
@@ -190,7 +205,7 @@ def _privacy_factor(e_ph: float | np.ndarray) -> float | np.ndarray:
 
 def privacy_factors(e_ph: dict) -> dict:
     """1 - h(e_ph) of every key term bounded in `e_ph` (from `phase_bounds`)."""
-    return dict(zip(e_ph, _privacy_factor(list(e_ph.values())).tolist()))
+    return dict(zip(e_ph, _privacy_factor(np.array(list(e_ph.values())))))
 
 
 def key_fractions(

@@ -10,7 +10,7 @@ acceptance applied inside the relay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, inf
+from math import exp, factorial, inf, lgamma, log
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .optics import DetectorParams, thinning_matrix
 
 DEFAULT_CUTOFF = 6
 TAIL_TOL = 1e-6
-_CUTOFF_HARD_CAP = 200
+# the cutoff doubling stops once it reaches this; ScenarioConfig.n_cutoff may not exceed it
+CUTOFF_HARD_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,23 @@ class HeraldedSource:
     degenerate: bool = False
 
 
+def _poisson_term(mu: float, n: int) -> float:
+    try:
+        return exp(-mu) * mu**n / factorial(n)
+    except OverflowError:  # mu^n or n! beyond the float range: in log space
+        return exp(n * log(mu) - mu - lgamma(n + 1))
+
+
 def poisson_probs(mu: np.ndarray | list[float], n_max: int) -> np.ndarray:
     """Closed-form Poisson p[k, n] = exp(-mu_k) mu_k^n / n! for n <= n_max,
     one row per entry mu_k of the 1-D `mu`.  Built element by element with
     libm's exp and pow, which numpy's vectorized exp does not match bit
-    for bit."""
+    for bit; a term whose mu^n or n! overflows a float is computed from
+    logarithms instead."""
     rows = np.asarray(mu, dtype=float).tolist()
     if not all(0 <= m < inf for m in rows):
         raise ValueError(f"mean photon numbers must be finite and nonnegative, got {mu}")
-    return np.array([[exp(-m) * m**n / factorial(n) for n in range(n_max + 1)] for m in rows])
+    return np.array([[_poisson_term(m, n) for n in range(n_max + 1)] for m in rows])
 
 
 def poisson_source(mu: float, cutoff: int = DEFAULT_CUTOFF) -> PhotonNumberDist:
@@ -79,7 +88,7 @@ def poisson_source(mu: float, cutoff: int = DEFAULT_CUTOFF) -> PhotonNumberDist:
     while True:
         probs = poisson_probs([mu], cutoff)[0]
         tail = max(1.0 - probs.sum(), 0.0)
-        if tail <= TAIL_TOL or cutoff >= _CUTOFF_HARD_CAP:
+        if tail <= TAIL_TOL or cutoff >= CUTOFF_HARD_CAP:
             return PhotonNumberDist(probs=probs, tail_mass=tail)
         cutoff *= 2
 
@@ -113,7 +122,7 @@ def spdc_heralded(
         else:
             raise ValueError(f"unknown pair statistics {pair_statistics!r}")
         tail = max(1.0 - pairs.sum(), 0.0)
-        if tail <= TAIL_TOL or cutoff >= _CUTOFF_HARD_CAP:
+        if tail <= TAIL_TOL or cutoff >= CUTOFF_HARD_CAP:
             break
         cutoff *= 2
     n = np.arange(cutoff + 1)

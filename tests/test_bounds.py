@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdi_sarg04 import bounds
 from mdi_sarg04.bounds import (
     S_MAX,
     BoundResult,
+    CubicRootError,
+    _cubic_coeffs,
     binary_entropy,
     cubic_value,
     f_type1,
@@ -93,6 +96,33 @@ class TestTypeTwoIntercept:
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
             g_type2(-0.5)
+        with pytest.raises(ValueError):
+            g_type2(np.array([0.5, -0.5]))
+
+    def test_batched_equals_scalar_root(self):
+        # s = 0 and s = 1 zero the constant coefficient, which np.roots strips
+        s = np.concatenate(
+            [[0.0, 1e-6, 1.0, S_MAX - 1e-6, S_MAX], np.random.default_rng(5).uniform(0, S_MAX, 200)]
+        )
+        batched = g_type2(s).tolist()
+        assert batched == [g_type2(x) for x in s.tolist()]
+        per_s = []
+        for x in s.tolist():
+            roots = np.roots(_cubic_coeffs(x))
+            per_s.append(float(roots[np.abs(roots.imag) < 1e-8].real.max()))
+        assert batched == per_s
+
+    def test_solver_disagreement_raises(self, monkeypatch):
+        cardano = bounds._max_real_root_cardano
+
+        def perturbed(coeffs):
+            roots = cardano(coeffs).copy()
+            roots.flat[3] += 1e-6
+            return roots
+
+        monkeypatch.setattr(bounds, "_max_real_root_cardano", perturbed)
+        with pytest.raises(CubicRootError, match="disagree"):
+            g_type2(np.linspace(0.0, S_MAX, 10))
 
 
 class TestGoldenSection:
@@ -164,7 +194,19 @@ class TestPhaseBound:
         hi = phase_bound(case, t, e + de).e_ph
         assert hi >= lo - 1e-9
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_array_equals_scalar(self, t):
+        e = np.linspace(0.0, 1.0, 1001)
+        scalar = [phase_bound((1, 2), t, x) for x in e.tolist()]
+        for case in ((1, 2), (2, 1)):
+            r = phase_bound(case, t, e)
+            assert r.e_ph.tolist() == [b.e_ph for b in scalar]
+            assert r.s_star.tolist() == [b.s_star for b in scalar]
+        assert phase_bound((1, 2), t, e.reshape(77, 13)).e_ph.shape == (77, 13)
+
     def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            phase_bound((1, 2), 1, np.array([0.1, 1.5]))
         with pytest.raises(ValueError):
             phase_bound((1, 2), 1, 1.5)
         with pytest.raises(ValueError):

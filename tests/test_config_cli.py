@@ -1,6 +1,7 @@
 """Configuration round-tripping and the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,8 @@ class TestConfig:
             {"distance_stop_km": 1e6, "distance_step_km": 1e-3},
             {"type_selection": "all"},
             {"photon_terms": "everything"},
+            {"n_cutoff": 201},
+            {"n_cutoff": 10**12},
         ):
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(bad)
@@ -109,6 +112,18 @@ class TestCliRateCurve:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[1]) == 0.5
+
+    def test_poisson_pairs_at_large_mu(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson", "mu_max": 100}
+            )
+        )
+        assert main(["rate-curve", "--config", str(cfg), "--mu", "80", "--distance", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(math.isfinite(float(v)) for v in lines[1].split(","))
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["rate-curve", "--config", "/nonexistent/cfg.json"]) == 2

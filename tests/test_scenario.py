@@ -11,6 +11,7 @@ from mdi_sarg04.scenario import (
     csv_lines,
     evaluate_gains,
     evaluate_rate,
+    mu_grid,
     optimize_mu,
     point_at,
     run_sweep,
@@ -18,6 +19,31 @@ from mdi_sarg04.scenario import (
 )
 
 SHORT = ScenarioConfig(distance_stop_km=10.0, distance_step_km=5.0)
+
+# sweeps whose rows leave the lockstep mu search at different iterations:
+# optima inside the mu grid, on its upper or lower edge (a half-width
+# bracket), and zero-rate distances that skip the search
+LOCKSTEP = {
+    "qnd_upper_edge_zero_tail": ScenarioConfig(
+        mu_max=1.1, distance_stop_km=300.0, distance_step_km=20.0
+    ),
+    "qnd_11_type1_zero_tail": ScenarioConfig(
+        photon_terms="one_one_only",
+        type_selection="type1_only",
+        distance_stop_km=300.0,
+        distance_step_km=25.0,
+    ),
+    "spdc_lower_edge": ScenarioConfig(
+        scenario="spdc_heralded",
+        mu_min=0.051,
+        mu_max=0.5,
+        distance_stop_km=120.0,
+        distance_step_km=15.0,
+    ),
+    "bb84_upper_edge": ScenarioConfig(
+        scenario="bb84_baseline", mu_max=0.998, distance_stop_km=200.0, distance_step_km=25.0
+    ),
+}
 
 
 class TestOptimizeMu:
@@ -84,3 +110,14 @@ class TestRunSweep:
         a = csv_lines(run_sweep(SHORT))
         b = csv_lines(run_sweep(SHORT))
         assert a == b
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("config", LOCKSTEP.values(), ids=LOCKSTEP)
+    def test_sweep_rows_equal_one_distance_optima(self, config):
+        rows = run_sweep(config)
+        assert [repr(p) for p in rows] == [repr(optimize_mu(config, d)) for d in config.distances()]
+        edges = mu_grid(config)[0], mu_grid(config)[-1]
+        live = [p for p in rows if not p.zero_rate]
+        assert any(p.mu_opt not in edges for p in live)
+        assert any(p.mu_opt in edges for p in live) or len(live) < len(rows)

@@ -54,6 +54,14 @@ class TestPoissonSource:
         with pytest.raises(ValueError):
             poisson_source(-0.1)
 
+    @pytest.mark.parametrize("mu", [60.0, 80.0, 150.0])
+    def test_large_mu_past_float_range_of_terms(self, mu):
+        # the cutoff doubling reaches n >= 171, where mu^n and n! overflow a float
+        d = poisson_source(mu)
+        assert d.cutoff >= 171
+        assert abs(d.probs.sum() - 1.0) <= 1e-12
+        assert d.tail_mass <= 1e-6
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 2.0))
     def test_normalized(self, mu):
