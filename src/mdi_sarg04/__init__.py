@@ -2,18 +2,11 @@
 
 from .bounds import BoundResult, binary_entropy, f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
-from .optics import ChannelParams, ClickPattern, DetectorParams, MuEntry, mu_response
+from .optics import ChannelParams, ClickPattern, DetectorParams, relay_yields
 from .povm import ErrorPair, PovmSet, attack_state_22, build_povm, error_rates
-from .rates import GainTable, KeyRateBreakdown, assemble_gains, bb84_baseline_rate, key_rate
+from .rates import GainTable, KeyRateBreakdown, assemble_gains, bb84_baseline_rate
 from .scenario import RateCurvePoint, optimize_mu, run_sweep
-from .sources import (
-    HeraldedSource,
-    PhotonNumberDist,
-    poisson_source,
-    propagate_through_loss,
-    qnd_accept_probability,
-    spdc_heralded,
-)
+from .sources import poisson_source, spdc_heralded
 from .verify import verify_suite
 
 __all__ = [
@@ -26,8 +19,7 @@ __all__ = [
     "ChannelParams",
     "ClickPattern",
     "DetectorParams",
-    "MuEntry",
-    "mu_response",
+    "relay_yields",
     "ErrorPair",
     "PovmSet",
     "attack_state_22",
@@ -37,15 +29,10 @@ __all__ = [
     "KeyRateBreakdown",
     "assemble_gains",
     "bb84_baseline_rate",
-    "key_rate",
     "RateCurvePoint",
     "optimize_mu",
     "run_sweep",
-    "HeraldedSource",
-    "PhotonNumberDist",
     "poisson_source",
-    "propagate_through_loss",
-    "qnd_accept_probability",
     "spdc_heralded",
     "verify_suite",
 ]

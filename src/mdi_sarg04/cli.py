@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
-from .optics import ChannelParams, DetectorParams, mu_response
+from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
 from .scenario import _fmt, csv_lines, optimize_mu, points_at, run_sweep
 from .verify import all_passed, verify_suite
 
@@ -59,15 +59,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_mu_table(args) -> int:
     det = DetectorParams(eta=args.eta, dark=args.dark)
     t_arm = ChannelParams(args.loss, args.distance).t_arm
-    table = mu_response(det, t_arm, protocol=args.protocol, n_max=args.n_max)
+    y = relay_yields(det, t_arm, protocol=args.protocol, n_max=args.n_max)
+    ebit = error_rate(y[..., 1::2], y[..., 0::2])  # 0.5 where nothing is detected
     lines = ["n,m,yield_t1,ebit_t1,yield_t2,ebit_t2"]
-    for (n, m), e in sorted(table.entries.items()):
-        lines.append(
-            ",".join(
-                [str(n), str(m)]
-                + [_fmt(v) for v in (e.yield_type1, e.ebit_type1, e.yield_type2, e.ebit_type2)]
-            )
-        )
+    for n, m in np.ndindex(y.shape[:2]):
+        row = (y[n, m, 0], ebit[n, m, 0], y[n, m, 2], ebit[n, m, 1])
+        lines.append(",".join([str(n), str(m)] + [_fmt(v) for v in row]))
     _write_lines(lines, args.output)
     return EXIT_OK
 

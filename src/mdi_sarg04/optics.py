@@ -29,7 +29,7 @@ sector is independent (phase-randomized sources).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf, prod, sqrt
 from typing import NamedTuple
@@ -174,33 +174,6 @@ def _lossless_clicks(
     return np.array(list(dist.values())) @ per_detector.prod(axis=2)
 
 
-def mu_click_distribution(
-    n: int,
-    m: int,
-    pol_a: Complex | None,
-    pol_b: Complex | None,
-    det: DetectorParams,
-    t_arm: float,
-    n_max: int = N_MAX_CAP,
-) -> dict[ClickPattern, float]:
-    """Probability of each of the 16 click patterns.
-
-    Per-photon survival t_arm * eta thins each arm's photons before the
-    interference; a threshold detector fires iff at least one photon
-    arrives or a dark count occurs.
-    """
-    if n > n_max or m > n_max:
-        raise ValueError(f"photon numbers ({n}, {m}) above cap {n_max}")
-    thin = thinning_matrix(t_arm * det.eta, max(n, m))
-    probs = np.zeros(16)
-    for na in range(n + 1):
-        for mb in range(m + 1):
-            w = thin[n, na] * thin[m, mb]
-            if w:
-                probs += w * _lossless_clicks(na, mb, pol_a, pol_b, det.dark)
-    return {_ALL_PATTERNS[i]: float(probs[i]) for i in range(16)}
-
-
 # Flip rules per (basis, type): True means the accepted Bell outcome is
 # anticorrelated in that encoding, so one party flips and i == i' is an
 # error.  psi-+ are both anticorrelated in x; psi+ is correlated in z.
@@ -290,67 +263,10 @@ def relay_yields(
 
 
 def error_rate(errors: float | np.ndarray, detections: float | np.ndarray) -> float | np.ndarray:
-    """Bit error rate errors / detections; the uninformative 0.5 where
-    nothing is detected.  Elementwise on arrays; a float for floats."""
+    """Bit error rate errors / detections, the uninformative 0.5 where
+    nothing is detected; elementwise on arrays, a float for floats.  Formed
+    only where a ratio is consumed: phase bounds, BB84 phase error, mu-table."""
     errors, detections = np.asarray(errors, dtype=float), np.asarray(detections, dtype=float)
     rate = np.full(np.broadcast_shapes(errors.shape, detections.shape), 0.5)
     np.divide(errors, detections, out=rate, where=detections > 0)
     return float(rate) if rate.ndim == 0 else rate
-
-
-class MuEntry(NamedTuple):
-    """Per-(n,m) conditional yields and bit error rates of the relay,
-    split by announcement type.  Error rates of zero-yield entries are
-    reported as the uninformative value 0.5."""
-
-    yield_type1: float
-    ebit_type1: float
-    yield_type2: float
-    ebit_type2: float
-
-    @classmethod
-    def from_yields(cls, y) -> "MuEntry":
-        """Entry from one row (yield_1, error_1, yield_2, error_2) of relay_yields."""
-        return cls(float(y[0]), error_rate(y[1], y[0]), float(y[2]), error_rate(y[3], y[2]))
-
-
-def yields_and_errors(
-    n: int,
-    m: int,
-    det: DetectorParams,
-    t_arm: float,
-    protocol: str = "sarg04",
-    bb84_basis: str = "key",
-    n_max: int = N_MAX_CAP,
-) -> MuEntry:
-    """Conditional yields and bit error rates for an (n, m) emission
-    (see relay_yields and _signal_pairs)."""
-    if n > n_max or m > n_max:
-        raise ValueError(f"photon numbers ({n}, {m}) above cap {n_max}")
-    return MuEntry.from_yields(relay_yields(det, t_arm, protocol, bb84_basis, max(n, m))[n, m])
-
-
-@dataclass(frozen=True)
-class MuResponse:
-    """Table of MuEntry values for all (n, m) up to n_max."""
-
-    det: DetectorParams
-    t_arm: float
-    protocol: str
-    n_max: int
-    entries: dict[tuple[int, int], MuEntry] = field(compare=False)
-
-
-def mu_response(
-    det: DetectorParams,
-    t_arm: float,
-    protocol: str = "sarg04",
-    bb84_basis: str = "key",
-    n_max: int = N_MAX_DEFAULT,
-) -> MuResponse:
-    """Evaluate the relay response for every (n, m) with n, m <= n_max."""
-    y = relay_yields(det, t_arm, protocol, bb84_basis, n_max)
-    entries = {
-        (n, m): MuEntry.from_yields(y[n, m]) for n in range(n_max + 1) for m in range(n_max + 1)
-    }
-    return MuResponse(det=det, t_arm=t_arm, protocol=protocol, n_max=n_max, entries=entries)

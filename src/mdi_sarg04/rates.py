@@ -1,6 +1,6 @@
 """Gain assembly and asymptotic key-rate evaluation.
 
-Combines source photon-number statistics with the relay response to form
+Combines the senders' emission probabilities with the relay yields to form
 per-(n,m) gains, applies the phase-error bounds, and evaluates the
 asymptotic key-rate formula per announcement type, plus a simplified
 MDI-BB84 comparator.  Infinite decoy states are assumed: every
@@ -8,8 +8,8 @@ per-photon-number gain and error rate is known exactly.
 
 Gains, totals and key fractions are arrays over mean photon numbers,
 and over (distance, mean photon number) in a sweep (`gain_kernel`); the
-table of one source pair (`assemble_gains`) is the one-row view of the
-same arrays.
+table of one pair of emission distributions (`assemble_gains`) is the
+one-row view of the same arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .bounds import binary_entropy, phase_bound
 from .optics import N_MAX_DEFAULT, DetectorParams, error_rate, relay_yields
-from .sources import HeraldedSource, PhotonNumberDist
 
 # probability that the broadcast rotation labels satisfy the sifting rule:
 # k = k' for Type1 (1/4), k = k' restricted to {0, 2} for Type2 (1/8)
@@ -103,14 +102,6 @@ class KeyRateBreakdown:
         )
 
 
-def _emission_dist(source) -> tuple[PhotonNumberDist, float]:
-    if isinstance(source, HeraldedSource):
-        return source.conditional, source.p_herald
-    if isinstance(source, PhotonNumberDist):
-        return source, 1.0
-    raise TypeError(f"unsupported source type {type(source).__name__}")
-
-
 def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTable]:
     """(p_a, p_b, herald_probability) -> gain table at the relay yields `y`
     of optics.relay_yields: (N, N, 4) at one distance or (D, N, N, 4) at D.
@@ -159,8 +150,8 @@ def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTa
 
 
 def assemble_gains(
-    source_a,
-    source_b,
+    p_a: np.ndarray,
+    p_b: np.ndarray,
     det: DetectorParams,
     t_arm: float,
     qnd: bool = False,
@@ -168,19 +159,16 @@ def assemble_gains(
     bb84_basis: str = "key",
     n_max: int = N_MAX_DEFAULT,
 ) -> GainTable:
-    """Per-(n,m) gains Q = p_n p_m * sift * yield for both types: the
-    one-row `gain_kernel` table of one source pair.
+    """Per-(n,m) gains Q = p_n p_m * sift * yield for both types, from the
+    first n_max + 1 emission probabilities of each sender: the one-row
+    `gain_kernel` table of one pair of non-heralded sources.
 
     With `qnd` the relay accepts at most one arriving photon per arm
     (see optics.relay_yields).
     """
-    dist_a, herald_a = _emission_dist(source_a)
-    dist_b, herald_b = _emission_dist(source_b)
-    if qnd and (herald_a != 1.0 or herald_b != 1.0):
-        raise ValueError("photon-number postselection expects bare source distributions")
     y = relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd)
-    p_a, p_b = (np.array([[d.prob(n) for n in range(n_max + 1)]]) for d in (dist_a, dist_b))
-    return gain_kernel(y, protocol)(p_a, p_b, np.array([herald_a * herald_b])).at(0)
+    p_a, p_b = (np.asarray(p, dtype=float)[None, : n_max + 1] for p in (p_a, p_b))
+    return gain_kernel(y, protocol)(p_a, p_b, np.ones(1)).at(0)
 
 
 def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
@@ -208,30 +196,17 @@ def privacy_factors(e_ph: dict) -> dict:
     return dict(zip(e_ph, _privacy_factor(np.array(list(e_ph.values())))))
 
 
-def key_fractions(
-    gains: GainTable, e_ph: dict, ec_inefficiency: float, type_selection: str = "both"
-) -> KeyRateBreakdown:
-    """Asymptotic key fractions G_i per announcement type.
-
-    G_i sums the privacy-amplified terms bounded in `e_ph` (from
-    `phase_bounds`) and subtracts the error-correction cost over the whole
-    sifted key.  Negative G_i are clamped to zero in `total`; raw values
-    are kept in G1/G2 for diagnostics.
-    """
-    if ec_inefficiency < 1:
-        raise ValueError(f"error-correction inefficiency must be >= 1, got {ec_inefficiency}")
-    include = INCLUDED_TYPES.get(type_selection)
-    if include is None:
-        raise ValueError(f"unknown type selection {type_selection!r}")
-    return fractions_from_factors(gains, privacy_factors(e_ph), ec_inefficiency, include)
-
-
 def fractions_from_factors(
     gains: GainTable, factors: dict, ec_inefficiency: float, include: tuple[int, ...]
 ) -> KeyRateBreakdown:
-    """The arithmetic of `key_fractions`, with the privacy factors of
-    `privacy_factors` and the included announcement types; over mean
-    photon numbers when the gains are."""
+    """Asymptotic key fractions G_i per announcement type.
+
+    G_i sums the privacy-amplified terms, the gains times the privacy
+    factors of `privacy_factors`, and subtracts the error-correction cost
+    over the whole sifted key.  Negative G_i are clamped to zero in
+    `total`, which sums the `include`d types; raw values are kept in G1/G2
+    for diagnostics.  Over mean photon numbers when the gains are.
+    """
     types = {1: gains.type1, 2: gains.type2}
     contributions = {(t, nm): types[t].q[nm] * f for (t, nm), f in factors.items()}
     h = binary_entropy(np.minimum([types[1].e_tot, types[2].e_tot], 1.0))
@@ -241,16 +216,6 @@ def fractions_from_factors(
     for t in include:
         total = total + np.maximum(raw[t], 0.0)
     return KeyRateBreakdown(raw[1], raw[2], total, contributions, ec[1] + ec[2])
-
-
-def key_rate(
-    gains: GainTable,
-    ec_inefficiency: float,
-    one_one_only: bool = False,
-    type_selection: str = "both",
-) -> KeyRateBreakdown:
-    """Key fractions of one gain table, with its phase-error bounds solved."""
-    return key_fractions(gains, phase_bounds(gains, one_one_only), ec_inefficiency, type_selection)
 
 
 def bb84_baseline_rate(

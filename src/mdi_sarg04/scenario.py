@@ -27,14 +27,13 @@ from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay_yields
 from .rates import (
     INCLUDED_TYPES,
     GainTable,
-    assemble_gains,
     bb84_baseline_rate,
     fractions_from_factors,
     gain_kernel,
     phase_bounds,
     privacy_factors,
 )
-from .sources import poisson_probs, poisson_source, spdc_heralded
+from .sources import poisson_probs, spdc_heralded
 
 MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
@@ -77,18 +76,6 @@ def _relay(config: ScenarioConfig, distance_km) -> tuple[DetectorParams, float |
     return det, ChannelParams(config.loss_db_per_km, distance_km).t_arm
 
 
-def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
-    """Gain table of the configured scenario at one distance and mu."""
-    det, t = _relay(config, distance_km)
-    if config.scenario == "qnd_coherent":
-        src = poisson_source(mu, config.n_cutoff)
-        return assemble_gains(src, src, det, t, qnd=True)
-    if config.scenario == "spdc_heralded":
-        src = spdc_heralded(mu, det, config.n_cutoff, config.spdc_pair_statistics)
-        return assemble_gains(src, src, det, t)
-    raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
-
-
 def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray) -> tuple:
     """Emission probabilities p[..., n] for n <= N_MAX_DEFAULT and the joint
     heralding probability, at every mean photon number of the array mu."""
@@ -100,8 +87,8 @@ def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray)
             spdc_heralded(m, det, config.n_cutoff, config.spdc_pair_statistics)
             for m in flat.tolist()
         ]
-        p = np.array([[s.conditional.prob(n) for n in range(N_MAX_DEFAULT + 1)] for s in sources])
-        herald = np.array([s.p_herald * s.p_herald for s in sources])
+        p = np.array([cond[: N_MAX_DEFAULT + 1] for _, cond in sources])
+        herald = np.array([h * h for h, _ in sources])
     return p.reshape(mu.shape + (N_MAX_DEFAULT + 1,)), herald.reshape(mu.shape)
 
 
@@ -152,9 +139,12 @@ def _row(result: tuple, k=0) -> tuple:
     return float(rate[k]), gains.at(k), None if breakdown is None else breakdown.at(k)
 
 
-def evaluate_rate(config: ScenarioConfig, distance_km: float, mu: float) -> tuple:
-    """Key rate per pump pulse at one (distance, mu) point."""
-    return _row(rate_at(config, distance_km)(np.array([mu])))
+def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
+    """Gain table of the configured SARG04 scenario at one distance and mu:
+    the one-row view of `rate_at`."""
+    if config.scenario == "bb84_baseline":
+        raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
+    return _row(rate_at(config, distance_km)(np.array([mu])))[1]
 
 
 def mu_grid(config: ScenarioConfig) -> list[float]:
@@ -209,11 +199,6 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
     distance, from one evaluation over all of them."""
     mus = [mu] * len(distances)
     return _points(distances, mus, rate_at(config, distances)(np.array(mus)[:, None]))
-
-
-def point_at(config: ScenarioConfig, distance_km: float, mu: float) -> RateCurvePoint:
-    """Rate-curve row of the configured scenario at one (distance, mu)."""
-    return points_at(config, [distance_km], mu)[0]
 
 
 def _points(distances: list[float], mus: list[float], result: tuple) -> list[RateCurvePoint]:

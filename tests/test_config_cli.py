@@ -113,14 +113,36 @@ class TestCliRateCurve:
         assert len(lines) == 2
         assert float(lines[1].split(",")[1]) == 0.5
 
-    def test_poisson_pairs_at_large_mu(self, tmp_path, capsys):
+    @staticmethod
+    def _large_mu_rows(tmp_path, capsys, statistics):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
-                {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson", "mu_max": 100}
+                {"scenario": "spdc_heralded", "spdc_pair_statistics": statistics, "mu_max": 100}
             )
         )
-        assert main(["rate-curve", "--config", str(cfg), "--mu", "80", "--distance", "0"]) == 0
+        for mu in ("20", "80"):
+            assert main(["rate-curve", "--config", str(cfg), "--mu", mu, "--distance", "0"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 2
+            assert all(math.isfinite(float(v)) for v in lines[1].split(",")), lines[1]
+
+    def test_poisson_pairs_at_large_mu(self, tmp_path, capsys):
+        self._large_mu_rows(tmp_path, capsys, "poisson")
+
+    def test_thermal_pairs_at_large_mu(self, tmp_path, capsys):
+        # (1+mu)^(n+1) once overflowed into NaN rows from mu of about 12
+        self._large_mu_rows(tmp_path, capsys, "thermal")
+
+    def test_zero_pump_at_deep_cutoff(self, tmp_path, capsys):
+        # Poisson terms past n = 170 at mu = 0 once took the log of 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson", "n_cutoff": 200}
+            )
+        )
+        assert main(["rate-curve", "--config", str(cfg), "--mu", "0", "--distance", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert all(math.isfinite(float(v)) for v in lines[1].split(","))

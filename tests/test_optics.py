@@ -10,18 +10,27 @@ from hypothesis import strategies as st
 
 from mdi_sarg04.linalg import phi_state
 from mdi_sarg04.optics import (
+    _PATTERN_TYPES,
     ChannelParams,
     ClickPattern,
     DetectorParams,
-    mu_click_distribution,
-    mu_response,
+    _lossless_clicks,
+    arrival_table,
+    error_rate,
     output_photon_distribution,
+    relay_yields,
     thinning_matrix,
-    yields_and_errors,
 )
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
+
+
+def row(n, m, det, t_arm, protocol="sarg04", bb84_basis="key"):
+    """(yield_1, ebit_1, yield_2, ebit_2) of an (n, m) emission: the relay
+    yields with the bit error rates formed from them."""
+    y = relay_yields(det, t_arm, protocol, bb84_basis, max(n, m))[n, m]
+    return y[0], error_rate(y[1], y[0]), y[2], error_rate(y[3], y[2])
 
 
 class TestParams:
@@ -87,100 +96,95 @@ class TestOutputDistribution:
 
 
 class TestClickDistribution:
+    """Click patterns of photons reaching the beamsplitter; loss acts before
+    them, as binomial thinning (TestThinning)."""
+
     def test_vacuum_no_dark(self):
-        dist = mu_click_distribution(0, 0, None, None, IDEAL, 1.0)
-        assert abs(dist[ClickPattern(False, False, False, False)] - 1) < 1e-12
+        clicks = _lossless_clicks(0, 0, None, None, 0.0)
+        assert abs(clicks[0] - 1) < 1e-12  # pattern 0: no detector fires
 
     def test_probability_conservation(self):
-        for n, m in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)):
-            dist = mu_click_distribution(
-                n, m, phi_state(0), phi_state(1), GYS, 0.3, n_max=2
-            )
-            assert abs(sum(dist.values()) - 1) <= 1e-12
+        for a, b in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)):
+            clicks = _lossless_clicks(a, b, phi_state(0), phi_state(1), GYS.dark)
+            assert abs(clicks.sum() - 1) <= 1e-12
+            assert clicks.min() >= 0
 
     def test_identical_photons_never_type1(self):
-        dist = mu_click_distribution(1, 1, phi_state(0), phi_state(0), IDEAL, 1.0)
-        p1 = sum(p for pat, p in dist.items() if pat.classify() == 1)
-        assert p1 < 1e-12
+        clicks = _lossless_clicks(1, 1, phi_state(0), phi_state(0), 0.0)
+        assert clicks @ _PATTERN_TYPES[:, 0] < 1e-12
 
     def test_photon_cap_enforced(self):
         with pytest.raises(ValueError):
-            mu_click_distribution(3, 0, phi_state(0), None, IDEAL, 1.0, n_max=2)
+            arrival_table(0.0, "sarg04", "key", 4)
 
 
 class TestYieldsAndErrors:
     def test_ideal_one_one_error_free(self):
-        e = yields_and_errors(1, 1, IDEAL, 1.0)
-        assert abs(e.ebit_type1) <= 1e-12
-        assert abs(e.ebit_type2) <= 1e-12
-        assert abs(e.yield_type1 - 0.125) < 1e-12
-        assert abs(e.yield_type2 - 0.125) < 1e-12
+        y1, e1, y2, e2 = row(1, 1, IDEAL, 1.0)
+        assert abs(e1) <= 1e-12
+        assert abs(e2) <= 1e-12
+        assert abs(y1 - 0.125) < 1e-12
+        assert abs(y2 - 0.125) < 1e-12
 
     def test_ideal_two_zero_errors_half(self):
         for nm in ((2, 0), (0, 2)):
-            e = yields_and_errors(*nm, IDEAL, 1.0)
-            assert abs(e.ebit_type1 - 0.5) <= 1e-10
-            assert abs(e.ebit_type2 - 0.5) <= 1e-10
+            _, e1, _, e2 = row(*nm, IDEAL, 1.0)
+            assert abs(e1 - 0.5) <= 1e-10
+            assert abs(e2 - 0.5) <= 1e-10
 
     def test_dark_only_vacuum(self):
         det = DetectorParams(eta=1.0, dark=1e-3)
-        e = yields_and_errors(0, 0, det, 1.0)
+        y1, e1, y2, e2 = row(0, 0, det, 1.0)
         # only dark-count pairs can fire: 4 two-fold patterns accepted,
         # each with probability d^2 (1-d)^2
         d = det.dark
         pair = d * d * (1 - d) ** 2
-        assert abs(e.yield_type1 - 2 * pair) < 1e-15
-        assert abs(e.yield_type2 - 2 * pair) < 1e-15
-        assert abs(e.ebit_type1 - 0.5) < 1e-12
-        assert abs(e.ebit_type2 - 0.5) < 1e-12
+        assert abs(y1 - 2 * pair) < 1e-15
+        assert abs(y2 - 2 * pair) < 1e-15
+        assert abs(e1 - 0.5) < 1e-12
+        assert abs(e2 - 0.5) < 1e-12
 
     def test_arm_swap_symmetry(self):
-        a = yields_and_errors(1, 2, GYS, 0.4)
-        b = yields_and_errors(2, 1, GYS, 0.4)
-        assert abs(a.yield_type1 - b.yield_type1) <= 1e-12
-        assert abs(a.yield_type2 - b.yield_type2) <= 1e-12
-        assert abs(a.ebit_type1 - b.ebit_type1) <= 1e-12
-        assert abs(a.ebit_type2 - b.ebit_type2) <= 1e-12
+        y = relay_yields(GYS, 0.4, n_max=3)
+        np.testing.assert_allclose(y, y.transpose(1, 0, 2), rtol=1e-12, atol=0.0)
 
     def test_loss_composition(self):
-        direct = yields_and_errors(2, 1, DetectorParams(eta=0.6, dark=0.0), 0.5)
-        merged = yields_and_errors(2, 1, DetectorParams(eta=0.3, dark=0.0), 1.0)
-        assert abs(direct.yield_type1 - merged.yield_type1) <= 1e-12
-        assert abs(direct.yield_type2 - merged.yield_type2) <= 1e-12
+        direct = relay_yields(DetectorParams(eta=0.6, dark=0.0), 0.5)
+        merged = relay_yields(DetectorParams(eta=0.3, dark=0.0), 1.0)
+        np.testing.assert_allclose(direct, merged, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     def test_yield_monotone_in_transmittance(self, t_lo, t_hi):
         t_lo, t_hi = sorted((t_lo, t_hi))
-        det = DetectorParams(eta=1.0, dark=0.0)
-        lo = yields_and_errors(1, 1, det, t_lo)
-        hi = yields_and_errors(1, 1, det, t_hi)
-        assert lo.yield_type1 <= hi.yield_type1 + 1e-12
-        assert lo.yield_type2 <= hi.yield_type2 + 1e-12
+        lo, hi = relay_yields(IDEAL, np.array([t_lo, t_hi]))[:, 1, 1]
+        assert lo[0] <= hi[0] + 1e-12
+        assert lo[2] <= hi[2] + 1e-12
 
     def test_bb84_ideal_one_one(self):
-        key = yields_and_errors(1, 1, IDEAL, 1.0, protocol="bb84", bb84_basis="key")
-        test = yields_and_errors(1, 1, IDEAL, 1.0, protocol="bb84", bb84_basis="test")
-        assert abs(key.ebit_type1) <= 1e-12
-        assert abs(key.ebit_type2) <= 1e-12
-        assert abs(test.ebit_type1) <= 1e-12
-        assert abs(test.ebit_type2) <= 1e-12
+        for basis in ("key", "test"):
+            _, e1, _, e2 = row(1, 1, IDEAL, 1.0, protocol="bb84", bb84_basis=basis)
+            assert abs(e1) <= 1e-12
+            assert abs(e2) <= 1e-12
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
-            yields_and_errors(1, 1, IDEAL, 1.0, protocol="b92")
+            relay_yields(IDEAL, 1.0, protocol="b92")
 
 
 class TestMuResponse:
+    """The relay's per-(n, m) response table, as `mu-table` prints it."""
+
     def test_table_covers_grid(self):
-        resp = mu_response(GYS, 0.5, n_max=2)
-        assert set(resp.entries) == {(n, m) for n in range(3) for m in range(3)}
+        assert relay_yields(GYS, 0.5, n_max=2).shape == (3, 3, 4)
+        assert relay_yields(GYS, np.array([0.5, 0.1]), n_max=2).shape == (2, 3, 3, 4)
 
     def test_type_yields_sum_below_one(self):
-        resp = mu_response(GYS, 0.5, n_max=2)
-        for e in resp.entries.values():
-            assert e.yield_type1 + e.yield_type2 <= 1 + 1e-12
+        y = relay_yields(GYS, 0.5, n_max=2)
+        assert (y[..., 0] + y[..., 2] <= 1 + 1e-12).all()
+        # error-weighted yields never exceed the yields
+        assert (y[..., 1::2] <= y[..., 0::2]).all()
 
     def test_cap_rejected(self):
         with pytest.raises(ValueError):
-            mu_response(GYS, 0.5, n_max=4)
+            relay_yields(GYS, 0.5, n_max=4)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
-from mdi_sarg04.scenario import mu_grid, optimize_mu, point_at, rate_at
+from mdi_sarg04.scenario import mu_grid, optimize_mu, points_at, rate_at
 
 DEFAULT = ScenarioConfig()
 
@@ -36,7 +36,7 @@ valid_configs = st.builds(
     st.floats(DEFAULT.mu_min, DEFAULT.mu_max),
 )
 def test_point_is_physical_and_falls_with_distance(config, d1, d2, mu):
-    near, far = (point_at(config, d, mu) for d in sorted((d1, d2)))
+    near, far = points_at(config, sorted((d1, d2)), mu)
     for p in (near, far):
         assert all(math.isfinite(v) for v in dataclasses.astuple(p))
         assert math.isfinite(p.total_per_pulse)
@@ -52,7 +52,7 @@ def test_grid_rows_match_points_and_bound_the_optimum(config, d):
     grid = mu_grid(config)
     rates, gains, breakdown = rate_at(config, d)(np.array(grid))
     for k, mu in enumerate(grid):
-        p = point_at(config, d, mu)
+        p = points_at(config, [d], mu)[0]
         row = [rates[k], gains.type1.e_tot[k], gains.type2.e_tot[k], gains.herald_probability[k]]
         want = [p.total_per_pulse, p.e_tot_1, p.e_tot_2, p.p_herald]
         if breakdown is not None:

@@ -3,35 +3,43 @@
 import numpy as np
 import pytest
 
+from mdi_sarg04.config import ConfigError, ScenarioConfig
 from mdi_sarg04.optics import DetectorParams
 from mdi_sarg04.rates import (
+    INCLUDED_TYPES,
     GainTable,
     SIFT_FACTOR,
     TypeGains,
     assemble_gains,
     bb84_baseline_rate,
-    key_rate,
+    fractions_from_factors,
+    phase_bounds,
+    privacy_factors,
 )
-from mdi_sarg04.sources import PhotonNumberDist, poisson_source, spdc_heralded
+from mdi_sarg04.scenario import evaluate_gains
+from mdi_sarg04.sources import poisson_source, spdc_heralded
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
+SINGLE = np.array([0.0, 1.0, 0.0])  # emission probabilities of a single-photon source
 
 
-def single_photon_dist():
-    return PhotonNumberDist(probs=np.array([0.0, 1.0]))
+def solved_fractions(gains, ec_inefficiency, one_one_only=False, type_selection="both"):
+    """Key fractions of one gain table, with its phase-error bounds solved."""
+    factors = privacy_factors(phase_bounds(gains, one_one_only))
+    return fractions_from_factors(gains, factors, ec_inefficiency, INCLUDED_TYPES[type_selection])
 
 
 class TestAssembleGains:
     def test_ideal_single_photons_error_free(self):
-        g = assemble_gains(single_photon_dist(), single_photon_dist(), IDEAL, 1.0)
+        g = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0)
         assert abs(g.type1.e_tot) <= 1e-12
         assert abs(g.type2.e_tot) <= 1e-12
         # only the (1,1) entry carries weight
         assert abs(g.type1.q_tot - g.type1.q[(1, 1)]) <= 1e-15
 
     def test_sift_factors_applied(self):
-        g = assemble_gains(single_photon_dist(), single_photon_dist(), IDEAL, 1.0)
+        g = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0)
         # ideal (1,1) relay yield is 1/8 per type before sifting
         assert abs(g.type1.q[(1, 1)] - SIFT_FACTOR[1] * 0.125) < 1e-12
         assert abs(g.type2.q[(1, 1)] - SIFT_FACTOR[2] * 0.125) < 1e-12
@@ -73,14 +81,17 @@ class TestAssembleGains:
         assert g.type2.q[(1, 2)] == 0.0
 
     def test_qnd_rejects_heralded_source(self):
-        src = spdc_heralded(0.1, GYS)
-        with pytest.raises(ValueError):
-            assemble_gains(src, src, GYS, 1.0, qnd=True)
+        # heralded sources meet the bare relay: with no loss, multiphoton
+        # arrivals keep the gain the postselection would remove
+        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
+        assert g.type1.q[(1, 2)] > 0.0 and g.type2.q[(2, 1)] > 0.0
 
     def test_heralded_probability_reported(self):
-        src = spdc_heralded(0.1, GYS)
-        g = assemble_gains(src, src, GYS, 0.5)
-        assert abs(g.herald_probability - src.p_herald**2) < 1e-15
+        p_herald, cond = spdc_heralded(0.1, GYS)
+        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
+        assert abs(g.herald_probability - p_herald**2) < 1e-15
+        bare = assemble_gains(cond, cond, GYS, 1.0)
+        assert g.type1.q == bare.type1.q and g.type2.q == bare.type2.q
 
 
 class TestKeyRate:
@@ -91,48 +102,47 @@ class TestKeyRate:
         return GainTable(type1=t1, type2=t2)
 
     def test_error_free_single_term_keeps_everything(self):
-        b = key_rate(self._table(), ec_inefficiency=1.22)
+        b = solved_fractions(self._table(), ec_inefficiency=1.22)
         assert abs(b.G1 - 0.01) < 1e-15
         assert abs(b.G2 - 0.005) < 1e-15
         assert abs(b.total - 0.015) < 1e-15
 
     def test_saturated_phase_error_loses_key(self):
         # (1,1) Type2 phase bound is 3 e_bit: e_bit = 0.2 saturates it
-        b = key_rate(self._table(e11_2=0.2), ec_inefficiency=1.22)
+        b = solved_fractions(self._table(e11_2=0.2), ec_inefficiency=1.22)
         assert b.G2 < 0
         assert abs(b.total - max(b.G1, 0.0)) < 1e-15
 
     def test_negative_terms_clamped_in_total_only(self):
-        b = key_rate(self._table(e11_1=0.4, e11_2=0.4), ec_inefficiency=1.22)
+        b = solved_fractions(self._table(e11_1=0.4, e11_2=0.4), ec_inefficiency=1.22)
         assert b.G1 < 0 and b.G2 < 0
         assert b.total == 0.0
 
     def test_one_one_only_drops_mixed_terms(self):
         src = poisson_source(0.5)
         g = assemble_gains(src, src, GYS, 0.5)
-        full = key_rate(g, 1.22)
-        only = key_rate(g, 1.22, one_one_only=True)
+        full = solved_fractions(g, 1.22)
+        only = solved_fractions(g, 1.22, one_one_only=True)
         assert full.total >= only.total - 1e-15
         assert all(nm == (1, 1) for (_, nm) in only.contributions)
 
     def test_type_selection(self):
-        b_both = key_rate(self._table(), 1.22)
-        b_t1 = key_rate(self._table(), 1.22, type_selection="type1_only")
-        b_t2 = key_rate(self._table(), 1.22, type_selection="type2_only")
+        b_both = solved_fractions(self._table(), 1.22)
+        b_t1 = solved_fractions(self._table(), 1.22, type_selection="type1_only")
+        b_t2 = solved_fractions(self._table(), 1.22, type_selection="type2_only")
         assert abs(b_t1.total + b_t2.total - b_both.total) < 1e-15
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            key_rate(self._table(), 0.9)
-        with pytest.raises(ValueError):
-            key_rate(self._table(), 1.22, type_selection="neither")
+        with pytest.raises(ConfigError):
+            ScenarioConfig(ec_inefficiency=0.9)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(type_selection="neither")
 
 
 class TestBb84Baseline:
     def test_ideal_lossless_single_photons(self):
-        src = single_photon_dist()
-        kg = assemble_gains(src, src, IDEAL, 1.0, protocol="bb84")
-        tg = assemble_gains(src, src, IDEAL, 1.0, protocol="bb84", bb84_basis="test")
+        kg = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0, protocol="bb84")
+        tg = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0, protocol="bb84", bb84_basis="test")
         r = bb84_baseline_rate(kg, tg, 1.22)
         q11 = kg.type1.q[(1, 1)] + kg.type2.q[(1, 1)]
         assert abs(r - q11) < 1e-12
