@@ -119,18 +119,20 @@ def projector(v: Complex) -> Complex:
 
 
 def is_hermitian(h: Complex, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether h, or every matrix of a stack h (..., n, n), is Hermitian within tol."""
     h = np.asarray(h)
-    return bool(np.abs(h - h.conj().T).max() <= tol)
+    return bool(np.abs(h - np.swapaxes(h, -1, -2).conj()).max() <= tol)
 
 
-def min_eigenvalue(h: Complex, tol: float = HERMITIAN_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (direct dense solve)."""
+def min_eigenvalue(h: Complex, tol: float = HERMITIAN_TOL) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix, or of each one of a stack (..., n, n)."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     if not is_hermitian(h, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(h)[0])
+    low = np.linalg.eigvalsh(h)[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def permute_qubits(v: Complex, order: list) -> Complex:

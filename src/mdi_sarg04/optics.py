@@ -9,14 +9,16 @@ right transmitted, right reflected).
 Photon loss (channel transmittance times detector efficiency) commutes
 through passive linear optics, so the response factors exactly in two:
 
-* the lossless arrival table A[a, b] holds the yield and error-weighted
-  yield of each announcement type when a and b photons reach the
-  beamsplitter from Alice's and Bob's arm.  It is an exact multinomial
-  expansion of the creation-operator monomials with dark counts on every
-  detector -- no sampling -- averaged over the protocol's signal states.
-  It depends only on the dark-count rate, the protocol, the BB84 basis
-  and the photon-number cutoff, so it is built once per combination, at
-  the cutoff asked for;
+* the lossless arrival table A[a, b]: the yield and error-weighted yield
+  of each announcement type when a and b photons reach the beamsplitter
+  from Alice's and Bob's arm, averaged over the protocol's signal pairs.
+  Dark counts factor out: a click pattern's probability is the sum over
+  the sets H of detectors hit by photons of P(H | a, b, pair) D[H, pattern],
+  where D is a fixed 16x16 matrix of d^i (1-d)^j products, zero unless H
+  lies inside the pattern.  P(H) is the exact multinomial expansion of the
+  creation-operator monomials -- no sampling; its occupations and
+  coefficients depend only on (a, b), and one contraction per (a, b)
+  expands all signal pairs at once;
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s = t_arm * eta.
 
@@ -31,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, prod, sqrt
+from itertools import product
+from math import comb, factorial, inf, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -120,58 +123,57 @@ def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
     return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., lost]
 
 
-def _mode_amplitudes(pol: Complex, arm: str) -> list[complex]:
-    """Creation-operator amplitudes of one input photon over the four
-    output modes (L0x, L1x, R0x, R1x)."""
-    a0, a1 = (complex(a) / sqrt(2) for a in pol)
-    sign = 1.0 if arm == "a" else -1.0
-    return [a0, a1, sign * a0, sign * a1]
+_FACTORIALS = np.array([factorial(n) for n in range(2 * N_MAX_CAP + 1)], dtype=float)
 
 
-def _partitions(total: int):
-    for p0 in range(total + 1):
-        for p1 in range(total - p0 + 1):
-            for p2 in range(total - p0 - p1 + 1):
-                yield (p0, p1, p2, total - p0 - p1 - p2)
+def _partitions(total: int) -> np.ndarray:
+    """Every occupation of the four output modes by `total` photons, in lexicographic order."""
+    grid = np.indices((total + 1,) * 4).reshape(4, -1).T
+    return grid[grid.sum(axis=1) == total]
 
 
-def _monomials(n: int, pol: Complex | None, arm: str) -> list[tuple[tuple[int, ...], complex]]:
-    """Expansion of (sum_j u_j a_j^dag)^n: occupation tuple and coefficient."""
-    if not n:
-        return [((0, 0, 0, 0), 1.0)]
-    u = _mode_amplitudes(pol, arm)
-    return [
-        (p, factorial(n) / prod(factorial(x) for x in p) * prod(u[j] ** p[j] for j in range(4)))
-        for p in _partitions(n)
-    ]
+@lru_cache(maxsize=None)
+def _expansion(a: int, b: int) -> tuple[np.ndarray, ...]:
+    """The integer part of the expansion for a photons from Alice's arm and
+    b from Bob's: their occupations p and q of the four output modes, the
+    order that groups the (p, q) products by output occupation k = p + q,
+    their coefficients multinom(a; p) multinom(b; q) prod_j sqrt(k_j!) /
+    sqrt(a! b!), where each k starts, and the one-hot map from k to the hit
+    set.  Read-only."""
+    p, q = _partitions(a), _partitions(b)
+    k = (p[:, None] + q[None]).reshape(-1, 4)
+    order = np.lexsort(k.T)  # stable: equal k keep their (p, q) order
+    k = k[order]
+    starts = np.flatnonzero((np.diff(k, axis=0, prepend=-1) != 0).any(axis=1))
+    fa, fb = _FACTORIALS[a], _FACTORIALS[b]
+    multinom = np.outer(fa / _FACTORIALS[p].prod(axis=1), fb / _FACTORIALS[q].prod(axis=1))
+    coeff = multinom.ravel()[order] * (np.sqrt(_FACTORIALS[k]).prod(axis=1) / sqrt(fa * fb))
+    hit = (((k[starts] >= 1) @ (1 << np.arange(4)))[:, None] == np.arange(16)).astype(float)
+    expansion = p, q, order, coeff, starts, hit
+    for arr in expansion:
+        arr.flags.writeable = False
+    return expansion
 
 
-def output_photon_distribution(
-    n: int, m: int, pol_a: Complex | None, pol_b: Complex | None
-) -> dict[tuple[int, int, int, int], float]:
-    """Exact photon-number distribution over the four output modes for n
-    photons in pol_a from Alice's arm and m in pol_b from Bob's."""
-    amps: dict[tuple[int, int, int, int], complex] = {}
-    norm = sqrt(factorial(n) * factorial(m))
-    for p, up in _monomials(n, pol_a, "a"):
-        for q, wq in _monomials(m, pol_b, "b"):
-            k = (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
-            amp = up * wq * prod(sqrt(factorial(kj)) for kj in k) / norm
-            amps[k] = amps.get(k, 0.0) + amp
-    return {k: float(abs(a) ** 2) for k, a in amps.items() if abs(a) > 1e-300}
+def _hit_probabilities(a: int, b: int, u: Complex, v: Complex) -> np.ndarray:
+    """P[x, H]: probability that a photons with mode amplitudes u[x] from
+    Alice's arm and b with v[x] from Bob's hit exactly the detector set H,
+    for every signal pair x: the weighted products of the monomials summed
+    per k give the output amplitudes, and their |amp|^2 are summed per H."""
+    p, q, order, coeff, starts, hit = _expansion(a, b)
+    mono_a = (u[:, None, :] ** p).prod(axis=2)
+    mono_b = (v[:, None, :] ** q).prod(axis=2)
+    terms = (mono_a[:, :, None] * mono_b[:, None, :]).reshape(len(u), -1)[:, order] * coeff
+    return np.einsum("xk,kh->xh", np.abs(np.add.reduceat(terms, starts, axis=1)) ** 2, hit)
 
 
-def _lossless_clicks(
-    na: int, mb: int, pol_a: Complex | None, pol_b: Complex | None, dark: float
-) -> np.ndarray:
-    """Probabilities of the 16 click patterns when na and mb photons reach
-    the beamsplitter: a detector fires iff a photon hits it or it
-    dark-counts."""
-    dist = output_photon_distribution(na, mb, pol_a, pol_b)
-    hit = (np.array(list(dist)) >= 1)[:, None, :]
+def _dark_count_matrix(dark: float) -> np.ndarray:
+    """D[H, pattern]: probability that dark counts turn the hit set H into
+    the click pattern (both indexed like `_ALL_PATTERNS`): a hit detector
+    fires, any other with probability `dark`."""
+    hit = _PATTERN_CLICKS[:, None, :]
     clicks = _PATTERN_CLICKS[None, :, :]
-    per_detector = np.where(hit, clicks, np.where(clicks, dark, 1 - dark))
-    return np.array(list(dist.values())) @ per_detector.prod(axis=2)
+    return np.where(hit, clicks, np.where(clicks, dark, 1 - dark)).prod(axis=2)
 
 
 # Flip rules per (basis, type): True means the accepted Bell outcome is
@@ -180,10 +182,10 @@ def _lossless_clicks(
 _BB84_ANTICORRELATED = {("key", 1): True, ("key", 2): True, ("test", 1): True, ("test", 2): False}
 
 
-def _signal_pairs(protocol: str, bb84_basis: str) -> list[tuple[Complex, Complex, np.ndarray]]:
-    """The protocol's signal-state pairs (pol_a, pol_b, W): W maps the pair's
-    (Type1, Type2) probabilities to its share of (yield_1, error_1,
-    yield_2, error_2).
+def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[Complex, Complex, np.ndarray]:
+    """The protocol's signal-state pairs, stacked: Alice's and Bob's
+    polarizations (X, 2) and W (X, 2, 4), which maps each pair's (Type1,
+    Type2) probabilities to its share of (yield_1, error_1, yield_2, error_2).
 
     SARG04 averages uniformly over the bit pairs and over the accepted
     rotation values (all k for Type1, k in {0, 2} for Type2; the k = k'
@@ -195,43 +197,43 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> list[tuple[Complex, Complex
     pairs = []
     if protocol == "sarg04":
         phis = [phi_state(i) for i in range(4)]
-        for i in (0, 1):
-            for ip in (0, 1):
-                for k in range(4):
-                    w1 = 1 / 16
-                    w2 = 1 / 8 if k in (0, 2) else 0.0
-                    weights = [[w1, w1 * (i == ip), 0, 0], [0, 0, w2, w2 * (i != ip)]]
-                    r = rotation(k)
-                    pairs.append((r @ phis[i], r @ phis[ip], np.array(weights)))
-        return pairs
-    if protocol != "bb84":
+        for i, ip, k in product((0, 1), (0, 1), range(4)):
+            w1 = 1 / 16
+            w2 = 1 / 8 if k in (0, 2) else 0.0
+            weights = [[w1, w1 * (i == ip), 0, 0], [0, 0, w2, w2 * (i != ip)]]
+            pairs.append((rotation(k) @ phis[i], rotation(k) @ phis[ip], weights))
+    elif protocol != "bb84":
         raise ValueError(f"unknown protocol {protocol!r}")
-    if bb84_basis not in ("key", "test"):
+    elif bb84_basis not in ("key", "test"):
         raise ValueError(f"bb84 basis must be 'key' or 'test', got {bb84_basis!r}")
-    kets = ("0x", "1x") if bb84_basis == "key" else ("0z", "1z")
-    for i in (0, 1):
-        for ip in (0, 1):
+    else:
+        kets = ("0x", "1x") if bb84_basis == "key" else ("0z", "1z")
+        for i, ip in product((0, 1), (0, 1)):
             errs = [(i == ip) == _BB84_ANTICORRELATED[(bb84_basis, t)] for t in (1, 2)]
             weights = 0.25 * np.array([[1, errs[0], 0, 0], [0, 0, 1, errs[1]]])
             pairs.append((basis_ket(kets[i]), basis_ket(kets[ip]), weights))
-    return pairs
+    pol_a, pol_b, weights = zip(*pairs)
+    return np.array(pol_a), np.array(pol_b), np.array(weights, dtype=float)
 
 
-@lru_cache(maxsize=64)
 def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.ndarray:
     """Lossless arrival table A[a, b] = (yield_1, error_1, yield_2, error_2)
     for a, b <= n_max photons reaching the beamsplitter, where error_t is
-    the error-weighted yield of announcement type t.  Read-only."""
+    the error-weighted yield of announcement type t: per (a, b), the hit-set
+    probabilities of all signal pairs contracted with their dark-count
+    response D @ _PATTERN_TYPES @ W, shape (X, 16, 4)."""
     if not 0 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max must be in [0, {N_MAX_CAP}], got {n_max}")
-    pairs = _signal_pairs(protocol, bb84_basis)
-    table = np.zeros((n_max + 1, n_max + 1, 4))
-    for a in range(n_max + 1):
-        for b in range(n_max + 1):
-            for pol_a, pol_b, weights in pairs:
-                clicks = _lossless_clicks(a, b, pol_a, pol_b, dark)
-                table[a, b] += clicks @ _PATTERN_TYPES @ weights
-    table.flags.writeable = False
+    pol_a, pol_b, weights = _signal_pairs(protocol, bb84_basis)
+    # one photon enters (L0x, L1x, R0x, R1x) with amplitudes pol / sqrt(2),
+    # sign-flipped on the right for Bob's arm
+    u = np.concatenate([pol_a, pol_a], axis=1) / sqrt(2)
+    v = np.concatenate([pol_b, -pol_b], axis=1) / sqrt(2)
+    dark_types = np.einsum("hp,pt->ht", _dark_count_matrix(dark), _PATTERN_TYPES)
+    response = np.einsum("ht,xtc->xhc", dark_types, weights)
+    table = np.empty((n_max + 1, n_max + 1, 4))
+    for a, b in np.ndindex(n_max + 1, n_max + 1):
+        table[a, b] = np.einsum("xh,xhc->c", _hit_probabilities(a, b, u, v), response)
     return table
 
 

@@ -46,14 +46,10 @@ def _check(name, passed, detail) -> CheckResult:
 def _frontier_checks(case, atype, intercept, angle_offset) -> list[CheckResult]:
     label = f"{case[0]}{case[1]}_type{atype}"
     p = _povm(case, atype, angle_offset)
-    worst_valid = np.inf
-    best_invalid = np.inf
-    for s in FRONTIER_GRID:
-        t = intercept(float(s))
-        m_valid = linalg.min_eigenvalue(s * p.bit + t * (1 + 1e-6) * p.fil - p.ph)
-        m_invalid = linalg.min_eigenvalue(s * p.bit + t * (1 - 1e-2) * p.fil - p.ph)
-        worst_valid = min(worst_valid, m_valid)
-        best_invalid = min(best_invalid, m_invalid)
+    s = FRONTIER_GRID[:, None, None]
+    t = intercept(FRONTIER_GRID)[:, None, None]
+    worst_valid = linalg.min_eigenvalue(s * p.bit + t * (1 + 1e-6) * p.fil - p.ph).min()
+    best_invalid = linalg.min_eigenvalue(s * p.bit + t * (1 - 1e-2) * p.fil - p.ph).min()
     return [
         _check(
             f"frontier_{label}_valid_side",

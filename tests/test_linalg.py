@@ -168,6 +168,22 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_equals_per_matrix(self, rng):
+        a = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+        stack = a + a.conj().swapaxes(-1, -2)
+        got = min_eigenvalue(stack)
+        assert got.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert got[idx] == min_eigenvalue(stack[idx])
+
+    def test_non_hermitian_in_stack_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        assert min_eigenvalue(stack[:2]).tolist() == [1.0, -2.0]
+        with pytest.raises(ValueError):
+            min_eigenvalue(stack)
+        with pytest.raises(ValueError):
+            min_eigenvalue(np.zeros((2, 3, 4)))
+
 
 class TestPartialProject:
     def test_single_qubit_contraction(self):

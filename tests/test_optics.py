@@ -5,21 +5,29 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdi_sarg04.linalg import phi_state
 from mdi_sarg04.optics import (
+    _PATTERN_CLICKS,
     _PATTERN_TYPES,
+    N_MAX_CAP,
     ChannelParams,
     ClickPattern,
     DetectorParams,
-    _lossless_clicks,
+    _dark_count_matrix,
+    _hit_probabilities,
     arrival_table,
     error_rate,
-    output_photon_distribution,
     relay_yields,
     thinning_matrix,
+)
+from tests.fock_oracle import (
+    _mode_amplitudes,
+    lossless_clicks,
+    oracle_table,
+    output_photon_distribution,
 )
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
@@ -79,12 +87,38 @@ class TestClickClassification:
         assert ClickPattern(True, True, True, True).classify() is None
 
 
+def array_hits(a, b, pol_a, pol_b):
+    """Hit-set probabilities of one signal pair from the array expansion;
+    any polarization stands for an arm that brings no photons."""
+    u = np.array([_mode_amplitudes(phi_state(0) if pol_a is None else pol_a, "a")])
+    v = np.array([_mode_amplitudes(phi_state(0) if pol_b is None else pol_b, "b")])
+    return _hit_probabilities(a, b, u, v)[0]
+
+
+def array_clicks(a, b, pol_a, pol_b, dark):
+    """The 16 click-pattern probabilities of one signal pair: its hit sets
+    through the dark-count matrix."""
+    return array_hits(a, b, pol_a, pol_b) @ _dark_count_matrix(dark)
+
+
+# hit sets (indexed like the click patterns) on the left side only, and on both sides
+LEFT_ONLY = _PATTERN_CLICKS[:, :2].any(axis=1) & ~_PATTERN_CLICKS[:, 2:].any(axis=1)
+BOTH_SIDES = _PATTERN_CLICKS[:, :2].any(axis=1) & _PATTERN_CLICKS[:, 2:].any(axis=1)
+PROTOCOL_BASES = [("sarg04", "key"), ("bb84", "key"), ("bb84", "test")]
+
+
 class TestOutputDistribution:
+    """Photon-number distribution over the output modes (reference
+    expansion) and the hit-set probabilities of the array expansion."""
+
     def test_single_photon_splits_evenly(self):
         dist = output_photon_distribution(1, 0, phi_state(0), None)
         assert abs(sum(dist.values()) - 1) < 1e-12
         left = sum(p for k, p in dist.items() if k[0] + k[1] == 1)
         assert abs(left - 0.5) < 1e-12
+        hits = array_hits(1, 0, phi_state(0), None)
+        assert abs(hits.sum() - 1) < 1e-12
+        assert abs(hits[LEFT_ONLY].sum() - 0.5) < 1e-12
 
     def test_hong_ou_mandel_bunching(self):
         # identical photons in each arm never exit on opposite sides
@@ -93,29 +127,61 @@ class TestOutputDistribution:
             left, right = k[0] + k[1], k[2] + k[3]
             if left == 1 and right == 1:
                 assert p < 1e-12
+        assert array_hits(1, 1, phi_state(0), phi_state(0))[BOTH_SIDES].sum() < 1e-12
 
 
 class TestClickDistribution:
-    """Click patterns of photons reaching the beamsplitter; loss acts before
-    them, as binomial thinning (TestThinning)."""
+    """Click patterns of photons reaching the beamsplitter, from the
+    reference expansion and from the array one; loss acts before them, as
+    binomial thinning (TestThinning)."""
 
     def test_vacuum_no_dark(self):
-        clicks = _lossless_clicks(0, 0, None, None, 0.0)
-        assert abs(clicks[0] - 1) < 1e-12  # pattern 0: no detector fires
+        for clicks_of in (lossless_clicks, array_clicks):
+            clicks = clicks_of(0, 0, None, None, 0.0)
+            assert abs(clicks[0] - 1) < 1e-12  # pattern 0: no detector fires
 
     def test_probability_conservation(self):
-        for a, b in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)):
-            clicks = _lossless_clicks(a, b, phi_state(0), phi_state(1), GYS.dark)
-            assert abs(clicks.sum() - 1) <= 1e-12
-            assert clicks.min() >= 0
+        for clicks_of in (lossless_clicks, array_clicks):
+            for a, b in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 3)):
+                clicks = clicks_of(a, b, phi_state(0), phi_state(1), GYS.dark)
+                assert abs(clicks.sum() - 1) <= 1e-12
+                assert clicks.min() >= 0
 
     def test_identical_photons_never_type1(self):
-        clicks = _lossless_clicks(1, 1, phi_state(0), phi_state(0), 0.0)
-        assert clicks @ _PATTERN_TYPES[:, 0] < 1e-12
+        for clicks_of in (lossless_clicks, array_clicks):
+            clicks = clicks_of(1, 1, phi_state(0), phi_state(0), 0.0)
+            assert clicks @ _PATTERN_TYPES[:, 0] < 1e-12
 
     def test_photon_cap_enforced(self):
         with pytest.raises(ValueError):
             arrival_table(0.0, "sarg04", "key", 4)
+
+
+def pin_endpoints(test):
+    """Pin dark = 0 and 0.5 for every protocol and basis at every cutoff."""
+    for dark in (0.0, 0.5):
+        for case in PROTOCOL_BASES:
+            for n_max in range(N_MAX_CAP + 1):
+                test = example(dark=dark, case=case, n_max=n_max)(test)
+    return test
+
+
+class TestArrivalTable:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        dark=st.floats(0.0, 0.5),
+        case=st.sampled_from(PROTOCOL_BASES),
+        n_max=st.integers(0, N_MAX_CAP),
+    )
+    @pin_endpoints
+    def test_matches_reference_expansion(self, dark, case, n_max):
+        table = arrival_table(dark, *case, n_max)
+        np.testing.assert_allclose(table, oracle_table(dark, *case, n_max), rtol=0, atol=1e-15)
+        yields, errors = table[..., 0::2], table[..., 1::2]
+        assert (errors >= 0).all() and (errors <= yields).all() and (yields <= 1).all()
+        # each (a, b) entry is independent of the cutoff (the QND cut relies on it)
+        full = arrival_table(dark, *case, N_MAX_CAP)
+        assert np.array_equal(full[: n_max + 1, : n_max + 1], table)
 
 
 class TestYieldsAndErrors:
