@@ -10,13 +10,15 @@ import json
 import math
 from dataclasses import dataclass
 
-from .sources import CUTOFF_HARD_CAP
-
 SCENARIOS = ("qnd_coherent", "spdc_heralded", "bb84_baseline")
 TYPE_SELECTIONS = ("both", "type1_only", "type2_only")
 PHOTON_TERMS = ("one_one_only", "up_to_two")
 # largest distance grid a config may ask for; each point is one mu optimization
 MAX_DISTANCE_POINTS = 100_000
+# largest n_cutoff a config may set.  The key has no effect: every emission
+# probability is a closed form with no photon-number cutoff.  It is still
+# validated so that existing config files load.
+CUTOFF_HARD_CAP = 200
 
 
 class ConfigError(ValueError):

@@ -83,12 +83,8 @@ def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray)
     if config.scenario != "spdc_heralded":
         p, herald = poisson_probs(flat, N_MAX_DEFAULT), np.ones(flat.size)
     else:
-        sources = [
-            spdc_heralded(m, det, config.n_cutoff, config.spdc_pair_statistics)
-            for m in flat.tolist()
-        ]
-        p = np.array([cond[: N_MAX_DEFAULT + 1] for _, cond in sources])
-        herald = np.array([h * h for h, _ in sources])
+        p_herald, p = spdc_heralded(flat, det, N_MAX_DEFAULT, config.spdc_pair_statistics)
+        herald = p_herald * p_herald
     return p.reshape(mu.shape + (N_MAX_DEFAULT + 1,)), herald.reshape(mu.shape)
 
 

@@ -9,16 +9,11 @@ the relay's photon-number postselection act on these inside
 
 from __future__ import annotations
 
-from math import exp, factorial, inf, lgamma, log, log1p
+from math import exp, factorial, inf, lgamma, log
 
 import numpy as np
 
 from .optics import N_MAX_DEFAULT, DetectorParams
-
-DEFAULT_CUTOFF = 6
-TAIL_TOL = 1e-6
-# the cutoff doubling stops once it reaches this; ScenarioConfig.n_cutoff may not exceed it
-CUTOFF_HARD_CAP = 200
 
 
 def _poisson_term(mu: float, n: int) -> float:
@@ -46,53 +41,39 @@ def poisson_source(mu: float) -> np.ndarray:
     return poisson_probs([mu], N_MAX_DEFAULT)[0]
 
 
-def thermal_pair_probs(mu: float, cutoff: int) -> np.ndarray:
-    """Single-mode thermal photon-pair statistics mu^n / (1+mu)^(n+1) for
-    n <= cutoff, in floats; a term whose mu^n or (1+mu)^(n+1) overflows a
-    float is computed from logarithms instead."""
-    mu, n = float(mu), np.arange(cutoff + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num, den = mu**n, (1 + mu) ** (n + 1)
-        p = num / den
-    over = np.isinf(num) | np.isinf(den)
-    if over.any():  # then mu > 0
-        p[over] = np.exp(n[over] * log(mu) - (n[over] + 1) * log1p(mu))
-    return p
-
-
 def spdc_heralded(
-    pump_mu: float,
+    mu: np.ndarray | list[float],
     herald: DetectorParams,
-    cutoff: int = DEFAULT_CUTOFF,
+    n_max: int = N_MAX_DEFAULT,
     pair_statistics: str = "thermal",
-) -> tuple[float, np.ndarray]:
-    """Heralded SPDC source with a threshold detector on the idler mode:
-    the herald click probability and the signal-mode photon-number
-    distribution conditioned on a herald, the vacuum if nothing heralds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded SPDC source with a threshold detector on the idler mode, one
+    row per mean pair number mu_k of the 1-D `mu`: the herald click
+    probability p_herald[k] and the signal-mode photon-number distribution
+    p[k, n], n <= n_max, conditioned on a herald, the vacuum if nothing
+    heralds.
 
-    Pair statistics default to single-mode thermal; 'poisson' is offered
-    as a comparison switch.  The cutoff is doubled until the pair tail is
-    below TAIL_TOL or the cutoff reaches CUTOFF_HARD_CAP.  Given n pairs
-    the herald clicks with probability 1 - (1-dark)(1-eta)^n; the signal
-    distribution is the pair distribution reweighted by the click
-    probability.
+    Pair statistics default to single-mode thermal, mu^n / (1+mu)^(n+1);
+    'poisson' is offered as a comparison switch.  Given n pairs the herald
+    clicks with probability click_n = d + (1-d)(1 - (1-eta)^n), so
+    p[k, n] = pairs_n click_n / p_herald[k].  p_herald is the sum over all
+    n in closed form, (d + mu eta) / (1 + mu eta) for thermal pairs and
+    d - (1-d) expm1(-mu eta) for Poisson pairs: no photon-number cutoff.
     """
-    if not 0 <= pump_mu < inf:
-        raise ValueError(f"mean pair number must be finite and nonnegative, got {pump_mu}")
-    while True:
-        if pair_statistics == "thermal":
-            pairs = thermal_pair_probs(pump_mu, cutoff)
-        elif pair_statistics == "poisson":
-            pairs = poisson_probs([pump_mu], cutoff)[0]
-        else:
-            raise ValueError(f"unknown pair statistics {pair_statistics!r}")
-        tail = max(1.0 - pairs.sum(), 0.0)
-        if tail <= TAIL_TOL or cutoff >= CUTOFF_HARD_CAP:
-            break
-        cutoff *= 2
-    n = np.arange(cutoff + 1)
-    click = 1.0 - (1.0 - herald.dark) * (1.0 - herald.eta) ** n
-    p_herald = float(pairs @ click)
-    if p_herald <= 0.0:
-        return 0.0, np.eye(1, cutoff + 1)[0]
-    return p_herald, pairs * click / p_herald
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((0 <= mu) & (mu < inf)):
+        raise ValueError(f"mean pair numbers must be finite and nonnegative, got {mu}")
+    d, eta, n = herald.dark, herald.eta, np.arange(n_max + 1)
+    if pair_statistics == "thermal":
+        pairs = (mu / (1 + mu))[:, None] ** n / (1 + mu)[:, None]
+        p_herald = (d + mu * eta) / (1 + mu * eta)
+    elif pair_statistics == "poisson":
+        pairs = poisson_probs(mu, n_max)
+        p_herald = d - (1 - d) * np.expm1(-mu * eta)
+    else:
+        raise ValueError(f"unknown pair statistics {pair_statistics!r}")
+    click = d + (1 - d) * (1 - (1 - eta) ** n)
+    cond = np.zeros(pairs.shape)
+    cond[:, 0] = 1.0
+    np.divide(pairs * click, p_herald[:, None], out=cond, where=p_herald[:, None] > 0.0)
+    return p_herald, cond

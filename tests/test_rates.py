@@ -87,7 +87,7 @@ class TestAssembleGains:
         assert g.type1.q[(1, 2)] > 0.0 and g.type2.q[(2, 1)] > 0.0
 
     def test_heralded_probability_reported(self):
-        p_herald, cond = spdc_heralded(0.1, GYS)
+        p_herald, cond = (v[0] for v in spdc_heralded([0.1], GYS))
         g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
         assert abs(g.herald_probability - p_herald**2) < 1e-15
         bare = assemble_gains(cond, cond, GYS, 1.0)

@@ -83,6 +83,16 @@ class TestOptimizeMu:
         assert point.total > 0
         assert 0 < point.p_herald < 1
 
+    @pytest.mark.parametrize("statistics", ["thermal", "poisson"])
+    def test_source_cutoff_has_no_effect(self, statistics):
+        # emission probabilities are closed forms: n_cutoff is validated only
+        cfg = dataclasses.replace(SHORT, scenario="spdc_heralded", spdc_pair_statistics=statistics)
+        rows = []
+        for cutoff in (2, 200):
+            points = points_at(dataclasses.replace(cfg, n_cutoff=cutoff), [0.0, 40.0], 0.5)
+            rows.append([dataclasses.asdict(p) for p in points])
+        assert rows[0] == rows[1]
+
 
 class TestRunSweep:
     def test_totals_non_increasing(self):
