@@ -41,28 +41,18 @@ class BoundResult:
     s_star: float | np.ndarray
 
 
-def _entropy(x: float) -> float:
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
-
-
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity.
 
-    Elementwise on arrays; a float for a float.  Each element goes through
-    libm's log2, so an array gives bit for bit the values of its elements
-    (numpy's log2 differs from it in the last bit for some arguments).
+    Elementwise on arrays; a float for a float.
     """
     arr = np.asarray(x, dtype=float)
     if ((arr < -1e-12) | (arr > 1 + 1e-12)).any():
         raise ValueError(f"entropy argument {x} outside [0, 1]")
-    if arr.ndim == 0:
-        return _entropy(float(arr))
-    # a memoryview yields the elements as floats one at a time, without a list of them
-    values = memoryview(np.ascontiguousarray(arr).ravel())
-    return np.fromiter(map(_entropy, values), float, arr.size).reshape(arr.shape)
+    edge = (arr <= 0.0) | (arr >= 1.0)
+    y = np.where(edge, 0.5, arr)
+    h = np.where(edge, 0.0, -y * np.log2(y) - (1 - y) * np.log2(1 - y))
+    return float(h) if h.ndim == 0 else h
 
 
 def f_type1(s1: float | np.ndarray) -> float | np.ndarray:

@@ -26,8 +26,6 @@ from .optics import N_MAX_DEFAULT, DetectorParams, error_rate, relay_yields
 # k = k' for Type1 (1/4), k = k' restricted to {0, 2} for Type2 (1/8)
 SIFT_FACTOR = {1: 0.25, 2: 0.125}
 
-KEY_CASES = ((1, 1), (1, 2), (2, 1))
-
 # announcement types whose key fraction counts in the total, per type selection
 INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
 
@@ -90,16 +88,6 @@ class KeyRateBreakdown:
     total: float | np.ndarray
     contributions: dict = field(default_factory=dict)
     ec_cost: float | np.ndarray = 0.0
-
-    def at(self, k) -> "KeyRateBreakdown":
-        """Entry k of the key fractions (see GainTable.at), with floats."""
-        return KeyRateBreakdown(
-            G1=float(self.G1[k]),
-            G2=float(self.G2[k]),
-            total=float(self.total[k]),
-            contributions={key: float(v[k]) for key, v in self.contributions.items()},
-            ec_cost=float(self.ec_cost[k]),
-        )
 
 
 def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTable]:
@@ -176,14 +164,18 @@ def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
 
     The bit error rates come from the relay yields alone, so the bounds
     depend on the distance and not on the mean photon number: one
-    `phase_bound` array call per key term covers every distance of a table.
+    `phase_bound` array call per type and intercept covers every distance
+    of a table, the (1,2) and (2,1) terms of a type stacked in one call.
     """
-    return {
-        (t, nm): phase_bound(nm, t, gains.for_type(t).ebit[nm]).e_ph
-        for t in (1, 2)
-        for nm in (((1, 1),) if one_one_only else KEY_CASES)
-        if nm in gains.for_type(t).q
-    }
+    bounds = {}
+    for t in (1, 2):
+        tg = gains.for_type(t)
+        for cases in (((1, 1),), () if one_one_only else ((1, 2), (2, 1))):
+            present = [nm for nm in cases if nm in tg.q]
+            if present:
+                e_ph = phase_bound(present[0], t, np.stack([tg.ebit[nm] for nm in present])).e_ph
+                bounds.update(zip([(t, nm) for nm in present], e_ph))
+    return bounds
 
 
 def _privacy_factor(e_ph: float | np.ndarray) -> float | np.ndarray:

@@ -128,19 +128,12 @@ def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple
     return rate
 
 
-def _row(result: tuple, k=0) -> tuple:
-    """Entry k (an index, or an index tuple over distances and mu) of a
-    `rate_at` result, with floats."""
-    rate, gains, breakdown = result
-    return float(rate[k]), gains.at(k), None if breakdown is None else breakdown.at(k)
-
-
 def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
     """Gain table of the configured SARG04 scenario at one distance and mu:
     the one-row view of `rate_at`."""
     if config.scenario == "bb84_baseline":
         raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
-    return _row(rate_at(config, distance_km)(np.array([mu])))[1]
+    return rate_at(config, distance_km)(np.array([mu]))[1].at(0)
 
 
 def mu_grid(config: ScenarioConfig) -> list[float]:
@@ -148,11 +141,6 @@ def mu_grid(config: ScenarioConfig) -> list[float]:
     points from mu_min to mu_max."""
     lo, hi = math.log(config.mu_min), math.log(config.mu_max)
     return [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    # libm's exp per element: numpy's exp differs from it in the last bit for some x
-    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[RateCurvePoint]:
@@ -178,9 +166,9 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     lo = np.where(live, log_grid[np.maximum(best - 1, 0)], log_grid[best])
     hi = np.where(live, log_grid[np.minimum(best + 1, len(grid) - 1)], log_grid[best])
     log_mu, neg = golden_section_minimize(
-        lambda x: -rate(_exp(x)[:, None])[0][:, 0], lo, hi, MU_REL_TOL
+        lambda x: -rate(np.exp(x)[:, None])[0][:, 0], lo, hi, MU_REL_TOL
     )
-    mu_opt = np.where(live & (-neg >= best_rate), _exp(log_mu), np.array(grid)[best])
+    mu_opt = np.where(live & (-neg >= best_rate), np.exp(log_mu), np.array(grid)[best])
     return _points(distances, mu_opt.tolist(), rate(mu_opt[:, None]))
 
 
@@ -199,27 +187,18 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
 
 def _points(distances: list[float], mus: list[float], result: tuple) -> list[RateCurvePoint]:
     """Rows of a `rate_at` result over D distances with one mu each."""
-    return [_point(d, mu, _row(result, (i, 0))) for i, (d, mu) in enumerate(zip(distances, mus))]
-
-
-def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
     rate, gains, breakdown = result
+    rate, herald = rate[:, 0], gains.herald_probability[:, 0]
     if breakdown is None:  # bb84 comparator
-        g1 = g2 = 0.0
-        total = rate / gains.herald_probability
+        g1 = g2 = np.zeros(len(distances))
+        total = rate / herald
     else:
-        g1, g2, total = breakdown.G1, breakdown.G2, breakdown.total
-    return RateCurvePoint(
-        distance_km=distance_km,
-        mu_opt=mu,
-        G1=g1,
-        G2=g2,
-        total=total,
-        e_tot_1=gains.type1.e_tot,
-        e_tot_2=gains.type2.e_tot,
-        p_herald=gains.herald_probability,
-        zero_rate=rate <= 0.0,
-    )
+        g1, g2, total = (v[:, 0] for v in (breakdown.G1, breakdown.G2, breakdown.total))
+    columns = (rate, g1, g2, total, gains.type1.e_tot[:, 0], gains.type2.e_tot[:, 0], herald)
+    return [
+        RateCurvePoint(d, mu, *row[1:], zero_rate=row[0] <= 0.0)
+        for d, mu, row in zip(distances, mus, zip(*(c.tolist() for c in columns)))
+    ]
 
 
 def run_sweep(config: ScenarioConfig, output_path: str | None = None) -> list[RateCurvePoint]:

@@ -9,30 +9,28 @@ the relay's photon-number postselection act on these inside
 
 from __future__ import annotations
 
-from math import exp, factorial, inf, lgamma, log
+from math import inf, lgamma
 
 import numpy as np
 
 from .optics import N_MAX_DEFAULT, DetectorParams
 
 
-def _poisson_term(mu: float, n: int) -> float:
-    try:
-        return exp(-mu) * mu**n / factorial(n)
-    except OverflowError:  # mu^n or n! beyond the float range: in log space
-        return exp(n * log(mu) - mu - lgamma(n + 1)) if mu else 0.0
-
-
 def poisson_probs(mu: np.ndarray | list[float], n_max: int) -> np.ndarray:
     """Closed-form Poisson p[k, n] = exp(-mu_k) mu_k^n / n! for n <= n_max,
-    one row per entry mu_k of the 1-D `mu`.  Built element by element with
-    libm's exp and pow, which numpy's vectorized exp does not match bit
-    for bit; a term whose mu^n or n! overflows a float is computed from
-    logarithms instead."""
-    rows = np.asarray(mu, dtype=float).tolist()
-    if not all(0 <= m < inf for m in rows):
+    one row per entry mu_k of the 1-D `mu`, from the logarithm
+    n log mu_k - log n! - mu_k of every term; mu_k = 0 is the vacuum."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((0 <= mu) & (mu < inf)):
         raise ValueError(f"mean photon numbers must be finite and nonnegative, got {mu}")
-    return np.array([[_poisson_term(m, n) for n in range(n_max + 1)] for m in rows])
+    n = np.arange(n_max + 1)
+    log_factorial = np.array([lgamma(k + 1) for k in range(n_max + 1)])
+    # log n! is subtracted first: at large mu, near the mode, both
+    # subtractions then have operands within a factor 2 and are exact
+    log_p = (n * np.log(np.where(mu > 0, mu, 1.0))[:, None] - log_factorial) - mu[:, None]
+    p = np.exp(log_p)
+    p[mu == 0] = n == 0
+    return p
 
 
 def poisson_source(mu: float) -> np.ndarray:

@@ -46,6 +46,27 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(-0.1)
 
+    def test_tolerance_band(self):
+        # arguments within 1e-12 of [0, 1] are taken as its ends; beyond, they raise
+        assert binary_entropy(np.array([0.0, 1.0, -1e-12, 1 + 1e-12])).tolist() == [0.0] * 4
+        for bad in (-2e-12, 1 + 2e-12, np.array([0.5, 1.1])):
+            with pytest.raises(ValueError):
+                binary_entropy(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e-12, 1 + 1e-12), min_size=1, max_size=50))
+    def test_array_equals_float_calls(self, xs):
+        h = binary_entropy(np.array(xs))
+        assert h.tolist() == [binary_entropy(x) for x in xs]
+        assert binary_entropy(np.array(xs).reshape(1, -1)).tolist() == [h.tolist()]
+
+    def test_matches_log2_reference(self):
+        tails = [np.geomspace(1e-300, 0.5, 301), 1 - np.geomspace(1e-16, 0.5, 201)]
+        x = np.concatenate(tails + [np.linspace(0, 1, 1001)[1:-1]])
+        for v, h in zip(x.tolist(), binary_entropy(x).tolist()):
+            reference = -v * math.log2(v) - (1 - v) * math.log2(1 - v)
+            assert math.isclose(h, reference, rel_tol=1e-15), v
+
 
 class TestTypeOneIntercept:
     def test_value_at_zero(self):

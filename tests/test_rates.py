@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mdi_sarg04.bounds import phase_bound
 from mdi_sarg04.config import ConfigError, ScenarioConfig
 from mdi_sarg04.optics import DetectorParams
 from mdi_sarg04.rates import (
@@ -16,7 +17,7 @@ from mdi_sarg04.rates import (
     phase_bounds,
     privacy_factors,
 )
-from mdi_sarg04.scenario import evaluate_gains
+from mdi_sarg04.scenario import evaluate_gains, rate_at
 from mdi_sarg04.sources import poisson_source, spdc_heralded
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
@@ -137,6 +138,27 @@ class TestKeyRate:
             ScenarioConfig(ec_inefficiency=0.9)
         with pytest.raises(ConfigError):
             ScenarioConfig(type_selection="neither")
+
+
+class TestPhaseBounds:
+    @pytest.mark.parametrize("scenario, step_km", [("qnd_coherent", 0.5), ("spdc_heralded", 2.0)])
+    @pytest.mark.parametrize("one_one_only", [False, True])
+    def test_stacked_equals_per_case_calls(self, scenario, step_km, one_one_only):
+        # the (1,2) and (2,1) bounds of a type come from one stacked call
+        config = ScenarioConfig(scenario=scenario, distance_step_km=step_km)
+        distances = config.distances()
+        gains = rate_at(config, distances)(np.full((len(distances), 1), 0.3))[1]
+        bounds = phase_bounds(gains, one_one_only)
+        cases = [(1, 1)] if one_one_only else [(1, 1), (1, 2), (2, 1)]
+        assert list(bounds) == [(t, nm) for t in (1, 2) for nm in cases]
+        for (t, nm), e_ph in bounds.items():
+            ebit = gains.for_type(t).ebit[nm]
+            assert ebit.shape == (len(distances), 1)
+            assert e_ph.tolist() == phase_bound(nm, t, ebit).e_ph.tolist()
+
+    def test_absent_cases_skipped(self):
+        bounds = phase_bounds(TestKeyRate._table(e11_1=0.01, e11_2=0.02))
+        assert bounds == {(1, (1, 1)): 0.015, (2, (1, 1)): 0.06}
 
 
 class TestBb84Baseline:

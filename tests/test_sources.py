@@ -159,6 +159,24 @@ class TestPoissonSource:
         assert p.min() >= 0
         np.testing.assert_array_equal(poisson_source(mu), p[:3])
 
+    def test_matches_log_space_oracle(self):
+        # mu in [0, 150] and n <= 200, through the region where mu^n or n!
+        # overflows a float (n >= 171 at mu above about 60).  The oracle sums
+        # the exponent x = n log mu - log n! - mu exactly; any float x still
+        # carries a rounding of up to |x| 2^-53, which exp turns into that
+        # relative error, so the bound is 1e-15 relative to the log-space value
+        mus = np.concatenate(
+            [[1e-300, 1e-12], np.geomspace(1e-6, 150.0, 41), np.linspace(0.0, 150.0, 151)]
+        )
+        p = poisson_probs(mus, 200)
+        for mu, row in zip(mus.tolist(), p.tolist()):
+            if mu == 0.0:
+                assert row == [1.0] + [0.0] * 200
+                continue
+            for n, value in enumerate(row):
+                x = math.fsum([n * math.log(mu), -math.lgamma(n + 1), -mu])
+                assert _close(value, math.exp(x), 1e-15 * max(1.0, abs(x))), (mu, n)
+
 
 class TestSpdcHeralded:
     def test_thermal_statistics(self):
