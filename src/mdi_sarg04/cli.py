@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -80,11 +81,7 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "distance", None) is not None:
         overrides["distance_start_km"] = args.distance
         overrides["distance_stop_km"] = args.distance
-    if overrides:
-        import dataclasses
-
-        config = ScenarioConfig.from_dict({**dataclasses.asdict(config), **overrides})
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_rate_curve(args) -> int:
@@ -163,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

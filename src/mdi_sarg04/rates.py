@@ -6,16 +6,17 @@ asymptotic key-rate formula per announcement type, plus a simplified
 MDI-BB84 comparator.  Infinite decoy states are assumed: every
 per-photon-number gain and error rate is known exactly.
 
-Gains, totals and key fractions are arrays over mean photon numbers,
-and over (distance, mean photon number) in a sweep (`gain_kernel`); the
-table of one pair of emission distributions (`assemble_gains`) is the
-one-row view of the same arrays.
+Gains are arrays with the photon numbers (n, m) as their two leading axes,
+so q[(n, m)] is one term, and the mean photon numbers after them (distance
+and mean photon number in a sweep, `gain_kernel`).  Totals and key
+fractions are sums over (n, m), the key terms (1,1), (1,2), (2,1) a mask.
+`assemble_gains` is the one-row view: (N, N) gains and float totals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +33,14 @@ INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
 
 @dataclass(frozen=True)
 class TypeGains:
-    """Per-(n,m) gains and bit error rates for one announcement type.
+    """Gains q[n, m, ...] and bit error rates ebit[n, m, ...] of one
+    announcement type, and their totals over (n, m).  The bit error rates
+    depend on the relay alone: their mean-photon-number axis has length 1."""
 
-    In a table over mean photon numbers each gain and total is an array
-    with one entry per mean photon number (per distance and mean photon
-    number in a sweep); the bit error rates depend on the relay alone and
-    are floats at one distance, (D, 1) arrays at D distances."""
-
-    q: dict[tuple[int, int], float | np.ndarray]
-    ebit: dict[tuple[int, int], float | np.ndarray]
+    q: np.ndarray
+    ebit: np.ndarray
     q_tot: float | np.ndarray
     e_tot: float | np.ndarray
-
-    def at(self, k) -> "TypeGains":
-        return TypeGains(
-            q={nm: float(v[k]) for nm, v in self.q.items()},
-            ebit={nm: float(v[k]) if np.ndim(v) else v for nm, v in self.ebit.items()},
-            q_tot=float(self.q_tot[k]),
-            e_tot=float(self.e_tot[k]),
-        )
 
 
 @dataclass(frozen=True)
@@ -62,7 +52,6 @@ class GainTable:
     type1: TypeGains
     type2: TypeGains
     herald_probability: float | np.ndarray = 1.0
-    protocol: str = "sarg04"
 
     def for_type(self, announcement_type: int) -> TypeGains:
         if announcement_type == 1:
@@ -71,68 +60,63 @@ class GainTable:
             return self.type2
         raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
-    def at(self, k) -> "GainTable":
-        """Entry k of a table over mean photon numbers (an index tuple over
-        distances and mean photon numbers), with floats."""
-        return GainTable(
-            self.type1.at(k), self.type2.at(k), float(self.herald_probability[k]), self.protocol
-        )
+    def at(self, k: int) -> "GainTable":
+        """Entry k of a table over the mean photon numbers of one distance."""
+        one = [
+            TypeGains(t.q[..., k], t.ebit[..., 0], float(t.q_tot[k]), float(t.e_tot[k]))
+            for t in (self.type1, self.type2)
+        ]
+        return GainTable(*one, float(self.herald_probability[k]))
 
 
 @dataclass(frozen=True)
 class KeyRateBreakdown:
-    """Per-type key fractions with the positive term breakdown."""
+    """Per-type key fractions with the positive term breakdown
+    contributions[t - 1, n, m, ...], zero off the key terms."""
 
     G1: float | np.ndarray
     G2: float | np.ndarray
     total: float | np.ndarray
-    contributions: dict = field(default_factory=dict)
-    ec_cost: float | np.ndarray = 0.0
+    contributions: np.ndarray
+    ec_cost: float | np.ndarray
+
+
+def _sum_nm(x: np.ndarray) -> np.ndarray:
+    """Sum of x[i, n, m, ...] over (n, m) in row-major order, one addition
+    at a time, as `np.add.accumulate` guarantees whatever the memory layout
+    of x (`np.sum` adds pairwise along a contiguous axis: the last bit
+    can move)."""
+    flat = x.reshape(x.shape[:1] + (-1,) + x.shape[3:])
+    return np.add.accumulate(flat, axis=1)[:, -1].copy()
 
 
 def gain_kernel(y: np.ndarray, protocol: str = "sarg04") -> Callable[..., GainTable]:
     """(p_a, p_b, herald_probability) -> gain table at the relay yields `y`
     of optics.relay_yields: (N, N, 4) at one distance or (D, N, N, 4) at D.
 
-    q[..., t, n, m] = p_a[..., n] p_b[..., m] sift[t] Y[n, m, yield_t], and
-    the same product with the error-weighted yield, for emission
-    probabilities of shape mu.shape + (N,) and the joint heralding
-    probability of shape mu.shape.  At one distance a 1-D mu of K mean
-    photon numbers gives gains over K; at D distances the gains are (D, K)
-    for a 1-D mu shared by all distances and (D, 1) for one mu per
-    distance (mu of shape (D, 1)).  Everything that depends on the relay
-    alone, the bit error rates included ((D, 1) at D distances), is
-    computed here once.
+    q_t[n, m, ...] = p_a[..., n] p_b[..., m] sift[t] Y[n, m, yield_t] and
+    the same product with the error-weighted yield, one broadcast product,
+    for emission probabilities of shape mu.shape + (N,) and the joint
+    heralding probability of shape mu.shape.  At one distance mu is 1-D and
+    the gains run over it; at D distances mu is (1, K) for K mean photon
+    numbers shared by all distances or (D, 1) for one per distance, and the
+    gains are (D, K) or (D, 1).  Everything that depends on the relay
+    alone, the bit error rates included, is computed here once.
     """
     sift = np.array([SIFT_FACTOR[1], SIFT_FACTOR[2]] if protocol == "sarg04" else [1.0, 1.0])
-    if y.ndim == 4:  # a mu axis after the distance axis, for the gains to broadcast along
-        y = y[:, None]
-    # (yield_1, error_1, yield_2, error_2); the sift factors are powers of two,
-    # so (w * sift) * Y == w * (sift * Y) exactly
-    sifted = y * np.repeat(sift, 2)
-    photons = range(y.shape[-2])
-    cases = [(n, m) for n in photons for m in photons]
-    ebit = error_rate(y[..., 1::2], y[..., 0::2])
-    ebits = [{(n, m): ebit[..., n, m, i] for n, m in cases} for i in (0, 1)]
+    # (yield_1, error_1, yield_2, error_2) first, then (n, m), the distances and a mu axis
+    rows = np.moveaxis(y, (-1, -3, -2), (0, 1, 2))[..., None]
+    ebit = error_rate(rows[1::2], rows[0::2])
+    # the sift factors are powers of two, so (p p' sift) Y == p p' (sift Y) exactly
+    sifted = rows * np.repeat(sift, 2).reshape((4,) + (1,) * (rows.ndim - 1))
 
     def gains(p_a: np.ndarray, p_b: np.ndarray, herald_probability: np.ndarray) -> GainTable:
-        q: tuple[dict, dict] = ({}, {})
-        # running sums over (n, m): the additions of a float sum over the gains
-        totals = [0.0] * 4
-        for n, m in cases:
-            w = p_a[..., n] * p_b[..., m]
-            for row in range(4):
-                term = w * sifted[..., n, m, row]
-                totals[row] = totals[row] + term
-                if row % 2 == 0:
-                    q[row // 2][(n, m)] = term
-        per_type = []
-        for i in (0, 1):
-            q_tot, errors = totals[2 * i], totals[2 * i + 1]
-            e_tot = np.zeros(q_tot.shape)
-            np.divide(errors, q_tot, out=e_tot, where=q_tot > 0)
-            per_type.append(TypeGains(q[i], ebits[i], q_tot, e_tot))
-        return GainTable(*per_type, herald_probability=herald_probability, protocol=protocol)
+        terms = np.moveaxis(p_a, -1, 0)[:, None] * np.moveaxis(p_b, -1, 0) * sifted
+        totals = _sum_nm(terms)
+        q_tot, e_tot = totals[0::2], np.zeros(totals[0::2].shape)
+        np.divide(totals[1::2], q_tot, out=e_tot, where=q_tot > 0)
+        per_type = map(TypeGains, terms[0::2], ebit, q_tot, e_tot)
+        return GainTable(*per_type, herald_probability=herald_probability)
 
     return gains
 
@@ -147,8 +131,8 @@ def assemble_gains(
     bb84_basis: str = "key",
     n_max: int = N_MAX_DEFAULT,
 ) -> GainTable:
-    """Per-(n,m) gains Q = p_n p_m * sift * yield for both types, from the
-    first n_max + 1 emission probabilities of each sender: the one-row
+    """Gains Q[n, m] = p_n p_m * sift * yield for both types, from the first
+    n_max + 1 emission probabilities of each sender: the one-row
     `gain_kernel` table of one pair of non-heralded sources.
 
     With `qnd` the relay accepts at most one arriving photon per arm
@@ -160,20 +144,21 @@ def assemble_gains(
 
 
 def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
-    """Phase-error bound e_ph of every (type, (n, m)) key term.
+    """Phase-error bound e_ph of every (type, (n, m)) key term with n, m < N.
 
     The bit error rates come from the relay yields alone, so the bounds
     depend on the distance and not on the mean photon number: one
     `phase_bound` array call per type and intercept covers every distance
     of a table, the (1,2) and (2,1) terms of a type stacked in one call.
     """
+    n = gains.type1.ebit.shape[0]
     bounds = {}
     for t in (1, 2):
-        tg = gains.for_type(t)
+        ebit = gains.for_type(t).ebit
         for cases in (((1, 1),), () if one_one_only else ((1, 2), (2, 1))):
-            present = [nm for nm in cases if nm in tg.q]
+            present = [nm for nm in cases if max(nm) < n]
             if present:
-                e_ph = phase_bound(present[0], t, np.stack([tg.ebit[nm] for nm in present])).e_ph
+                e_ph = phase_bound(present[0], t, ebit[tuple(zip(*present))]).e_ph
                 bounds.update(zip([(t, nm) for nm in present], e_ph))
     return bounds
 
@@ -183,31 +168,40 @@ def _privacy_factor(e_ph: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
 
 
-def privacy_factors(e_ph: dict) -> dict:
-    """1 - h(e_ph) of every key term bounded in `e_ph` (from `phase_bounds`)."""
-    return dict(zip(e_ph, _privacy_factor(np.array(list(e_ph.values())))))
+def privacy_factors(e_ph: dict) -> np.ndarray:
+    """1 - h(e_ph) of the key terms bounded in `e_ph` (from `phase_bounds`),
+    zero-padded to f[t - 1, n, m, ...] over n, m up to the largest bounded
+    photon number: the mask of the key terms."""
+    keys = np.array([(t - 1, *nm) for t, nm in e_ph], dtype=int).reshape(-1, 3)
+    values = np.array(list(e_ph.values()))
+    k = keys[:, 1:].max(initial=0) + 1
+    factors = np.zeros((2, k, k) + values.shape[1:])
+    factors[tuple(keys.T)] = _privacy_factor(values)
+    return factors
 
 
 def fractions_from_factors(
-    gains: GainTable, factors: dict, ec_inefficiency: float, include: tuple[int, ...]
+    gains: GainTable, factors: np.ndarray, ec_inefficiency: float, include: tuple[int, ...]
 ) -> KeyRateBreakdown:
     """Asymptotic key fractions G_i per announcement type.
 
-    G_i sums the privacy-amplified terms, the gains times the privacy
-    factors of `privacy_factors`, and subtracts the error-correction cost
+    G_i sums the privacy-amplified terms, the gains times the factors of
+    `privacy_factors`, over (n, m) and subtracts the error-correction cost
     over the whole sifted key.  Negative G_i are clamped to zero in
     `total`, which sums the `include`d types; raw values are kept in G1/G2
     for diagnostics.  Over mean photon numbers when the gains are.
     """
-    types = {1: gains.type1, 2: gains.type2}
-    contributions = {(t, nm): types[t].q[nm] * f for (t, nm), f in factors.items()}
-    h = binary_entropy(np.minimum([types[1].e_tot, types[2].e_tot], 1.0))
-    ec = {t: ec_inefficiency * tg.q_tot * h[t - 1] for t, tg in types.items()}
-    raw = {t: sum(v for (u, _), v in contributions.items() if u == t) - ec[t] for t in types}
+    types = (gains.type1, gains.type2)
+    k = factors.shape[1]
+    contributions = np.stack([tg.q[:k, :k] for tg in types])
+    contributions *= factors
+    h = binary_entropy(np.minimum([tg.e_tot for tg in types], 1.0))
+    ec = [ec_inefficiency * tg.q_tot * h[i] for i, tg in enumerate(types)]
+    raw = _sum_nm(contributions) - ec
     total = 0.0
     for t in include:
-        total = total + np.maximum(raw[t], 0.0)
-    return KeyRateBreakdown(raw[1], raw[2], total, contributions, ec[1] + ec[2])
+        total = total + np.maximum(raw[t - 1], 0.0)
+    return KeyRateBreakdown(raw[0], raw[1], total, contributions, ec[0] + ec[1])
 
 
 def bb84_baseline_rate(

@@ -39,10 +39,11 @@ MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
 # a sweep evaluates the mu grid over (distance, mu) in blocks of whole mu
 # columns with at most this many entries (one column at least).  An entry
-# holds about 300 bytes of gains and key fractions while its block is
-# evaluated: the whole 121 x 40 grid of a 0.5 km sweep at once raised the
-# process's peak RSS by 1.35 MB (4 %), blocks of 1024 entries by 0.28 MB
-# and blocks of this size by 0.15 MB (0.5 %).
+# holds about 700 bytes while its block is evaluated (the (n, m) gain rows
+# and their running sums, then the key-fraction products): over one column
+# per block, the whole 121 x 40 grid of a 0.5 km sweep at once raised the
+# process's peak RSS by 3.1 MB (10 %), blocks of 1024 entries by 0.43 MB
+# and blocks of this size by 0.24 MB (0.7 %).
 GRID_BLOCK_ENTRIES = 512
 
 CSV_HEADER = (
@@ -93,12 +94,12 @@ def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple
     the BB84 comparator.
 
     At one distance mu is a 1-D array and the results run over it.  At a
-    sequence of D distances the results are (D, K) for a 1-D mu grid of K
-    points shared by every distance, and (D, 1) for one mu per distance
-    (mu of shape (D, 1)).  The relay yields depend on the distance only and
-    are computed here once, in one contraction over all distances; so are
-    the phase-error bounds and their privacy factors, from the first gain
-    table, with one array call per bounded key term.
+    sequence of D distances the results are (D, K) for a grid of K points
+    shared by every distance (mu of shape (1, K)), and (D, 1) for one mu
+    per distance (mu of shape (D, 1)).  The relay yields depend on the
+    distance only and are computed here once, in one contraction over all
+    distances; so are the phase-error bounds and their privacy factors,
+    from the first gain table, with one array call per type and intercept.
     """
     det, t = _relay(config, distance_km)
     if config.scenario == "bb84_baseline":
@@ -114,14 +115,14 @@ def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple
 
     gains_at = gain_kernel(relay_yields(det, t, qnd=config.scenario == "qnd_coherent"))
     include = INCLUDED_TYPES[config.type_selection]
-    factors: dict = {}
+    factors = None
 
     def rate(mu: np.ndarray):
+        nonlocal factors
         p, herald = _emission_probs(config, det, mu)
         gains = gains_at(p, p, herald)
-        if not factors:
-            e_ph = phase_bounds(gains, config.photon_terms == "one_one_only")
-            factors.update(privacy_factors(e_ph))
+        if factors is None:
+            factors = privacy_factors(phase_bounds(gains, config.photon_terms == "one_one_only"))
         breakdown = fractions_from_factors(gains, factors, config.ec_inefficiency, include)
         return breakdown.total * herald, gains, breakdown
 
@@ -158,7 +159,7 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     rate = rate_at(config, distances)
     grid = mu_grid(config)
     step = max(1, GRID_BLOCK_ENTRIES // len(distances))
-    rates = np.hstack([rate(np.array(grid[j : j + step]))[0] for j in range(0, len(grid), step)])
+    rates = np.hstack([rate(np.array([grid[j : j + step]]))[0] for j in range(0, len(grid), step)])
     best = np.argmax(rates, axis=1)
     best_rate = rates[np.arange(len(distances)), best]
     live = best_rate > 0.0

@@ -16,13 +16,21 @@ import numpy as np
 from .optics import N_MAX_DEFAULT, DetectorParams
 
 
+def _checked(mu: np.ndarray | list[float], name: str) -> np.ndarray:
+    """mu as a float array; a ValueError naming its first entry that is
+    negative, infinite or NaN."""
+    mu = np.asarray(mu, dtype=float)
+    bad = mu[~((0 <= mu) & (mu < inf))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and nonnegative, got {bad[0]}")
+    return mu
+
+
 def poisson_probs(mu: np.ndarray | list[float], n_max: int) -> np.ndarray:
     """Closed-form Poisson p[k, n] = exp(-mu_k) mu_k^n / n! for n <= n_max,
     one row per entry mu_k of the 1-D `mu`, from the logarithm
     n log mu_k - log n! - mu_k of every term; mu_k = 0 is the vacuum."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.all((0 <= mu) & (mu < inf)):
-        raise ValueError(f"mean photon numbers must be finite and nonnegative, got {mu}")
+    mu = _checked(mu, "mean photon numbers")
     n = np.arange(n_max + 1)
     log_factorial = np.array([lgamma(k + 1) for k in range(n_max + 1)])
     # log n! is subtracted first: at large mu, near the mode, both
@@ -58,9 +66,7 @@ def spdc_heralded(
     n in closed form, (d + mu eta) / (1 + mu eta) for thermal pairs and
     d - (1-d) expm1(-mu eta) for Poisson pairs: no photon-number cutoff.
     """
-    mu = np.asarray(mu, dtype=float)
-    if not np.all((0 <= mu) & (mu < inf)):
-        raise ValueError(f"mean pair numbers must be finite and nonnegative, got {mu}")
+    mu = _checked(mu, "mean pair numbers")
     d, eta, n = herald.dark, herald.eta, np.arange(n_max + 1)
     if pair_statistics == "thermal":
         pairs = (mu / (1 + mu))[:, None] ** n / (1 + mu)[:, None]

@@ -179,6 +179,12 @@ class TestCliBadInput:
             ["rate-curve", "--mu", "nan", "--distance", "10"],
             ["rate-curve", "--mu", "inf", "--distance", "10"],
             ["rate-curve", "--scenario", "spdc_heralded", "--mu", "nan", "--distance", "10"],
+            ["rate-curve", "--mu", "-1"],
+            ["rate-curve", "--mu", "nan"],
+            # the working directory exists and is no file
+            ["rate-curve", "--config", "."],
+            ["bounds", "-o", "."],
+            ["mu-table", "-o", "."],
         ],
         ids=" ".join,
     )

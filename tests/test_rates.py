@@ -18,11 +18,18 @@ from mdi_sarg04.rates import (
     privacy_factors,
 )
 from mdi_sarg04.scenario import evaluate_gains, rate_at
-from mdi_sarg04.sources import poisson_source, spdc_heralded
+from mdi_sarg04.sources import poisson_probs, poisson_source, spdc_heralded
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
 SINGLE = np.array([0.0, 1.0, 0.0])  # emission probabilities of a single-photon source
+
+
+def one_one_gains(q11, e11):
+    """A 2x2 table over (n, m) whose only gain is the (1,1) term."""
+    q, ebit = np.zeros((2, 2)), np.full((2, 2), 0.5)
+    q[1, 1], ebit[1, 1] = q11, e11
+    return TypeGains(q=q, ebit=ebit, q_tot=q11, e_tot=e11)
 
 
 def solved_fractions(gains, ec_inefficiency, one_one_only=False, type_selection="both"):
@@ -62,8 +69,8 @@ class TestAssembleGains:
         src = poisson_source(0.3)
         g = assemble_gains(src, src, GYS, 0.5)
         for t in (g.type1, g.type2):
-            assert abs(t.q_tot - sum(t.q.values())) <= 1e-15
-            weighted = sum(t.q[nm] * t.ebit[nm] for nm in t.q)
+            assert abs(t.q_tot - sum(t.q.ravel())) <= 1e-15
+            weighted = sum((t.q * t.ebit).ravel())
             assert abs(t.e_tot - weighted / t.q_tot) <= 1e-12
 
     def test_symmetric_source_symmetric_gains(self):
@@ -73,6 +80,21 @@ class TestAssembleGains:
             for n in range(3):
                 for m in range(3):
                     assert abs(t.q[(n, m)] - t.q[(m, n)]) <= 1e-15
+
+    @pytest.mark.parametrize("qnd", [False, True])
+    def test_wider_table(self, qnd):
+        # N = 4: the (n, m) axes grow, the totals stay row-major sums and the
+        # bounded key terms stay the same six
+        src = poisson_probs([0.4], 3)[0]
+        g = assemble_gains(src, src, GYS, 0.5, qnd=qnd, n_max=3)
+        for t in (g.type1, g.type2):
+            assert t.q.shape == t.ebit.shape == (4, 4)
+            assert t.q_tot == sum(t.q.ravel().tolist())
+            errors = sum((t.q * t.ebit).ravel().tolist())
+            assert abs(t.e_tot - errors / t.q_tot) <= 1e-13 * t.e_tot
+        narrow = assemble_gains(src, src, GYS, 0.5, qnd=qnd)
+        assert list(phase_bounds(g)) == list(phase_bounds(narrow))
+        assert len(phase_bounds(g)) == 6
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
         src = poisson_source(0.5)
@@ -92,14 +114,14 @@ class TestAssembleGains:
         g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
         assert abs(g.herald_probability - p_herald**2) < 1e-15
         bare = assemble_gains(cond, cond, GYS, 1.0)
-        assert g.type1.q == bare.type1.q and g.type2.q == bare.type2.q
+        assert np.array_equal(g.type1.q, bare.type1.q) and np.array_equal(g.type2.q, bare.type2.q)
 
 
 class TestKeyRate:
     @staticmethod
     def _table(q11_1=0.01, e11_1=0.0, q11_2=0.005, e11_2=0.0):
-        t1 = TypeGains(q={(1, 1): q11_1}, ebit={(1, 1): e11_1}, q_tot=q11_1, e_tot=e11_1)
-        t2 = TypeGains(q={(1, 1): q11_2}, ebit={(1, 1): e11_2}, q_tot=q11_2, e_tot=e11_2)
+        t1 = one_one_gains(q11_1, e11_1)
+        t2 = one_one_gains(q11_2, e11_2)
         return GainTable(type1=t1, type2=t2)
 
     def test_error_free_single_term_keeps_everything(self):
@@ -125,7 +147,7 @@ class TestKeyRate:
         full = solved_fractions(g, 1.22)
         only = solved_fractions(g, 1.22, one_one_only=True)
         assert full.total >= only.total - 1e-15
-        assert all(nm == (1, 1) for (_, nm) in only.contributions)
+        assert np.argwhere(only.contributions)[:, 1:].tolist() == [[1, 1], [1, 1]]
 
     def test_type_selection(self):
         b_both = solved_fractions(self._table(), 1.22)
@@ -170,8 +192,8 @@ class TestBb84Baseline:
         assert abs(r - q11) < 1e-12
 
     def test_zero_yields_give_zero(self):
-        empty = TypeGains(q={(1, 1): 0.0}, ebit={(1, 1): 0.5}, q_tot=0.0, e_tot=0.0)
-        g = GainTable(type1=empty, type2=empty, protocol="bb84")
+        empty = one_one_gains(0.0, 0.5)
+        g = GainTable(type1=empty, type2=empty)
         assert bb84_baseline_rate(g, g, 1.22) == 0.0
 
     def test_decreasing_with_distance(self):
