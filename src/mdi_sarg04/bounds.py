@@ -1,8 +1,8 @@
-"""Closed-form phase-error bounds and the 1-D minimizations over them.
+"""Closed-form phase-error bounds and the golden-section search.
 
 Implements the binary entropy, the Type1 bound intercept f(s1), the Type2
-intercept g(s2) defined as the maximal real root of a cubic, and the
-minimized phase-error bounds for the mixed photon-number cases.
+intercept g(s2) defined as the maximal real root of a cubic, and the mixed
+photon-number cases' phase-error bounds at their stationary slope.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 # slope window [0, S_MAX]; both objectives are convex in s.  The minimum is on
-# S_MAX for e_bit < 7.8e-4 (Type1) or < 1.7e-3 (Type2), as for the QND (1,2)
-# rates of about 3e-4, and on 0 for e_bit >= (2 + sqrt(3))/6 ~ 0.622 (Type1)
+# S_MAX for e_bit <= 7.79e-4 (Type1, by the closed form) or < 1.7e-3 (Type2),
+# as for the QND (1,2) rates of about 3e-4, and on 0 for e_bit >= 0.622 (Type1)
 # or >= 0.5 (Type2).  At e_bit = 0 the infimum over s >= 0 is (1 - sqrt(2)/2)/2
 # ~ 0.1464 (Type1), against 0.1534 (Type1) and 0.1610 (Type2) at S_MAX.
 S_MAX = 10.0
-_REFINE_TOL = 1e-6
+# Newton steps to the Type2 slope: 6 leave |x - g(s)| <= 2.1e-15, 4 leave 3.5e-8
+_NEWTON_STEPS = 6
 _CUBIC_RESIDUAL_TOL = 1e-10
 _SOLVER_AGREE_TOL = 1e-9
 
@@ -141,14 +142,12 @@ def g_type2(s2: float | np.ndarray) -> float | np.ndarray:
 def golden_section_minimize(fun, a, b, tol: float):
     """Golden-section search for the minimum of a unimodal function on [a, b].
 
-    Elementwise over arrays of brackets: `fun` maps an array of points, one
-    per bracket, to their values, and every bracket is shrunk until
+    Elementwise over 1-D arrays of brackets: `fun` maps an array of points,
+    one per bracket, to their values, and every bracket is shrunk until
     b - a <= tol through the iterates its scalar search would take; a
     bracket that reaches the tolerance is frozen while the others go on.
-    Returns (x_min, f(x_min)), floats for float brackets.
+    Returns the arrays (x_min, f(x_min)).
     """
-    scalar = np.ndim(a) == np.ndim(b) == 0
-    a, b = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
@@ -166,8 +165,44 @@ def golden_section_minimize(fun, a, b, tol: float):
         fc, fd = np.where(left, fx, fc), np.where(right, fx, fd)
         active = b - a > tol
     x = (a + b) / 2
-    fx = fun(x)
-    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
+    return x, fun(x)
+
+
+def _cubic_partials(s: np.ndarray, x: np.ndarray) -> tuple:
+    """P, P_s, P_x, P_ss, P_sx, P_xx of the cubic P(s, x) whose largest root is g(s)."""
+    a3, a2, a1, _ = _cubic_coeffs(s)
+    p_sx = 12 * SQRT2 * x + 2 - 6 * SQRT2 + 4 * SQRT2 * s
+    p_s = (p_sx - 6 * SQRT2 * x) * x + SQRT2 - 1 + 2 * (1 - SQRT2) * s
+    p_x, p_xx = (3 * a3 * x + 2 * a2) * x + a1, 6 * a3 * x + 2 * a2
+    return cubic_value(s, x), p_s, p_x, 4 * SQRT2 * x + 2 * (1 - SQRT2), p_sx, p_xx
+
+
+def _type1_slope(e: np.ndarray) -> np.ndarray:
+    """argmin over [0, S_MAX] of s*e + f(s): with c = 1 - 3e, f'(s) = -e is
+    (4s - 3 sqrt2)^2 (1 - c^2) = 6 c^2, the root with the sign of c."""
+    c = np.clip(1 - 3 * e, -1.0, 1.0)
+    with np.errstate(divide="ignore"):  # c = +-1: s = +-inf
+        s = (c * np.sqrt(6 / (1 - c * c)) + 3 * SQRT2) / 4
+    return np.clip(s, 0.0, S_MAX)
+
+
+def _type2_slope(e: np.ndarray) -> np.ndarray:
+    """argmin over [0, S_MAX] of s*e + g(s), with g' = -P_s / P_x: an edge
+    where the objective's slope e + g' keeps its sign across the window, else
+    Newton steps on P = 0, P_s = e P_x in (s, x) from the Type1 slope.  They
+    run on e clipped to the range between the edges, where they converge."""
+    edges = np.array([0.0, S_MAX])
+    _, p_s, p_x, *_ = _cubic_partials(edges, g_type2(edges))
+    top, bottom = p_s[1] / p_x[1], p_s[0] / p_x[0]  # e + g' = 0 at S_MAX, at 0
+    e_in = np.clip(e, top, bottom)
+    s = _type1_slope(e_in)
+    x = g_type2(s)
+    for _ in range(_NEWTON_STEPS):
+        p, p_s, p_x, p_ss, p_sx, p_xx = _cubic_partials(s, x)
+        r, r_s, r_x = p_s - e_in * p_x, p_ss - e_in * p_sx, p_sx - e_in * p_xx
+        det = p_s * r_x - p_x * r_s
+        s, x = s - (p * r_x - p_x * r) / det, x - (p_s * r - r_s * p) / det
+    return np.where(e <= top, S_MAX, np.where(e >= bottom, 0.0, np.clip(s, 0.0, S_MAX)))
 
 
 def phase_bound(
@@ -178,44 +213,23 @@ def phase_bound(
 
     (1,1) has the closed forms 1.5*e and 3*e for Type1/Type2; (1,2) and
     its role-swapped twin (2,1) minimize the convex s*e + f(s) or s*e + g(s)
-    on [0, S_MAX], at an edge or by golden-section search, one search for
-    all the bit error rates whose minimum is inside the window.  The result
-    is clamped to [0, 1]; values above 0.5 are kept (they mean "no key").
+    on [0, S_MAX] at its stationary slope s*.  The bound is the objective
+    at s*, a feasible slope, so it is valid whatever the accuracy of s*,
+    clamped to [0, 1]; values above 0.5 are kept (they mean "no key").
     """
     e = np.asarray(e_bit, dtype=float)
     if not ((e >= -1e-12) & (e <= 1 + 1e-12)).all():
         raise ValueError(f"bit error rate {e_bit} outside [0, 1]")
-    e = np.clip(e, 0.0, 1.0).ravel()
+    e = np.clip(e, 0.0, 1.0)
     if announcement_type not in (1, 2):
         raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
+    type1 = announcement_type == 1
     if case == (1, 1):
-        factor = 1.5 if announcement_type == 1 else 3.0
-        e_ph, s_star = np.minimum(factor * e, 1.0), np.full(e.shape, factor)
+        s_star, intercept = np.full(e.shape, 1.5 if type1 else 3.0), np.zeros_like
     elif case in ((1, 2), (2, 1)):
-        e_ph, s_star = _minimize_mixed(f_type1 if announcement_type == 1 else g_type2, e)
+        s_star = _type1_slope(e) if type1 else _type2_slope(e)
+        intercept = f_type1 if type1 else g_type2
     else:
         raise ValueError(f"no phase-error bound for case {case}")
-    shape = np.shape(e_bit)
-    if not shape:
-        return BoundResult(e_ph=float(e_ph[0]), s_star=float(s_star[0]))
-    return BoundResult(e_ph=e_ph.reshape(shape), s_star=s_star.reshape(shape))
-
-
-def _minimize_mixed(intercept, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """min over s in [0, S_MAX] of s*e + intercept(s), clamped to [0, 1],
-    and its s, for the 1-D array of bit error rates e."""
-    # convexity: an edge no worse than its inner neighbour is the minimum (to _REFINE_TOL)
-    edges = np.array([S_MAX, S_MAX - _REFINE_TOL, 0.0, _REFINE_TOL])
-    at_edges = edges[:, None] * e + intercept(edges)[:, None]
-    top = at_edges[0] <= at_edges[1]
-    bottom = ~top & (at_edges[2] <= at_edges[3])
-    s_star = np.where(top, S_MAX, 0.0)
-    e_ph = np.where(top, at_edges[0], at_edges[2])
-    inner = ~(top | bottom)
-    if inner.any():
-        e_in = e[inner]
-        lo, hi = np.zeros(e_in.size), np.full(e_in.size, S_MAX)
-        s_star[inner], e_ph[inner] = golden_section_minimize(
-            lambda s: s * e_in + intercept(s), lo, hi, _REFINE_TOL
-        )
-    return np.clip(e_ph, 0.0, 1.0), s_star
+    e_ph = np.clip(s_star * e + intercept(s_star), 0.0, 1.0)
+    return BoundResult(e_ph, s_star) if e.ndim else BoundResult(float(e_ph), float(s_star))

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
-from .scenario import _fmt, csv_lines, optimize_mu, points_at, run_sweep
+from .scenario import _fmt, csv_lines, optimize_distances, optimize_mu, points_at
 from .verify import all_passed, verify_suite
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _cmd_rate_curve(args) -> int:
     if args.mu is not None:
         points = points_at(config, config.distances(), args.mu)
     else:
-        points = run_sweep(config)
+        points = optimize_distances(config, config.distances())
     _write_lines(csv_lines(points), args.output or config.output_path)
     return EXIT_OK
 

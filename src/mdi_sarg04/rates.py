@@ -30,6 +30,10 @@ SIFT_FACTOR = {1: 0.25, 2: 0.125}
 # announcement types whose key fraction counts in the total, per type selection
 INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
 
+# the key terms (n, m), in the stacks that share one `phase_bound` call:
+# (1,1), then the mixed (1,2) and its role-swapped twin (2,1)
+KEY_TERMS = (((1, 1),), ((1, 2), (2, 1)))
+
 
 @dataclass(frozen=True)
 class TypeGains:
@@ -143,40 +147,25 @@ def assemble_gains(
     return gain_kernel(y, protocol)(p_a, p_b, np.ones(1)).at(0)
 
 
-def phase_bounds(gains: GainTable, one_one_only: bool = False) -> dict:
-    """Phase-error bound e_ph of every (type, (n, m)) key term with n, m < N.
-
-    The bit error rates come from the relay yields alone, so the bounds
-    depend on the distance and not on the mean photon number: one
-    `phase_bound` array call per type and intercept covers every distance
-    of a table, the (1,2) and (2,1) terms of a type stacked in one call.
-    """
-    n = gains.type1.ebit.shape[0]
-    bounds = {}
-    for t in (1, 2):
-        ebit = gains.for_type(t).ebit
-        for cases in (((1, 1),), () if one_one_only else ((1, 2), (2, 1))):
-            present = [nm for nm in cases if max(nm) < n]
-            if present:
-                e_ph = phase_bound(present[0], t, ebit[tuple(zip(*present))]).e_ph
-                bounds.update(zip([(t, nm) for nm in present], e_ph))
-    return bounds
-
-
 def _privacy_factor(e_ph: float | np.ndarray) -> float | np.ndarray:
     # 1 - h(e_ph); e_ph >= 0.5 carries no key, and clamping it to 0.5 makes this 0
     return 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
 
 
-def privacy_factors(e_ph: dict) -> np.ndarray:
-    """1 - h(e_ph) of the key terms bounded in `e_ph` (from `phase_bounds`),
-    zero-padded to f[t - 1, n, m, ...] over n, m up to the largest bounded
-    photon number: the mask of the key terms."""
-    keys = np.array([(t - 1, *nm) for t, nm in e_ph], dtype=int).reshape(-1, 3)
-    values = np.array(list(e_ph.values()))
-    k = keys[:, 1:].max(initial=0) + 1
-    factors = np.zeros((2, k, k) + values.shape[1:])
-    factors[tuple(keys.T)] = _privacy_factor(values)
+def privacy_factors(gains: GainTable, one_one_only: bool = False) -> np.ndarray:
+    """1 - h(e_ph) of the KEY_TERMS with n, m < N, zero-padded to a tensor
+    f[t - 1, n, m, ...] of the gains' shape: the mask of the key terms.
+    The bit error rates, and so the factors, depend on the relay alone: one
+    `phase_bound` call per type and stack covers every distance of a table."""
+    n = gains.type1.ebit.shape[0]
+    factors = np.zeros((2,) + gains.type1.ebit.shape)
+    for t in (1, 2):
+        for cases in KEY_TERMS[:1] if one_one_only else KEY_TERMS:
+            present = [nm for nm in cases if max(nm) < n]
+            if present:
+                nm = tuple(zip(*present))
+                e_ph = phase_bound(present[0], t, gains.for_type(t).ebit[nm]).e_ph
+                factors[(t - 1,) + nm] = _privacy_factor(e_ph)
     return factors
 
 
@@ -192,8 +181,7 @@ def fractions_from_factors(
     for diagnostics.  Over mean photon numbers when the gains are.
     """
     types = (gains.type1, gains.type2)
-    k = factors.shape[1]
-    contributions = np.stack([tg.q[:k, :k] for tg in types])
+    contributions = np.stack([tg.q for tg in types])
     contributions *= factors
     h = binary_entropy(np.minimum([tg.e_tot for tg in types], 1.0))
     ec = [ec_inefficiency * tg.q_tot * h[i] for i, tg in enumerate(types)]

@@ -30,7 +30,6 @@ from .rates import (
     bb84_baseline_rate,
     fractions_from_factors,
     gain_kernel,
-    phase_bounds,
     privacy_factors,
 )
 from .sources import poisson_probs, spdc_heralded
@@ -122,7 +121,7 @@ def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple
         p, herald = _emission_probs(config, det, mu)
         gains = gains_at(p, p, herald)
         if factors is None:
-            factors = privacy_factors(phase_bounds(gains, config.photon_terms == "one_one_only"))
+            factors = privacy_factors(gains, config.photon_terms == "one_one_only")
         breakdown = fractions_from_factors(gains, factors, config.ec_inefficiency, include)
         return breakdown.total * herald, gains, breakdown
 
@@ -202,19 +201,16 @@ def _points(distances: list[float], mus: list[float], result: tuple) -> list[Rat
     ]
 
 
-def run_sweep(config: ScenarioConfig, output_path: str | None = None) -> list[RateCurvePoint]:
+def run_sweep(config: ScenarioConfig) -> list[RateCurvePoint]:
     """Optimize mu at every distance on the grid, in lockstep (see
-    `optimize_distances`); optionally write CSV.
+    `optimize_distances`); write CSV to the config's output_path if set.
 
-    Output is deterministic for a fixed config.
+    Output is deterministic for a fixed config; the config rejects an empty
+    distance grid.
     """
-    distances = config.distances()
-    if not distances:
-        raise ValueError("empty distance grid")
-    points = optimize_distances(config, distances)
-    path = output_path or config.output_path
-    if path:
-        write_csv(points, path)
+    points = optimize_distances(config, config.distances())
+    if config.output_path:
+        write_csv(points, config.output_path)
     return points
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bounds import cubic_value, f_type1, g_type2
+from .bounds import S_MAX, cubic_value, f_type1, g_type2
 from .povm import (
     PovmSet,
     attack_state_22,
@@ -23,7 +23,7 @@ from .povm import (
     project_attack_from_bell_pairs,
 )
 
-FRONTIER_GRID = np.round(np.arange(0.0, 5.0 + 1e-9, 0.25), 10)
+FRONTIER_GRID = np.round(np.arange(0.0, S_MAX + 1e-9, 0.25), 10)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ def _frontier_checks(case, atype, intercept, angle_offset) -> list[CheckResult]:
     s = FRONTIER_GRID[:, None, None]
     t = intercept(FRONTIER_GRID)[:, None, None]
     worst_valid = linalg.min_eigenvalue(s * p.bit + t * (1 + 1e-6) * p.fil - p.ph).min()
-    best_invalid = linalg.min_eigenvalue(s * p.bit + t * (1 - 1e-2) * p.fil - p.ph).min()
+    # tight at every slope: each 1 %-reduced intercept must fail
+    worst_invalid = linalg.min_eigenvalue(s * p.bit + t * (1 - 1e-2) * p.fil - p.ph).max()
     return [
         _check(
             f"frontier_{label}_valid_side",
@@ -58,8 +59,8 @@ def _frontier_checks(case, atype, intercept, angle_offset) -> list[CheckResult]:
         ),
         _check(
             f"frontier_{label}_tightness",
-            best_invalid <= -1e-8,
-            f"min eigenvalue {best_invalid:.3e} at t*(1-1e-2)",
+            worst_invalid <= -1e-8,
+            f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)",
         ),
     ]
 
@@ -104,7 +105,7 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
         checks.extend(_frontier_checks(case, 2, g_type2, angle_offset))
 
     # cubic root quality for the Type2 intercept
-    s = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+    s = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, S_MAX])
     g = g_type2(s)
     worst_res = np.abs(cubic_value(s, g)).max()
     checks.append(_check("g_cubic_residual", worst_res <= 1e-10, f"max residual {worst_res:.3e}"))

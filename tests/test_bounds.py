@@ -148,9 +148,11 @@ class TestTypeTwoIntercept:
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        x, fx = golden_section_minimize(lambda x: (x - 1.3) ** 2 + 2.0, 0.0, 4.0, 1e-8)
-        assert abs(x - 1.3) < 1e-6
-        assert abs(fx - 2.0) < 1e-12
+        lo, hi = np.array([0.0]), np.array([4.0])
+        x, fx = golden_section_minimize(lambda x: (x - 1.3) ** 2 + 2.0, lo, hi, 1e-8)
+        assert x.shape == fx.shape == (1,)
+        assert abs(x[0] - 1.3) < 1e-6
+        assert abs(fx[0] - 2.0) < 1e-12
 
 
 class TestPhaseBound:
@@ -224,6 +226,29 @@ class TestPhaseBound:
             assert r.e_ph.tolist() == [b.e_ph for b in scalar]
             assert r.s_star.tolist() == [b.s_star for b in scalar]
         assert phase_bound((1, 2), t, e.reshape(77, 13)).e_ph.shape == (77, 13)
+
+    @pytest.mark.parametrize("case", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("t, intercept", [(1, f_type1), (2, g_type2)])
+    def test_stationary_slope_against_golden_search(self, case, t, intercept):
+        # oracle: golden-section search over the whole window to 1e-6, the
+        # objective at a feasible slope and so itself a valid bound
+        e = np.linspace(0.0, 1.0, 1001)
+        lo, hi = np.zeros(e.size), np.full(e.size, S_MAX)
+        _, golden = golden_section_minimize(lambda s: s * e + intercept(s), lo, hi, 1e-6)
+        golden = np.clip(golden, 0.0, 1.0)
+        r = phase_bound(case, t, e)
+        key = golden < 0.5
+        assert (r.e_ph[key] <= golden[key] + 1e-15).all()
+        # e_ph >= 0.5 carries no key
+        assert (r.e_ph[~key] <= golden[~key] + 1e-14).all()
+        assert ((0.0 <= r.s_star) & (r.s_star <= S_MAX)).all()
+        assert r.e_ph.tolist() == np.clip(r.s_star * e + intercept(r.s_star), 0.0, 1.0).tolist()
+        if t == 1:
+            # inside the window f'(s) = -e has the closed-form minimum
+            inside = (0.0 < r.s_star) & (r.s_star < S_MAX)
+            c = 1 - 3 * e[inside]
+            closed = 0.5 + (np.sqrt(6 * (1 - c * c)) - 3 * math.sqrt(2) * c) / 12
+            assert np.abs(r.e_ph[inside] - closed).max() <= 1e-14
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,16 @@ class TestCliRateCurve:
         assert main(["rate-curve", "--config", str(cfg), "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_writes_one_file(self, tmp_path, capsys):
+        # -o replaces the config's output_path; without -o that path is written
+        cfg, configured, out = (tmp_path / n for n in ("cfg.json", "cfg.csv", "o.csv"))
+        cfg.write_text(json.dumps({"distance_stop_km": 0.0, "output_path": str(configured)}))
+        assert main(["rate-curve", "--config", str(cfg), "-o", str(out)]) == 0
+        assert out.exists() and not configured.exists()
+        assert main(["rate-curve", "--config", str(cfg)]) == 0
+        assert configured.read_bytes() == out.read_bytes()
+        assert capsys.readouterr().out == ""
+
     def test_fixed_mu_single_distance(self, capsys):
         assert main(["rate-curve", "--distance", "0", "--mu", "0.5"]) == 0
         lines = capsys.readouterr().out.splitlines()

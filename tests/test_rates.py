@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mdi_sarg04.bounds import phase_bound
+from mdi_sarg04.bounds import binary_entropy, phase_bound
 from mdi_sarg04.config import ConfigError, ScenarioConfig
 from mdi_sarg04.optics import DetectorParams
 from mdi_sarg04.rates import (
@@ -14,7 +14,6 @@ from mdi_sarg04.rates import (
     assemble_gains,
     bb84_baseline_rate,
     fractions_from_factors,
-    phase_bounds,
     privacy_factors,
 )
 from mdi_sarg04.scenario import evaluate_gains, rate_at
@@ -34,7 +33,7 @@ def one_one_gains(q11, e11):
 
 def solved_fractions(gains, ec_inefficiency, one_one_only=False, type_selection="both"):
     """Key fractions of one gain table, with its phase-error bounds solved."""
-    factors = privacy_factors(phase_bounds(gains, one_one_only))
+    factors = privacy_factors(gains, one_one_only)
     return fractions_from_factors(gains, factors, ec_inefficiency, INCLUDED_TYPES[type_selection])
 
 
@@ -93,8 +92,10 @@ class TestAssembleGains:
             errors = sum((t.q * t.ebit).ravel().tolist())
             assert abs(t.e_tot - errors / t.q_tot) <= 1e-13 * t.e_tot
         narrow = assemble_gains(src, src, GYS, 0.5, qnd=qnd)
-        assert list(phase_bounds(g)) == list(phase_bounds(narrow))
-        assert len(phase_bounds(g)) == 6
+        # the six key terms of both types, as at N = 3, zero-padded to n, m <= 3
+        padded = np.zeros((2, 4, 4))
+        padded[:, :3, :3] = privacy_factors(narrow)
+        assert privacy_factors(g).tolist() == padded.tolist()
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
         src = poisson_source(0.5)
@@ -170,17 +171,25 @@ class TestPhaseBounds:
         config = ScenarioConfig(scenario=scenario, distance_step_km=step_km)
         distances = config.distances()
         gains = rate_at(config, distances)(np.full((len(distances), 1), 0.3))[1]
-        bounds = phase_bounds(gains, one_one_only)
+        factors = privacy_factors(gains, one_one_only)
         cases = [(1, 1)] if one_one_only else [(1, 1), (1, 2), (2, 1)]
-        assert list(bounds) == [(t, nm) for t in (1, 2) for nm in cases]
-        for (t, nm), e_ph in bounds.items():
-            ebit = gains.for_type(t).ebit[nm]
-            assert ebit.shape == (len(distances), 1)
-            assert e_ph.tolist() == phase_bound(nm, t, ebit).e_ph.tolist()
+        assert factors.shape == (2, 3, 3, len(distances), 1)
+        rest = factors.copy()
+        for t in (1, 2):
+            for nm in cases:
+                ebit = gains.for_type(t).ebit[nm]
+                assert ebit.shape == (len(distances), 1)
+                e_ph = phase_bound(nm, t, ebit).e_ph
+                want = 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
+                assert factors[(t - 1,) + nm].tolist() == want.tolist()
+                rest[(t - 1,) + nm] = 0.0
+        assert not rest.any()
 
     def test_absent_cases_skipped(self):
-        bounds = phase_bounds(TestKeyRate._table(e11_1=0.01, e11_2=0.02))
-        assert bounds == {(1, (1, 1)): 0.015, (2, (1, 1)): 0.06}
+        factors = privacy_factors(TestKeyRate._table(e11_1=0.01, e11_2=0.02))
+        want = np.zeros((2, 2, 2))
+        want[:, 1, 1] = 1.0 - binary_entropy(np.array([0.015, 0.06]))
+        assert factors.tolist() == want.tolist()
 
 
 class TestBb84Baseline:

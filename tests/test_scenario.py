@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdi_sarg04.config import ScenarioConfig
-from mdi_sarg04.rates import INCLUDED_TYPES, fractions_from_factors, phase_bounds, privacy_factors
+from mdi_sarg04.rates import INCLUDED_TYPES, fractions_from_factors, privacy_factors
 from mdi_sarg04.scenario import (
     csv_lines,
     evaluate_gains,
@@ -72,7 +72,7 @@ class TestOptimizeMu:
             assert dataclasses.asdict(p) == dataclasses.asdict(points_at(cfg, [d], p.mu_opt)[0])
             if scenario != "bb84_baseline":
                 g = evaluate_gains(cfg, d, p.mu_opt)
-                factors = privacy_factors(phase_bounds(g))
+                factors = privacy_factors(g)
                 include = INCLUDED_TYPES[cfg.type_selection]
                 b = fractions_from_factors(g, factors, cfg.ec_inefficiency, include)
                 assert (p.G1, p.G2, p.total) == (b.G1, b.G2, b.total)
