@@ -44,6 +44,12 @@ class ScenarioConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            # JSON true/false would pass as 1/0, and null or a string fails a comparison
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if field.type == "float" and not number:
+                raise ConfigError(f"{field.name} must be a number, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.type_selection not in TYPE_SELECTIONS:

@@ -15,10 +15,14 @@ through passive linear optics, so the response factors exactly in two:
   Dark counts factor out: a click pattern's probability is the sum over
   the sets H of detectors hit by photons of P(H | a, b, pair) D[H, pattern],
   where D is a fixed 16x16 matrix of d^i (1-d)^j products, zero unless H
-  lies inside the pattern.  P(H) is the exact multinomial expansion of the
-  creation-operator monomials -- no sampling; its occupations and
-  coefficients depend only on (a, b), and one contraction per (a, b)
-  expands all signal pairs at once;
+  lies inside the pattern.  P(H) is exact -- no sampling: a photon with
+  output-mode amplitudes u is the creation operator u.a^dag, so the
+  state (u.a^dag)^a (v.a^dag)^b |0> / sqrt(a! b!) has amplitude
+  c_k sqrt(k! / (a! b!)) on occupation k, where c_k is the z^k
+  coefficient of the polynomial (u.z)^a (v.z)^b.  Every term of
+  P(k) = |c_k|^2 k! / (a! b!) is nonnegative, so nothing cancels; the
+  coefficient grids of all signal pairs are built at once, one photon
+  at a time;
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s = t_arm * eta.
 
@@ -32,7 +36,6 @@ sector is independent (phase-randomized sources).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, inf, sqrt
 from typing import NamedTuple
@@ -106,65 +109,40 @@ _PATTERN_CLICKS = np.array(_ALL_PATTERNS, dtype=bool)
 _PATTERN_TYPES = np.array([[pat.classify() == t for t in (1, 2)] for pat in _ALL_PATTERNS], float)
 
 
-@lru_cache(maxsize=32)
-def _binomial_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C(n, k), the exponent k and the exponent max(n - k, 0) for n, k <= n_max."""
-    k = np.arange(n_max + 1)
-    binom = np.array([[comb(i, j) for j in k] for i in k], dtype=float)
-    return binom, k, np.maximum(k[:, None] - k[None, :], 0)
-
-
 def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
     """Binomial thinning B[..., n, k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
     the probability that k of n photons survive, each with probability s;
     one matrix per element of an array s."""
-    binom, k, lost = _binomial_table(n_max)
+    k = np.arange(n_max + 1)
+    binom = np.array([[comb(n, j) for j in k] for n in k], dtype=float)
     s = np.asarray(s, dtype=float)[..., None]
-    return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., lost]
+    return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., np.maximum(k[:, None] - k, 0)]
 
 
-_FACTORIALS = np.array([factorial(n) for n in range(2 * N_MAX_CAP + 1)], dtype=float)
+def _times_photon(poly: Complex, w: Complex) -> Complex:
+    """The coefficient grid of poly[x] * sum_j w[x, j] z_j for every signal
+    pair x, where poly[x, k0, k1, k2, k3] is the coefficient of the monomial
+    z^k: each mode's term shifts poly one step along its axis, into a grid
+    one longer on every axis."""
+    out = np.zeros((len(poly), *(n + 1 for n in poly.shape[1:])), dtype=complex)
+    for j in range(4):
+        shift = tuple(slice(1, None) if i == j else slice(-1) for i in range(4))
+        out[(slice(None), *shift)] += w[:, j, None, None, None, None] * poly
+    return out
 
 
-def _partitions(total: int) -> np.ndarray:
-    """Every occupation of the four output modes by `total` photons, in lexicographic order."""
-    grid = np.indices((total + 1,) * 4).reshape(4, -1).T
-    return grid[grid.sum(axis=1) == total]
-
-
-@lru_cache(maxsize=None)
-def _expansion(a: int, b: int) -> tuple[np.ndarray, ...]:
-    """The integer part of the expansion for a photons from Alice's arm and
-    b from Bob's: their occupations p and q of the four output modes, the
-    order that groups the (p, q) products by output occupation k = p + q,
-    their coefficients multinom(a; p) multinom(b; q) prod_j sqrt(k_j!) /
-    sqrt(a! b!), where each k starts, and the one-hot map from k to the hit
-    set.  Read-only."""
-    p, q = _partitions(a), _partitions(b)
-    k = (p[:, None] + q[None]).reshape(-1, 4)
-    order = np.lexsort(k.T)  # stable: equal k keep their (p, q) order
-    k = k[order]
-    starts = np.flatnonzero((np.diff(k, axis=0, prepend=-1) != 0).any(axis=1))
-    fa, fb = _FACTORIALS[a], _FACTORIALS[b]
-    multinom = np.outer(fa / _FACTORIALS[p].prod(axis=1), fb / _FACTORIALS[q].prod(axis=1))
-    coeff = multinom.ravel()[order] * (np.sqrt(_FACTORIALS[k]).prod(axis=1) / sqrt(fa * fb))
-    hit = (((k[starts] >= 1) @ (1 << np.arange(4)))[:, None] == np.arange(16)).astype(float)
-    expansion = p, q, order, coeff, starts, hit
-    for arr in expansion:
-        arr.flags.writeable = False
-    return expansion
-
-
-def _hit_probabilities(a: int, b: int, u: Complex, v: Complex) -> np.ndarray:
-    """P[x, H]: probability that a photons with mode amplitudes u[x] from
-    Alice's arm and b with v[x] from Bob's hit exactly the detector set H,
-    for every signal pair x: the weighted products of the monomials summed
-    per k give the output amplitudes, and their |amp|^2 are summed per H."""
-    p, q, order, coeff, starts, hit = _expansion(a, b)
-    mono_a = (u[:, None, :] ** p).prod(axis=2)
-    mono_b = (v[:, None, :] ** q).prod(axis=2)
-    terms = (mono_a[:, :, None] * mono_b[:, None, :]).reshape(len(u), -1)[:, order] * coeff
-    return np.einsum("xk,kh->xh", np.abs(np.add.reduceat(terms, starts, axis=1)) ** 2, hit)
+def _hit_probabilities(poly: Complex, a: int, b: int) -> np.ndarray:
+    """P[x, H]: probability that a photons from Alice's arm and b from Bob's,
+    with coefficient grid poly[x] of (u[x].z)^a (v[x].z)^b, hit exactly the
+    detector set H (indexed like `_ALL_PATTERNS`): |poly[x, k]|^2 k! / (a! b!)
+    summed one mode at a time over k_j = 0 and k_j >= 1."""
+    k = np.arange(a + b + 1)
+    k_fact = np.array([factorial(n) for n in k], dtype=float)
+    weight = np.stack([k_fact * (k == 0), k_fact * (k >= 1)], axis=1)
+    probs = np.abs(poly) ** 2 / (factorial(a) * factorial(b))
+    for _ in range(4):  # each contracts the next mode's axis into a trailing hit bit
+        probs = np.tensordot(probs, weight, axes=(1, 0))
+    return probs.transpose(0, 4, 3, 2, 1).reshape(len(poly), 16)
 
 
 def _dark_count_matrix(dark: float) -> np.ndarray:
@@ -221,7 +199,8 @@ def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np
     for a, b <= n_max photons reaching the beamsplitter, where error_t is
     the error-weighted yield of announcement type t: per (a, b), the hit-set
     probabilities of all signal pairs contracted with their dark-count
-    response D @ _PATTERN_TYPES @ W, shape (X, 16, 4)."""
+    response D @ _PATTERN_TYPES @ W, shape (X, 16, 4).  Alice's photons are
+    multiplied in down the rows and Bob's along each row."""
     if not 0 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max must be in [0, {N_MAX_CAP}], got {n_max}")
     pol_a, pol_b, weights = _signal_pairs(protocol, bb84_basis)
@@ -232,8 +211,15 @@ def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np
     dark_types = np.einsum("hp,pt->ht", _dark_count_matrix(dark), _PATTERN_TYPES)
     response = np.einsum("ht,xtc->xhc", dark_types, weights)
     table = np.empty((n_max + 1, n_max + 1, 4))
-    for a, b in np.ndindex(n_max + 1, n_max + 1):
-        table[a, b] = np.einsum("xh,xhc->c", _hit_probabilities(a, b, u, v), response)
+    alice = np.ones((len(u), 1, 1, 1, 1), dtype=complex)
+    for a in range(n_max + 1):
+        if a:
+            alice = _times_photon(alice, u)
+        poly = alice
+        for b in range(n_max + 1):
+            if b:
+                poly = _times_photon(poly, v)
+            table[a, b] = np.einsum("xh,xhc->c", _hit_probabilities(poly, a, b), response)
     return table
 
 

@@ -44,6 +44,13 @@ class TestConfig:
             {"photon_terms": "everything"},
             {"n_cutoff": 201},
             {"n_cutoff": 10**12},
+            # JSON true and false are not numbers, nor null and strings
+            {"eta": True},
+            {"distance_step_km": True},
+            {"mu_max": True},
+            {"dark": False},
+            {"eta": None},
+            {"distance_stop_km": "60"},
         ):
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(bad)

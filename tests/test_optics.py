@@ -18,6 +18,7 @@ from mdi_sarg04.optics import (
     DetectorParams,
     _dark_count_matrix,
     _hit_probabilities,
+    _times_photon,
     arrival_table,
     error_rate,
     relay_yields,
@@ -88,11 +89,14 @@ class TestClickClassification:
 
 
 def array_hits(a, b, pol_a, pol_b):
-    """Hit-set probabilities of one signal pair from the array expansion;
-    any polarization stands for an arm that brings no photons."""
+    """Hit-set probabilities of one signal pair from the coefficient grid of
+    its a + b photons; any polarization stands for an arm that brings none."""
     u = np.array([_mode_amplitudes(phi_state(0) if pol_a is None else pol_a, "a")])
     v = np.array([_mode_amplitudes(phi_state(0) if pol_b is None else pol_b, "b")])
-    return _hit_probabilities(a, b, u, v)[0]
+    poly = np.ones((1, 1, 1, 1, 1), dtype=complex)
+    for w in [u] * a + [v] * b:
+        poly = _times_photon(poly, w)
+    return _hit_probabilities(poly, a, b)[0]
 
 
 def array_clicks(a, b, pol_a, pol_b, dark):
@@ -109,7 +113,7 @@ PROTOCOL_BASES = [("sarg04", "key"), ("bb84", "key"), ("bb84", "test")]
 
 class TestOutputDistribution:
     """Photon-number distribution over the output modes (reference
-    expansion) and the hit-set probabilities of the array expansion."""
+    expansion) and the hit-set probabilities of the coefficient grid."""
 
     def test_single_photon_splits_evenly(self):
         dist = output_photon_distribution(1, 0, phi_state(0), None)
@@ -132,8 +136,8 @@ class TestOutputDistribution:
 
 class TestClickDistribution:
     """Click patterns of photons reaching the beamsplitter, from the
-    reference expansion and from the array one; loss acts before them, as
-    binomial thinning (TestThinning)."""
+    reference expansion and from the coefficient grid; loss acts before
+    them, as binomial thinning (TestThinning)."""
 
     def test_vacuum_no_dark(self):
         for clicks_of in (lossless_clicks, array_clicks):
@@ -182,6 +186,19 @@ class TestArrivalTable:
         # each (a, b) entry is independent of the cutoff (the QND cut relies on it)
         full = arrival_table(dark, *case, N_MAX_CAP)
         assert np.array_equal(full[: n_max + 1, : n_max + 1], table)
+
+    @pytest.mark.parametrize("dark", [0.0, 1e-12, 8.5e-7, 1e-3, 0.3])
+    @pytest.mark.parametrize("case", PROTOCOL_BASES)
+    def test_relative_accuracy(self, dark, case):
+        # entries as small as d^2 ~ 7e-13 lie below the absolute tolerance above
+        oracle = oracle_table(dark, *case, N_MAX_CAP)
+        for n_max in range(N_MAX_CAP + 1):
+            np.testing.assert_allclose(
+                arrival_table(dark, *case, n_max),
+                oracle[: n_max + 1, : n_max + 1],
+                rtol=1e-13,
+                atol=1e-30,
+            )
 
 
 class TestYieldsAndErrors:

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdi_sarg04.cli import main
@@ -63,6 +63,8 @@ def test_grid_rows_match_points_and_bound_the_optimum(config, d):
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# JSON true, false and null in a numeric key
+NOT_A_NUMBER = st.sampled_from([True, False, None])
 NEGATIVE = st.floats(max_value=-math.ulp(0.0))
 
 
@@ -75,15 +77,20 @@ INVALID_FIELDS = {
     "type_selection": _bad_text(TYPE_SELECTIONS),
     "photon_terms": _bad_text(PHOTON_TERMS),
     "spdc_pair_statistics": _bad_text(("thermal", "poisson")),
-    "eta": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True) | NON_FINITE,
-    "dark": NEGATIVE | st.floats(min_value=1.0) | NON_FINITE,
-    "loss_db_per_km": NEGATIVE | NON_FINITE,
-    "ec_inefficiency": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE,
-    "distance_start_km": NEGATIVE | NON_FINITE,
-    "distance_stop_km": NEGATIVE | NON_FINITE,
-    "distance_step_km": st.floats(max_value=0.0) | NON_FINITE,
-    "mu_min": st.floats(max_value=0.0) | NON_FINITE,
-    "mu_max": st.floats(max_value=DEFAULT.mu_min) | NON_FINITE,
+    "eta": (
+        st.floats(max_value=0.0)
+        | st.floats(min_value=1.0, exclude_min=True)
+        | NON_FINITE
+        | NOT_A_NUMBER
+    ),
+    "dark": NEGATIVE | st.floats(min_value=1.0) | NON_FINITE | NOT_A_NUMBER,
+    "loss_db_per_km": NEGATIVE | NON_FINITE | NOT_A_NUMBER,
+    "ec_inefficiency": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE | NOT_A_NUMBER,
+    "distance_start_km": NEGATIVE | NON_FINITE | NOT_A_NUMBER,
+    "distance_stop_km": NEGATIVE | NON_FINITE | NOT_A_NUMBER,
+    "distance_step_km": st.floats(max_value=0.0) | NON_FINITE | NOT_A_NUMBER,
+    "mu_min": st.floats(max_value=0.0) | NON_FINITE | NOT_A_NUMBER,
+    "mu_max": st.floats(max_value=DEFAULT.mu_min) | NON_FINITE | NOT_A_NUMBER,
     "n_cutoff": st.integers(max_value=1) | st.floats(2.5, 10.0),
     "output_path": st.integers() | st.lists(st.text(string.printable, max_size=3), max_size=2),
 }
@@ -95,6 +102,9 @@ one_invalid_field = st.sampled_from(sorted(INVALID_FIELDS)).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(one_invalid_field)
+@example(("eta", True))
+@example(("distance_step_km", True))
+@example(("mu_max", None))
 def test_invalid_config_exits_two(field_value):
     key, value = field_value
     fd, path = tempfile.mkstemp(suffix=".json")
