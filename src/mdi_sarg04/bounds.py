@@ -8,7 +8,7 @@ photon-number cases' phase-error bounds at their stationary slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class CubicRootError(RuntimeError):
     solvers disagree."""
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """Minimized phase-error bound with the minimizing slope (arrays for an
     array of bit error rates)."""
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -17,7 +16,6 @@ from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
 from .scenario import _fmt, csv_lines, optimize_distances, optimize_mu, points_at
-from .verify import all_passed, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,6 +32,8 @@ def _write_lines(lines: list[str], path: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import all_passed, verify_suite  # loads povm: no other command does
+
     checks = verify_suite()
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -95,6 +95,8 @@ def _cmd_rate_curve(args) -> int:
 
 
 def _cmd_optimize_mu(args) -> int:
+    import json
+
     config = _load_config(args)
     point = optimize_mu(config, args.distance)
     out = {

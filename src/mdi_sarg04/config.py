@@ -6,7 +6,6 @@ Defaults follow the Gobby-Yuan-Shields detector and fiber parameters.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,6 +84,8 @@ class ScenarioConfig:
         return [round(start + i * step, 9) for i in range(count)]
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
@@ -100,6 +101,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

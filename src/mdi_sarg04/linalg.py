@@ -11,9 +11,9 @@ identity (I (x) M)|phi+> = (M^T (x) I)|phi+> holds exactly.
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import NDArray
 
-Complex = NDArray[np.complex128]
+# a complex128 array; a plain alias, since numpy.typing costs about 1 ms to import
+Complex = np.ndarray
 
 HERMITIAN_TOL = 1e-10
 

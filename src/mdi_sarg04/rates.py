@@ -16,7 +16,7 @@ fractions are sums over (n, m), the key terms (1,1), (1,2), (2,1) a mask.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
 KEY_TERMS = (((1, 1),), ((1, 2), (2, 1)))
 
 
-@dataclass(frozen=True)
-class TypeGains:
+class TypeGains(NamedTuple):
     """Gains q[n, m, ...] and bit error rates ebit[n, m, ...] of one
     announcement type, and their totals over (n, m).  The bit error rates
     depend on the relay alone: their mean-photon-number axis has length 1."""
@@ -47,8 +46,7 @@ class TypeGains:
     e_tot: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class GainTable:
+class GainTable(NamedTuple):
     """Gains for both announcement types plus the heralding probability
     (1 for non-heralded sources); rates built from this table are per
     (heralded) pulse pair."""
@@ -73,8 +71,7 @@ class GainTable:
         return GainTable(*one, float(self.herald_probability[k]))
 
 
-@dataclass(frozen=True)
-class KeyRateBreakdown:
+class KeyRateBreakdown(NamedTuple):
     """Per-type key fractions with the positive term breakdown
     contributions[t - 1, n, m, ...], zero off the key terms."""
 

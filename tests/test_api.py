@@ -1,5 +1,13 @@
 """The package's public names."""
 
+import ast
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
 import mdi_sarg04
 
 
@@ -13,3 +21,56 @@ def test_star_import():
     namespace: dict = {}
     exec("from mdi_sarg04 import *", namespace)
     assert set(mdi_sarg04.__all__) <= set(namespace)
+
+
+_IMPORT_PROBE = """
+import sys, tempfile
+import mdi_sarg04
+
+RATE_PATH = ("config", "optics", "linalg", "sources", "bounds", "rates", "scenario")
+
+def loaded(*names):
+    return {name: name in sys.modules for name in names}
+
+proof = ("mdi_sarg04.povm", "mdi_sarg04.verify")
+out = {
+    "import": loaded("numpy", *(f"mdi_sarg04.{m}" for m in RATE_PATH)),
+    "absent": loaded(*proof, "numpy.typing", "json"),
+}
+from mdi_sarg04 import cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["bounds", "-o", f"{tmp}/bounds.csv"]) == 0
+    assert cli.main(["mu-table", "-o", f"{tmp}/mu.csv"]) == 0
+out["rate_commands"] = loaded(*proof)
+assert cli.main(["verify"]) == 0
+out["verify"] = loaded(*proof)
+out["same"] = mdi_sarg04.verify_suite is mdi_sarg04.verify.verify_suite
+print(repr(out))
+"""
+
+
+def test_import_loads_the_rate_path_only():
+    """A fresh `import mdi_sarg04` loads numpy and the rate path; the
+    security-proof modules, numpy.typing and json wait until used."""
+    src = os.path.dirname(os.path.dirname(mdi_sarg04.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    out = ast.literal_eval(run.stdout.splitlines()[-1])
+    assert all(out["import"].values()), out["import"]
+    assert not any(out["absent"].values()), out["absent"]
+    assert not any(out["rate_commands"].values()), out["rate_commands"]
+    assert all(out["verify"].values()), out["verify"]
+    assert out["same"]
+
+
+def test_lazy_names_resolve_once_and_are_listed():
+    assert set(mdi_sarg04.__all__) | {"povm", "verify"} <= set(dir(mdi_sarg04))
+    assert isinstance(mdi_sarg04.povm, types.ModuleType)
+    assert isinstance(mdi_sarg04.verify, types.ModuleType)
+    assert mdi_sarg04.build_povm is mdi_sarg04.povm.build_povm
+    # cached in the module globals: the next lookup does not reach __getattr__
+    assert vars(mdi_sarg04)["build_povm"] is mdi_sarg04.povm.build_povm
+    with pytest.raises(AttributeError):
+        mdi_sarg04.no_such_name

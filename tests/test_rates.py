@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from mdi_sarg04.bounds import binary_entropy, phase_bound
+from mdi_sarg04.bounds import BoundResult, binary_entropy, phase_bound
 from mdi_sarg04.config import ConfigError, ScenarioConfig
 from mdi_sarg04.optics import DetectorParams
 from mdi_sarg04.rates import (
     INCLUDED_TYPES,
     GainTable,
+    KeyRateBreakdown,
     SIFT_FACTOR,
     TypeGains,
     assemble_gains,
@@ -214,3 +215,35 @@ class TestBb84Baseline:
             tg = assemble_gains(src, src, GYS, t, protocol="bb84", bb84_basis="test")
             rates.append(bb84_baseline_rate(kg, tg, 1.22))
         assert rates[0] > rates[1] > rates[2] > 0
+
+
+class TestRecords:
+    """The array records are built positionally or by keyword, with their
+    defaults, and keep their views."""
+
+    def test_gain_table_construction_and_views(self):
+        k = 3
+        t1, t2 = (
+            TypeGains(np.full((2, 2, k), v), np.full((2, 2, 1), v / 10), np.full(k, v), np.full(k, v / 10))
+            for v in (0.2, 0.4)
+        )
+        table = GainTable(t1, t2)
+        assert table.herald_probability == 1.0
+        assert GainTable(type1=t1, type2=t2, herald_probability=0.5).herald_probability == 0.5
+        assert table.for_type(1) is t1 and table.for_type(2) is t2
+        with pytest.raises(ValueError):
+            table.for_type(3)
+        one = GainTable(t1, t2, np.linspace(0.1, 0.3, k)).at(2)
+        assert isinstance(one, GainTable) and isinstance(one.type2, TypeGains)
+        assert one.herald_probability == 0.3
+        assert one.type2.q.shape == (2, 2) and one.type2.ebit.shape == (2, 2)
+        assert one.type2.q_tot == 0.4 and one.type2.e_tot == 0.04
+        assert isinstance(one.type1.q_tot, float)
+
+    def test_breakdown_and_bound_by_keyword(self):
+        contributions = np.zeros((2, 2, 2))
+        b = KeyRateBreakdown(G1=0.1, G2=-0.2, total=0.1, contributions=contributions, ec_cost=0.3)
+        assert (b.G1, b.G2, b.total, b.ec_cost) == (0.1, -0.2, 0.1, 0.3)
+        assert b.contributions is contributions
+        r = BoundResult(e_ph=0.25, s_star=1.5)
+        assert (r.e_ph, r.s_star) == (0.25, 1.5)
