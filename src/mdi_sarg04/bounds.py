@@ -50,8 +50,14 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     if ((arr < -1e-12) | (arr > 1 + 1e-12)).any():
         raise ValueError(f"entropy argument {x} outside [0, 1]")
     edge = (arr <= 0.0) | (arr >= 1.0)
+    # -y log2(y) - (1 - y) log2(1 - y), with at most three arrays of x's size
     y = np.where(edge, 0.5, arr)
-    h = np.where(edge, 0.0, -y * np.log2(y) - (1 - y) * np.log2(1 - y))
+    h = np.log2(y)
+    h *= -y
+    np.subtract(1.0, y, out=y)
+    y *= np.log2(y)
+    h -= y
+    h = np.where(edge, 0.0, h)
     return float(h) if h.ndim == 0 else h
 
 

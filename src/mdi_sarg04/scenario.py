@@ -8,13 +8,15 @@ per-pump-pulse column (rate times joint heralding probability) is also
 emitted, and the heralding probability is the optimization weight so the
 optimum is per pump pulse.
 
-A sweep is one array evaluation over (distance, mu): the relay yields and
-phase-error bounds of every distance at once, and the mu search of every
-distance in lockstep.
+The rate is a set of quadratic forms in the emission vector whose
+matrices depend on the relay alone (see `rates`): a sweep builds them for
+every distance at once, then evaluates the whole mu grid over (distance,
+mu) in one call and the mu search of every distance in lockstep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -27,23 +29,17 @@ from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay_yields
 from .rates import (
     INCLUDED_TYPES,
     GainTable,
+    assemble_gains,
     bb84_baseline_rate,
-    fractions_from_factors,
-    gain_kernel,
-    privacy_factors,
+    bb84_forms,
+    form_values,
+    key_forms,
+    key_fractions,
 )
 from .sources import poisson_probs, spdc_heralded
 
 MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
-# a sweep evaluates the mu grid over (distance, mu) in blocks of whole mu
-# columns with at most this many entries (one column at least).  An entry
-# holds about 700 bytes while its block is evaluated (the (n, m) gain rows
-# and their running sums, then the key-fraction products): over one column
-# per block, the whole 121 x 40 grid of a 0.5 km sweep at once raised the
-# process's peak RSS by 3.1 MB (10 %), blocks of 1024 entries by 0.43 MB
-# and blocks of this size by 0.24 MB (0.7 %).
-GRID_BLOCK_ENTRIES = 512
 
 CSV_HEADER = (
     "distance_km,mu_opt,G1,G2,total,total_per_pulse,e_tot_1,e_tot_2,p_herald"
@@ -89,51 +85,46 @@ def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray)
 
 
 def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple]:
-    """mu -> (key rate per pump pulse, gains, breakdown), breakdown None for
-    the BB84 comparator.
+    """mu -> (key rate per pump pulse, joint heralding probability,
+    KeyRateBreakdown), for every scenario.
 
     At one distance mu is a 1-D array and the results run over it.  At a
     sequence of D distances the results are (D, K) for a grid of K points
     shared by every distance (mu of shape (1, K)), and (D, 1) for one mu
-    per distance (mu of shape (D, 1)).  The relay yields depend on the
-    distance only and are computed here once, in one contraction over all
-    distances; so are the phase-error bounds and their privacy factors,
-    from the first gain table, with one array call per type and intercept.
+    per distance (mu of shape (D, 1)).  The six matrices of the rate's
+    quadratic forms depend on the distance only and are built here once for
+    all distances: the relay yields in one contraction, the phase-error
+    bounds in one array call per type and intercept.  A call evaluates
+    them at the emission probabilities of every (distance, mu) in one
+    einsum, with no (n, m) temporaries.
     """
     det, t = _relay(config, distance_km)
     if config.scenario == "bb84_baseline":
-        key_gains = gain_kernel(relay_yields(det, t, "bb84", "key"), "bb84")
-        test_gains = gain_kernel(relay_yields(det, t, "bb84", "test"), "bb84")
-
-        def bb84_rate(mu: np.ndarray):
-            p, herald = _emission_probs(config, det, mu)
-            kg, tg = key_gains(p, p, herald), test_gains(p, p, herald)
-            return bb84_baseline_rate(kg, tg, config.ec_inefficiency), kg, None
-
-        return bb84_rate
-
-    gains_at = gain_kernel(relay_yields(det, t, qnd=config.scenario == "qnd_coherent"))
-    include = INCLUDED_TYPES[config.type_selection]
-    factors = None
+        forms = bb84_forms(*(relay_yields(det, t, "bb84", basis) for basis in ("key", "test")))
+        fractions = bb84_baseline_rate
+    else:
+        y = relay_yields(det, t, qnd=config.scenario == "qnd_coherent")
+        forms = key_forms(y, config.photon_terms == "one_one_only")
+        fractions = functools.partial(key_fractions, include=INCLUDED_TYPES[config.type_selection])
+    forms = forms[:, ..., None, :, :]  # a mu axis after the distances
 
     def rate(mu: np.ndarray):
-        nonlocal factors
         p, herald = _emission_probs(config, det, mu)
-        gains = gains_at(p, p, herald)
-        if factors is None:
-            factors = privacy_factors(gains, config.photon_terms == "one_one_only")
-        breakdown = fractions_from_factors(gains, factors, config.ec_inefficiency, include)
-        return breakdown.total * herald, gains, breakdown
+        breakdown = fractions(form_values(forms, p, p), config.ec_inefficiency)
+        return breakdown.total * herald, herald, breakdown
 
     return rate
 
 
 def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
     """Gain table of the configured SARG04 scenario at one distance and mu:
-    the one-row view of `rate_at`."""
+    the one-row view of the forms of `rate_at`."""
     if config.scenario == "bb84_baseline":
         raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
-    return rate_at(config, distance_km)(np.array([mu]))[1].at(0)
+    det, t = _relay(config, distance_km)
+    p, herald = _emission_probs(config, det, np.array([mu]))
+    gains = assemble_gains(p[0], p[0], det, t, qnd=config.scenario == "qnd_coherent")
+    return gains._replace(herald_probability=float(herald[0]))
 
 
 def mu_grid(config: ScenarioConfig) -> list[float]:
@@ -147,18 +138,17 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     """Maximize the per-pulse key rate over the mean photon number at every
     distance, all distances in lockstep.
 
-    The coarse logarithmic grid is evaluated over (distance, mu), in blocks
-    of mu of at most GRID_BLOCK_ENTRIES entries.  Golden-section search then
-    refines log mu to 1e-4 within one grid step either side of each
-    distance's best grid point, every distance through the iterates of its
-    own search: a bracket at a grid edge is half as wide and finishes
-    earlier, and a distance whose best grid rate is 0 keeps that point
-    without a search.  Both senders share the same mu.
+    The whole coarse logarithmic grid is evaluated over (distance, mu) in
+    one call, whose largest array holds the six form values, (6, D, K).
+    Golden-section search then refines log mu to 1e-4 within one grid step
+    either side of each distance's best grid point, every distance through
+    the iterates of its own search: a bracket at a grid edge is half as
+    wide and finishes earlier, and a distance whose best grid rate is 0
+    keeps that point without a search.  Both senders share the same mu.
     """
     rate = rate_at(config, distances)
     grid = mu_grid(config)
-    step = max(1, GRID_BLOCK_ENTRIES // len(distances))
-    rates = np.hstack([rate(np.array([grid[j : j + step]]))[0] for j in range(0, len(grid), step)])
+    rates = rate(np.array([grid]))[0]
     best = np.argmax(rates, axis=1)
     best_rate = rates[np.arange(len(distances)), best]
     live = best_rate > 0.0
@@ -187,14 +177,8 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
 
 def _points(distances: list[float], mus: list[float], result: tuple) -> list[RateCurvePoint]:
     """Rows of a `rate_at` result over D distances with one mu each."""
-    rate, gains, breakdown = result
-    rate, herald = rate[:, 0], gains.herald_probability[:, 0]
-    if breakdown is None:  # bb84 comparator
-        g1 = g2 = np.zeros(len(distances))
-        total = rate / herald
-    else:
-        g1, g2, total = (v[:, 0] for v in (breakdown.G1, breakdown.G2, breakdown.total))
-    columns = (rate, g1, g2, total, gains.type1.e_tot[:, 0], gains.type2.e_tot[:, 0], herald)
+    rate, herald, b = result
+    columns = [c[:, 0] for c in (rate, b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2, herald)]
     return [
         RateCurvePoint(d, mu, *row[1:], zero_rate=row[0] <= 0.0)
         for d, mu, row in zip(distances, mus, zip(*(c.tolist() for c in columns)))

@@ -1,11 +1,14 @@
-"""Gain assembly and key-rate evaluation."""
+"""Rate assembly as quadratic forms in the emission vector, and key-rate
+evaluation."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from mdi_sarg04.bounds import BoundResult, binary_entropy, phase_bound
-from mdi_sarg04.config import ConfigError, ScenarioConfig
-from mdi_sarg04.optics import DetectorParams
+from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ConfigError, ScenarioConfig
+from mdi_sarg04.optics import ChannelParams, DetectorParams, error_rate, relay_yields
 from mdi_sarg04.rates import (
     INCLUDED_TYPES,
     GainTable,
@@ -14,28 +17,34 @@ from mdi_sarg04.rates import (
     TypeGains,
     assemble_gains,
     bb84_baseline_rate,
-    fractions_from_factors,
+    bb84_forms,
+    form_values,
+    key_forms,
+    key_fractions,
     privacy_factors,
 )
 from mdi_sarg04.scenario import evaluate_gains, rate_at
 from mdi_sarg04.sources import poisson_probs, poisson_source, spdc_heralded
+from tests.rate_oracle import oracle_point
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
 SINGLE = np.array([0.0, 1.0, 0.0])  # emission probabilities of a single-photon source
 
 
-def one_one_gains(q11, e11):
-    """A 2x2 table over (n, m) whose only gain is the (1,1) term."""
-    q, ebit = np.zeros((2, 2)), np.full((2, 2), 0.5)
-    q[1, 1], ebit[1, 1] = q11, e11
-    return TypeGains(q=q, ebit=ebit, q_tot=q11, e_tot=e11)
+def bit_error_rates(y):
+    """ebit[t - 1, ..., n, m] of relay yields y[..., n, m, :]."""
+    return np.stack([error_rate(y[..., 1], y[..., 0]), error_rate(y[..., 3], y[..., 2])])
 
 
-def solved_fractions(gains, ec_inefficiency, one_one_only=False, type_selection="both"):
-    """Key fractions of one gain table, with its phase-error bounds solved."""
-    factors = privacy_factors(gains, one_one_only)
-    return fractions_from_factors(gains, factors, ec_inefficiency, INCLUDED_TYPES[type_selection])
+def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="both"):
+    """Key fractions at a single-photon source of a relay whose only yield
+    is the (1,1) term, 0.04 for both types: gains 0.01 (Type1) and 0.005
+    (Type2) after sifting."""
+    y = np.zeros((2, 2, 4))
+    y[1, 1] = (0.04, 0.04 * e11_1, 0.04, 0.04 * e11_2)
+    values = form_values(key_forms(y, one_one_only), SINGLE[:2], SINGLE[:2])
+    return key_fractions(values, 1.22, INCLUDED_TYPES[type_selection])
 
 
 class TestAssembleGains:
@@ -95,8 +104,8 @@ class TestAssembleGains:
         narrow = assemble_gains(src, src, GYS, 0.5, qnd=qnd)
         # the six key terms of both types, as at N = 3, zero-padded to n, m <= 3
         padded = np.zeros((2, 4, 4))
-        padded[:, :3, :3] = privacy_factors(narrow)
-        assert privacy_factors(g).tolist() == padded.tolist()
+        padded[:, :3, :3] = privacy_factors(np.stack([narrow.type1.ebit, narrow.type2.ebit]))
+        assert privacy_factors(np.stack([g.type1.ebit, g.type2.ebit])).tolist() == padded.tolist()
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
         src = poisson_source(0.5)
@@ -120,41 +129,41 @@ class TestAssembleGains:
 
 
 class TestKeyRate:
-    @staticmethod
-    def _table(q11_1=0.01, e11_1=0.0, q11_2=0.005, e11_2=0.0):
-        t1 = one_one_gains(q11_1, e11_1)
-        t2 = one_one_gains(q11_2, e11_2)
-        return GainTable(type1=t1, type2=t2)
-
     def test_error_free_single_term_keeps_everything(self):
-        b = solved_fractions(self._table(), ec_inefficiency=1.22)
+        b = one_one_fractions()
         assert abs(b.G1 - 0.01) < 1e-15
         assert abs(b.G2 - 0.005) < 1e-15
         assert abs(b.total - 0.015) < 1e-15
 
     def test_saturated_phase_error_loses_key(self):
         # (1,1) Type2 phase bound is 3 e_bit: e_bit = 0.2 saturates it
-        b = solved_fractions(self._table(e11_2=0.2), ec_inefficiency=1.22)
+        b = one_one_fractions(e11_2=0.2)
         assert b.G2 < 0
         assert abs(b.total - max(b.G1, 0.0)) < 1e-15
 
     def test_negative_terms_clamped_in_total_only(self):
-        b = solved_fractions(self._table(e11_1=0.4, e11_2=0.4), ec_inefficiency=1.22)
+        b = one_one_fractions(e11_1=0.4, e11_2=0.4)
         assert b.G1 < 0 and b.G2 < 0
         assert b.total == 0.0
 
     def test_one_one_only_drops_mixed_terms(self):
         src = poisson_source(0.5)
-        g = assemble_gains(src, src, GYS, 0.5)
-        full = solved_fractions(g, 1.22)
-        only = solved_fractions(g, 1.22, one_one_only=True)
-        assert full.total >= only.total - 1e-15
-        assert np.argwhere(only.contributions)[:, 1:].tolist() == [[1, 1], [1, 1]]
+        y = relay_yields(GYS, 0.5)
+        full, only = (key_forms(y, one_one_only) for one_one_only in (False, True))
+        b_full, b_only = (
+            key_fractions(form_values(forms, src, src), 1.22, INCLUDED_TYPES["both"])
+            for forms in (full, only)
+        )
+        assert b_full.total >= b_only.total - 1e-15
+        # the K_t forms (rows 2 and 5) keep the key terms only
+        assert np.argwhere(only[2::3]).tolist() == [[0, 1, 1], [1, 1, 1]]
+        # with every term, K_1 keeps the mixed terms (1,2) and (2,1) too
+        assert np.argwhere(full[2]).tolist() == [[1, 1], [1, 2], [2, 1]]
 
     def test_type_selection(self):
-        b_both = solved_fractions(self._table(), 1.22)
-        b_t1 = solved_fractions(self._table(), 1.22, type_selection="type1_only")
-        b_t2 = solved_fractions(self._table(), 1.22, type_selection="type2_only")
+        b_both = one_one_fractions()
+        b_t1 = one_one_fractions(type_selection="type1_only")
+        b_t2 = one_one_fractions(type_selection="type2_only")
         assert abs(b_t1.total + b_t2.total - b_both.total) < 1e-15
 
     def test_validation(self):
@@ -168,82 +177,123 @@ class TestPhaseBounds:
     @pytest.mark.parametrize("scenario, step_km", [("qnd_coherent", 0.5), ("spdc_heralded", 2.0)])
     @pytest.mark.parametrize("one_one_only", [False, True])
     def test_stacked_equals_per_case_calls(self, scenario, step_km, one_one_only):
-        # the (1,2) and (2,1) bounds of a type come from one stacked call
+        # the (1,2) and (2,1) bounds of a type come from one stacked call,
+        # and K_t is the privacy factors times S_t
         config = ScenarioConfig(scenario=scenario, distance_step_km=step_km)
-        distances = config.distances()
-        gains = rate_at(config, distances)(np.full((len(distances), 1), 0.3))[1]
-        factors = privacy_factors(gains, one_one_only)
+        t_arm = np.array([ChannelParams(config.loss_db_per_km, d).t_arm for d in config.distances()])
+        y = relay_yields(GYS, t_arm, qnd=scenario == "qnd_coherent")
+        ebit = bit_error_rates(y)
+        factors = privacy_factors(ebit, one_one_only)
         cases = [(1, 1)] if one_one_only else [(1, 1), (1, 2), (2, 1)]
-        assert factors.shape == (2, 3, 3, len(distances), 1)
+        assert factors.shape == (2, len(t_arm), 3, 3)
         rest = factors.copy()
         for t in (1, 2):
             for nm in cases:
-                ebit = gains.for_type(t).ebit[nm]
-                assert ebit.shape == (len(distances), 1)
-                e_ph = phase_bound(nm, t, ebit).e_ph
+                term = (t - 1, slice(None)) + nm
+                e_ph = phase_bound(nm, t, ebit[term]).e_ph
                 want = 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
-                assert factors[(t - 1,) + nm].tolist() == want.tolist()
-                rest[(t - 1,) + nm] = 0.0
+                assert factors[term].tolist() == want.tolist()
+                rest[term] = 0.0
         assert not rest.any()
+        forms = key_forms(y, one_one_only)
+        assert forms[2::3].tolist() == (factors * forms[0::3]).tolist()
 
     def test_absent_cases_skipped(self):
-        factors = privacy_factors(TestKeyRate._table(e11_1=0.01, e11_2=0.02))
+        ebit = np.full((2, 2, 2), 0.5)
+        ebit[:, 1, 1] = (0.01, 0.02)
         want = np.zeros((2, 2, 2))
         want[:, 1, 1] = 1.0 - binary_entropy(np.array([0.015, 0.06]))
-        assert factors.tolist() == want.tolist()
+        assert privacy_factors(ebit).tolist() == want.tolist()
+
+
+class TestFormValues:
+    def test_values_sum_row_major_whatever_the_batch(self, rng):
+        # a sweep row equals the same distance evaluated alone, and every
+        # value is the one-at-a-time row-major sum of its (n, m) terms
+        forms = rng.random((6, 5, 1, 3, 3))
+        for p in (rng.random((1, 4, 3)), rng.random((5, 1, 3))):  # shared mu grid, one mu each
+            values = form_values(forms, p, p)
+            for d in range(5):
+                row = p[d % len(p)]
+                alone = form_values(forms[:, d : d + 1], row[None], row[None])
+                assert values[:, d : d + 1].tolist() == alone.tolist()
+                for i, k in itertools.product(range(6), range(len(row))):
+                    want = 0.0
+                    for n, m in itertools.product(range(3), repeat=2):
+                        want += row[k, n] * row[k, m] * forms[i, d, 0, n, m]
+                    assert values[i, d, k] == want
 
 
 class TestBb84Baseline:
+    @staticmethod
+    def _rate(det, t_arm, p):
+        key_y, test_y = (relay_yields(det, t_arm, "bb84", basis) for basis in ("key", "test"))
+        forms = bb84_forms(key_y, test_y)
+        return bb84_baseline_rate(form_values(forms, p, p), 1.22)
+
     def test_ideal_lossless_single_photons(self):
         kg = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0, protocol="bb84")
-        tg = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0, protocol="bb84", bb84_basis="test")
-        r = bb84_baseline_rate(kg, tg, 1.22)
         q11 = kg.type1.q[(1, 1)] + kg.type2.q[(1, 1)]
-        assert abs(r - q11) < 1e-12
+        assert abs(self._rate(IDEAL, 1.0, SINGLE).total - q11) < 1e-12
 
     def test_zero_yields_give_zero(self):
-        empty = one_one_gains(0.0, 0.5)
-        g = GainTable(type1=empty, type2=empty)
-        assert bb84_baseline_rate(g, g, 1.22) == 0.0
+        empty = np.zeros((3, 3, 4))
+        b = bb84_baseline_rate(form_values(bb84_forms(empty, empty), SINGLE, SINGLE), 1.22)
+        assert (b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_decreasing_with_distance(self):
-        src = poisson_source(0.3)
-        rates = []
-        for d_km in (0.0, 20.0, 40.0):
-            t = 10 ** (-0.21 * (d_km / 2) / 10)
-            kg = assemble_gains(src, src, GYS, t, protocol="bb84")
-            tg = assemble_gains(src, src, GYS, t, protocol="bb84", bb84_basis="test")
-            rates.append(bb84_baseline_rate(kg, tg, 1.22))
+        t_arm = np.array([10 ** (-0.21 * (d_km / 2) / 10) for d_km in (0.0, 20.0, 40.0)])
+        rates = self._rate(GYS, t_arm, poisson_source(0.3)[None]).total.tolist()
         assert rates[0] > rates[1] > rates[2] > 0
 
 
+class TestRateOracle:
+    """The quadratic forms against a term-by-term double loop over (n, m)."""
+
+    DISTANCES = [0.0, 7.5, 45.0, 200.0]
+    MUS = [0.02, 0.3, 1.0]
+
+    @pytest.mark.parametrize(
+        "scenario, photon_terms, type_selection",
+        list(itertools.product(SCENARIOS, PHOTON_TERMS, TYPE_SELECTIONS)),
+    )
+    def test_sweep_grid_matches_oracle(self, scenario, photon_terms, type_selection):
+        config = ScenarioConfig(
+            scenario=scenario, photon_terms=photon_terms, type_selection=type_selection
+        )
+        _, _, b = rate_at(config, self.DISTANCES)(np.array([self.MUS]))
+        for (i, d), (k, mu) in itertools.product(enumerate(self.DISTANCES), enumerate(self.MUS)):
+            for field, want in oracle_point(config, d, mu).items():
+                got = getattr(b, field)[i, k]
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (field, d, mu)
+
+
 class TestRecords:
-    """The array records are built positionally or by keyword, with their
+    """The one-row records are built positionally or by keyword, with their
     defaults, and keep their views."""
 
     def test_gain_table_construction_and_views(self):
-        k = 3
         t1, t2 = (
-            TypeGains(np.full((2, 2, k), v), np.full((2, 2, 1), v / 10), np.full(k, v), np.full(k, v / 10))
-            for v in (0.2, 0.4)
+            TypeGains(np.full((2, 2), v), np.full((2, 2), v / 10), v, v / 10) for v in (0.2, 0.4)
         )
         table = GainTable(t1, t2)
         assert table.herald_probability == 1.0
         assert GainTable(type1=t1, type2=t2, herald_probability=0.5).herald_probability == 0.5
         assert table.for_type(1) is t1 and table.for_type(2) is t2
+        assert (t2.q_tot, t2.e_tot) == (0.4, 0.04)
         with pytest.raises(ValueError):
             table.for_type(3)
-        one = GainTable(t1, t2, np.linspace(0.1, 0.3, k)).at(2)
-        assert isinstance(one, GainTable) and isinstance(one.type2, TypeGains)
-        assert one.herald_probability == 0.3
-        assert one.type2.q.shape == (2, 2) and one.type2.ebit.shape == (2, 2)
-        assert one.type2.q_tot == 0.4 and one.type2.e_tot == 0.04
-        assert isinstance(one.type1.q_tot, float)
+
+    def test_one_row_views_have_float_totals(self):
+        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 20.0, 0.1)
+        assert isinstance(g, GainTable) and isinstance(g.type2, TypeGains)
+        assert isinstance(g.herald_probability, float)
+        for t in (g.type1, g.type2):
+            assert t.q.shape == t.ebit.shape == (3, 3)
+            assert isinstance(t.q_tot, float) and isinstance(t.e_tot, float)
 
     def test_breakdown_and_bound_by_keyword(self):
-        contributions = np.zeros((2, 2, 2))
-        b = KeyRateBreakdown(G1=0.1, G2=-0.2, total=0.1, contributions=contributions, ec_cost=0.3)
-        assert (b.G1, b.G2, b.total, b.ec_cost) == (0.1, -0.2, 0.1, 0.3)
-        assert b.contributions is contributions
+        b = KeyRateBreakdown(G1=0.1, G2=-0.2, total=0.1, ec_cost=0.3, e_tot_1=0.01, e_tot_2=0.02)
+        assert tuple(b) == (0.1, -0.2, 0.1, 0.3, 0.01, 0.02)
         r = BoundResult(e_ph=0.25, s_star=1.5)
         assert (r.e_ph, r.s_star) == (0.25, 1.5)

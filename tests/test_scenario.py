@@ -1,15 +1,14 @@
 """Scenario sweeps, mean-photon-number optimization, CSV emission."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdi_sarg04.config import ScenarioConfig
-from mdi_sarg04.rates import INCLUDED_TYPES, fractions_from_factors, privacy_factors
+from mdi_sarg04.config import SCENARIOS, ScenarioConfig
 from mdi_sarg04.scenario import (
     csv_lines,
-    evaluate_gains,
     mu_grid,
     optimize_mu,
     points_at,
@@ -17,6 +16,7 @@ from mdi_sarg04.scenario import (
     run_sweep,
     write_csv,
 )
+from tests.rate_oracle import oracle_point
 
 SHORT = ScenarioConfig(distance_stop_km=10.0, distance_step_km=5.0)
 
@@ -65,17 +65,13 @@ class TestOptimizeMu:
 
     @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
     def test_optimum_row_equals_one_shot_row(self, scenario):
-        # the bounds optimize_mu reuses across mu must belong to its distance
+        # the forms optimize_mu reuses across mu must belong to its distance
         cfg = dataclasses.replace(SHORT, scenario=scenario)
         for d in (5.0, 40.0):
             p = optimize_mu(cfg, d)
             assert dataclasses.asdict(p) == dataclasses.asdict(points_at(cfg, [d], p.mu_opt)[0])
-            if scenario != "bb84_baseline":
-                g = evaluate_gains(cfg, d, p.mu_opt)
-                factors = privacy_factors(g)
-                include = INCLUDED_TYPES[cfg.type_selection]
-                b = fractions_from_factors(g, factors, cfg.ec_inefficiency, include)
-                assert (p.G1, p.G2, p.total) == (b.G1, b.G2, b.total)
+            for field, want in oracle_point(cfg, d, p.mu_opt).items():
+                assert getattr(p, field) == pytest.approx(want, rel=1e-13, abs=0.0), field
 
     def test_heralded_scenario_runs(self):
         cfg = dataclasses.replace(SHORT, scenario="spdc_heralded")
@@ -92,6 +88,23 @@ class TestOptimizeMu:
             points = points_at(dataclasses.replace(cfg, n_cutoff=cutoff), [0.0, 40.0], 0.5)
             rows.append([dataclasses.asdict(p) for p in points])
         assert rows[0] == rows[1]
+
+
+class TestGridMemory:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_whole_grid_in_one_call_stays_small(self, scenario):
+        # a 0.5 km sweep evaluates its 121 x 40 mu grid in one call: no
+        # array over (n, m) per grid point may appear
+        config = ScenarioConfig(scenario=scenario, distance_step_km=0.5)
+        grid = np.array([mu_grid(config)])
+        tracemalloc.start()
+        try:
+            rates = rate_at(config, config.distances())(grid)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rates.shape == (121, 40)
+        assert peak < 1.5e6, peak
 
 
 class TestRunSweep:
