@@ -2,7 +2,9 @@
 
 Implements the binary entropy, the Type1 bound intercept f(s1), the Type2
 intercept g(s2) defined as the maximal real root of a cubic, and the mixed
-photon-number cases' phase-error bounds at their stationary slope.
+photon-number cases' phase-error bounds at their stationary slope.  The
+cubic is solved in closed form (Cardano, one Newton step) and each root is
+certified the largest, so no eigenvalue solve runs on the rate path.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ S_MAX = 10.0
 # Newton steps to the Type2 slope: 6 leave |x - g(s)| <= 2.1e-15, 4 leave 3.5e-8
 _NEWTON_STEPS = 6
 _CUBIC_RESIDUAL_TOL = 1e-10
-_SOLVER_AGREE_TOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CubicRootError(RuntimeError):
-    """The intercept cubic unexpectedly has no real root, or the two root
-    solvers disagree."""
+    """A root of the intercept cubic failed its certificate: its residual is
+    too large, or a larger real root exists."""
 
 
 class BoundResult(NamedTuple):
@@ -85,19 +86,6 @@ def cubic_value(s2: float | np.ndarray, x: float | np.ndarray) -> float | np.nda
     return ((a3 * x + a2) * x + a1) * x + a0
 
 
-def _max_real_root_companion(coeffs) -> np.ndarray:
-    # the companion matrices of np.roots, stacked: one eigvals call for all of them
-    a3, a2, a1, a0 = (np.asarray(c, dtype=float) for c in coeffs)
-    companion = np.zeros(a2.shape + (3, 3))
-    companion[..., 0, :] = np.stack([-a2 / a3, -a1 / a3, -a0 / a3], axis=-1)
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    real = np.where(np.abs(roots.imag) < 1e-8, roots.real, -np.inf).max(axis=-1)
-    if np.isneginf(real).any():
-        raise CubicRootError("companion-matrix solve found no real root")
-    return real
-
-
 def _max_real_root_cardano(coeffs) -> np.ndarray:
     a3, a2, a1, a0 = coeffs
     b, c, d = a2 / a3, a1 / a3, a0 / a3
@@ -115,33 +103,39 @@ def _max_real_root_cardano(coeffs) -> np.ndarray:
     if one_real.any():
         root_disc = np.sqrt(np.where(one_real, disc, 0.0))
         t = np.where(one_real, np.cbrt(-q / 2 + root_disc) + np.cbrt(-q / 2 - root_disc), t)
-    return t - b / 3
+    x = t - b / 3
+    # one Newton step on P itself
+    return x - (((a3 * x + a2) * x + a1) * x + a0) / ((3 * a3 * x + 2 * a2) * x + a1)
 
 
 def g_type2(s2: float | np.ndarray) -> float | np.ndarray:
     """Intercept of the Type2 (1,2) bound: maximal real root of the cubic,
     elementwise on arrays (a float for a float).
 
-    Solved by companion-matrix eigenvalues, one stacked solve for the whole
-    array, with a Cardano cross-check; at every element the two must agree
-    to 1e-9 and the residual must stay below 1e-10.
+    Solved by Cardano's formula and one Newton step, every element the same
+    way whatever the array's shape.  Each root is certified: the residual
+    must stay below 1e-10, and the quadratic P(x) / (x - g) must have no
+    real root above g, so that g is the largest root.
     """
     s = np.asarray(s2, dtype=float)
-    if (s < 0).any():
+    if not (s >= 0).all():
         raise ValueError(f"slope must be nonnegative, got {s2}")
-    coeffs = _cubic_coeffs(s)
-    root = _max_real_root_companion(coeffs)
-    alt = _max_real_root_cardano(coeffs)
-    disagree = np.abs(root - alt) > _SOLVER_AGREE_TOL
-    if disagree.any():
-        i = np.argmax(disagree)
-        raise CubicRootError(
-            f"root solvers disagree at s2={s.flat[i]}: {root.flat[i]} vs {alt.flat[i]}"
-        )
-    residual = np.abs(cubic_value(s, root)) > _CUBIC_RESIDUAL_TOL
+    # a 0-d slope takes the array path too: numpy's scalar arithmetic rounds differently
+    flat = s.reshape(-1)
+    a3, a2, a1, _ = coeffs = _cubic_coeffs(flat)
+    root = _max_real_root_cardano(coeffs)
+    residual = ~(np.abs(cubic_value(flat, root)) <= _CUBIC_RESIDUAL_TOL)
     if residual.any():
         raise CubicRootError(f"cubic residual too large at s2={s.flat[np.argmax(residual)]}")
-    return float(root) if root.ndim == 0 else root
+    # P(x) = (x - g)(a3 x^2 + b1 x + b0) + P(g), a3 > 0
+    b1 = a2 + a3 * root
+    b0 = a1 + root * b1
+    disc = b1 * b1 - 4 * a3 * b0
+    above = (disc >= 0) & (np.sqrt(np.maximum(disc, 0.0)) - b1 > 2 * a3 * root)
+    if above.any():
+        i = np.argmax(above)
+        raise CubicRootError(f"root {root[i]} at s2={s.flat[i]} is not the largest")
+    return float(root[0]) if s.ndim == 0 else root.reshape(s.shape)
 
 
 def golden_section_minimize(fun, a, b, tol: float):

@@ -20,9 +20,11 @@ through passive linear optics, so the response factors exactly in two:
   state (u.a^dag)^a (v.a^dag)^b |0> / sqrt(a! b!) has amplitude
   c_k sqrt(k! / (a! b!)) on occupation k, where c_k is the z^k
   coefficient of the polynomial (u.z)^a (v.z)^b.  Every term of
-  P(k) = |c_k|^2 k! / (a! b!) is nonnegative, so nothing cancels; the
-  coefficient grids of all signal pairs are built at once, one photon
-  at a time;
+  P(k) = |c_k|^2 k! / (a! b!) is nonnegative, so nothing cancels.  The
+  polynomial is homogeneous of degree a + b, so its grid runs over
+  (k0, k1, k2) only, k3 = a + b - k0 - k1 - k2; the grids of all signal
+  pairs are built at once, one photon at a time, and P(H) is one product
+  with a fixed weight over (k0, k1, k2);
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s = t_arm * eta.
 
@@ -46,6 +48,7 @@ from .linalg import Complex, basis_ket, phi_state, rotation
 
 N_MAX_DEFAULT = 2
 N_MAX_CAP = 3
+_FACTORIALS = np.array([factorial(n) for n in range(2 * N_MAX_CAP + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -121,28 +124,40 @@ def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
 
 def _times_photon(poly: Complex, w: Complex) -> Complex:
     """The coefficient grid of poly[x] * sum_j w[x, j] z_j for every signal
-    pair x, where poly[x, k0, k1, k2, k3] is the coefficient of the monomial
-    z^k: each mode's term shifts poly one step along its axis, into a grid
-    one longer on every axis."""
+    pair x, where poly[x, k0, k1, k2] is the coefficient of the monomial z^k
+    and k3 is implied by the degree: modes 0-2 shift poly one step along
+    their axis, into a grid one longer on every axis, and mode 3 shifts
+    none."""
     out = np.zeros((len(poly), *(n + 1 for n in poly.shape[1:])), dtype=complex)
     for j in range(4):
-        shift = tuple(slice(1, None) if i == j else slice(-1) for i in range(4))
-        out[(slice(None), *shift)] += w[:, j, None, None, None, None] * poly
+        shift = tuple(slice(1, None) if i == j else slice(-1) for i in range(3))
+        out[(slice(None), *shift)] += w[:, j, None, None, None] * poly
     return out
+
+
+def _hit_weights(degree: int) -> np.ndarray:
+    """T[(k0, k1, k2), H] = k0! k1! k2! k3! where H (indexed like
+    `_ALL_PATTERNS`) is the hit set of the occupation k of total `degree`,
+    k3 = degree - k0 - k1 - k2, and 0 elsewhere (also where k3 < 0)."""
+    k = np.arange(degree + 1)
+    k3 = degree - (k[:, None, None] + k[:, None] + k)
+    fact = _FACTORIALS[k]
+    weight = fact[:, None, None] * fact[:, None] * fact
+    weight *= _FACTORIALS[np.maximum(k3, 0)] * (k3 >= 0)
+    hit = k >= 1
+    hit_set = hit[:, None, None] + 2 * hit[:, None] + 4 * hit + 8 * (k3 >= 1)
+    table = np.zeros((k3.size, 16))
+    table[np.arange(k3.size), hit_set.ravel()] = weight.ravel()
+    return table
 
 
 def _hit_probabilities(poly: Complex, a: int, b: int) -> np.ndarray:
     """P[x, H]: probability that a photons from Alice's arm and b from Bob's,
     with coefficient grid poly[x] of (u[x].z)^a (v[x].z)^b, hit exactly the
     detector set H (indexed like `_ALL_PATTERNS`): |poly[x, k]|^2 k! / (a! b!)
-    summed one mode at a time over k_j = 0 and k_j >= 1."""
-    k = np.arange(a + b + 1)
-    k_fact = np.array([factorial(n) for n in k], dtype=float)
-    weight = np.stack([k_fact * (k == 0), k_fact * (k >= 1)], axis=1)
+    summed over the occupations k of each H, one matrix product."""
     probs = np.abs(poly) ** 2 / (factorial(a) * factorial(b))
-    for _ in range(4):  # each contracts the next mode's axis into a trailing hit bit
-        probs = np.tensordot(probs, weight, axes=(1, 0))
-    return probs.transpose(0, 4, 3, 2, 1).reshape(len(poly), 16)
+    return probs.reshape(len(poly), -1) @ _hit_weights(a + b)
 
 
 def _dark_count_matrix(dark: float) -> np.ndarray:
@@ -174,12 +189,13 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[Complex, Complex, np.
     """
     pairs = []
     if protocol == "sarg04":
-        phis = [phi_state(i) for i in range(4)]
+        # rotated[k][i] = R^k |phi_i>
+        rotated = [[rotation(k) @ phi_state(i) for i in (0, 1)] for k in range(4)]
         for i, ip, k in product((0, 1), (0, 1), range(4)):
             w1 = 1 / 16
             w2 = 1 / 8 if k in (0, 2) else 0.0
             weights = [[w1, w1 * (i == ip), 0, 0], [0, 0, w2, w2 * (i != ip)]]
-            pairs.append((rotation(k) @ phis[i], rotation(k) @ phis[ip], weights))
+            pairs.append((rotated[k][i], rotated[k][ip], weights))
     elif protocol != "bb84":
         raise ValueError(f"unknown protocol {protocol!r}")
     elif bb84_basis not in ("key", "test"):
@@ -211,7 +227,7 @@ def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np
     dark_types = np.einsum("hp,pt->ht", _dark_count_matrix(dark), _PATTERN_TYPES)
     response = np.einsum("ht,xtc->xhc", dark_types, weights)
     table = np.empty((n_max + 1, n_max + 1, 4))
-    alice = np.ones((len(u), 1, 1, 1, 1), dtype=complex)
+    alice = np.ones((len(u), 1, 1, 1), dtype=complex)
     for a in range(n_max + 1):
         if a:
             alice = _times_photon(alice, u)

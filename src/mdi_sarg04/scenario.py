@@ -129,9 +129,11 @@ def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> Gai
 
 def mu_grid(config: ScenarioConfig) -> list[float]:
     """The coarse logarithmic mu grid of `optimize_mu`, MU_COARSE_POINTS
-    points from mu_min to mu_max."""
+    points from mu_min to mu_max, both ends exactly as configured."""
     lo, hi = math.log(config.mu_min), math.log(config.mu_max)
-    return [math.exp(lo + (hi - lo) * j / (MU_COARSE_POINTS - 1)) for j in range(MU_COARSE_POINTS)]
+    steps = MU_COARSE_POINTS - 1
+    inner = [math.exp(lo + (hi - lo) * j / steps) for j in range(1, steps)]
+    return [config.mu_min, *inner, config.mu_max]
 
 
 def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[RateCurvePoint]:

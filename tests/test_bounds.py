@@ -119,6 +119,8 @@ class TestTypeTwoIntercept:
             g_type2(-0.5)
         with pytest.raises(ValueError):
             g_type2(np.array([0.5, -0.5]))
+        with pytest.raises(ValueError):
+            g_type2(np.array([0.5, np.nan]))
 
     def test_batched_equals_scalar_root(self):
         # s = 0 and s = 1 zero the constant coefficient, which np.roots strips
@@ -127,23 +129,26 @@ class TestTypeTwoIntercept:
         )
         batched = g_type2(s).tolist()
         assert batched == [g_type2(x) for x in s.tolist()]
-        per_s = []
-        for x in s.tolist():
+        # oracle: the companion-matrix eigenvalues of np.roots, slope by slope
+        for x, g in zip(s.tolist(), batched):
             roots = np.roots(_cubic_coeffs(x))
-            per_s.append(float(roots[np.abs(roots.imag) < 1e-8].real.max()))
-        assert batched == per_s
+            assert abs(g - roots[np.abs(roots.imag) < 1e-8].real.max()) <= 1e-14, x
 
-    def test_solver_disagreement_raises(self, monkeypatch):
-        cardano = bounds._max_real_root_cardano
+    def test_residual_across_window(self):
+        s = np.linspace(0.0, S_MAX, 100_001)
+        assert np.abs(cubic_value(s, g_type2(s))).max() <= 1e-14
 
-        def perturbed(coeffs):
-            roots = cardano(coeffs).copy()
-            roots.flat[3] += 1e-6
-            return roots
+    def test_smaller_root_rejected(self, monkeypatch):
+        # the middle root has zero residual; only the maximality certificate catches it
+        def middle_root(coeffs):
+            rows = zip(*np.broadcast_arrays(*coeffs))
+            return np.array([np.sort(np.roots(row).real)[1] for row in rows])
 
-        monkeypatch.setattr(bounds, "_max_real_root_cardano", perturbed)
-        with pytest.raises(CubicRootError, match="disagree"):
+        monkeypatch.setattr(bounds, "_max_real_root_cardano", middle_root)
+        with pytest.raises(CubicRootError, match="not the largest"):
             g_type2(np.linspace(0.0, S_MAX, 10))
+        with pytest.raises(CubicRootError, match="not the largest"):
+            g_type2(2.0)
 
 
 class TestGoldenSection:

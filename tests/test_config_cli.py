@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
+from mdi_sarg04.scenario import optimize_distances
 
 
 class TestConfig:
@@ -180,6 +182,30 @@ class TestCliOptimizeMu:
         assert data["distance_km"] == 0.0
         assert data["total"] > 0
         assert not data["zero_rate"]
+
+
+class TestRatePathWithoutEigensolver:
+    """The rate path and the bound and relay tables run without an
+    eigenvalue solve: LAPACK's first call alone costs close to 1 MB of
+    peak memory in a process that needs none of it."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvalue solve on the rate path")
+
+        for name in ("eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded"])
+    def test_optimize_distances(self, scenario):
+        points = optimize_distances(ScenarioConfig(scenario=scenario), [0.0, 20.0, 45.0])
+        assert all(p.total > 0 for p in points)
+
+    def test_bounds_and_mu_table(self, capsys):
+        assert main(["bounds"]) == 0
+        assert main(["mu-table", "--n-max", "3", "--protocol", "sarg04"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 102 + 17
 
 
 class TestCliBadInput:

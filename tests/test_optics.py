@@ -1,6 +1,7 @@
 """Fock-optics model of the measurement unit: click patterns, yields,
 error rates."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -93,7 +94,7 @@ def array_hits(a, b, pol_a, pol_b):
     its a + b photons; any polarization stands for an arm that brings none."""
     u = np.array([_mode_amplitudes(phi_state(0) if pol_a is None else pol_a, "a")])
     v = np.array([_mode_amplitudes(phi_state(0) if pol_b is None else pol_b, "b")])
-    poly = np.ones((1, 1, 1, 1, 1), dtype=complex)
+    poly = np.ones((1, 1, 1, 1), dtype=complex)
     for w in [u] * a + [v] * b:
         poly = _times_photon(poly, w)
     return _hit_probabilities(poly, a, b)[0]
@@ -199,6 +200,19 @@ class TestArrivalTable:
                 rtol=1e-13,
                 atol=1e-30,
             )
+
+
+    def test_allocation_peak(self):
+        # the coefficient grid has one axis per mode but the last, whose
+        # power the degree implies: (a+b+1)^3 entries per signal pair
+        arrival_table(GYS.dark, "sarg04", "key", N_MAX_CAP)
+        tracemalloc.start()
+        try:
+            arrival_table(GYS.dark, "sarg04", "key", N_MAX_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400_000, peak
 
 
 class TestYieldsAndErrors:

@@ -8,6 +8,7 @@ import pytest
 
 from mdi_sarg04.config import SCENARIOS, ScenarioConfig
 from mdi_sarg04.scenario import (
+    MU_COARSE_POINTS,
     csv_lines,
     mu_grid,
     optimize_mu,
@@ -72,6 +73,21 @@ class TestOptimizeMu:
             assert dataclasses.asdict(p) == dataclasses.asdict(points_at(cfg, [d], p.mu_opt)[0])
             for field, want in oracle_point(cfg, d, p.mu_opt).items():
                 assert getattr(p, field) == pytest.approx(want, rel=1e-13, abs=0.0), field
+
+    @pytest.mark.parametrize(
+        "window", [(1e-4, 1.5), (0.051, 0.5), (1e-3, 0.998), (0.3, 0.7), (1e-6, 20.0)]
+    )
+    def test_grid_ends_at_the_window(self, window):
+        grid = mu_grid(dataclasses.replace(SHORT, mu_min=window[0], mu_max=window[1]))
+        assert len(grid) == MU_COARSE_POINTS
+        assert (grid[0], grid[-1]) == window
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    def test_zero_rate_optimum_is_mu_min(self):
+        # no key anywhere in the window: the optimum stays on the first grid point
+        point = optimize_mu(SHORT, 1e6)
+        assert point.zero_rate
+        assert point.mu_opt == SHORT.mu_min
 
     def test_heralded_scenario_runs(self):
         cfg = dataclasses.replace(SHORT, scenario="spdc_heralded")
