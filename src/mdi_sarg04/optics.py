@@ -20,18 +20,19 @@ through passive linear optics, so the response factors exactly in two:
   state (u.a^dag)^a (v.a^dag)^b |0> / sqrt(a! b!) has amplitude
   c_k sqrt(k! / (a! b!)) on occupation k, where c_k is the z^k
   coefficient of the polynomial (u.z)^a (v.z)^b.  Every term of
-  P(k) = |c_k|^2 k! / (a! b!) is nonnegative, so nothing cancels.  The
-  polynomial is homogeneous of degree a + b, so its grid runs over
-  (k0, k1, k2) only, k3 = a + b - k0 - k1 - k2; the grids of all signal
-  pairs are built at once, one photon at a time, and P(H) is one product
-  with a fixed weight over (k0, k1, k2);
+  P(k) = c_k^2 k! / (a! b!) is nonnegative, so nothing cancels.  Each
+  signal state is real in the x basis up to a global sign, so c_k is real.
+  The polynomial is homogeneous of degree a + b, so its float64 grid runs
+  over (k0, k1, k2), k3 = a + b - k0 - k1 - k2; the grids of all signal
+  pairs are built at once, one photon at a time, and P(H) is one `einsum`
+  (unoptimized: no BLAS) with a fixed weight over (k0, k1, k2);
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s = t_arm * eta.
 
 The response to an (n, m) emission is Y[n, m] = sum_ab B[n, a] B[m, b]
 A[a, b].  The relay's nondemolition postselection of <= 1 arriving photon
 per arm acts between channel and detectors, so it only cuts the columns
-of the channel thinning: B = B(t_arm)[:, :2] @ B(eta).  Each photon-number
+of the channel thinning: B = B(t_arm)[:, :2] B(eta).  Each photon-number
 sector is independent (phase-randomized sources).
 """
 
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Complex, basis_ket, phi_state, rotation
+from .linalg import basis_ket, phi_state
 
 N_MAX_DEFAULT = 2
 N_MAX_CAP = 3
@@ -122,13 +123,13 @@ def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
     return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., np.maximum(k[:, None] - k, 0)]
 
 
-def _times_photon(poly: Complex, w: Complex) -> Complex:
+def _times_photon(poly: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The coefficient grid of poly[x] * sum_j w[x, j] z_j for every signal
     pair x, where poly[x, k0, k1, k2] is the coefficient of the monomial z^k
     and k3 is implied by the degree: modes 0-2 shift poly one step along
     their axis, into a grid one longer on every axis, and mode 3 shifts
     none."""
-    out = np.zeros((len(poly), *(n + 1 for n in poly.shape[1:])), dtype=complex)
+    out = np.zeros((len(poly), *(n + 1 for n in poly.shape[1:])), dtype=poly.dtype)
     for j in range(4):
         shift = tuple(slice(1, None) if i == j else slice(-1) for i in range(3))
         out[(slice(None), *shift)] += w[:, j, None, None, None] * poly
@@ -151,13 +152,13 @@ def _hit_weights(degree: int) -> np.ndarray:
     return table
 
 
-def _hit_probabilities(poly: Complex, a: int, b: int) -> np.ndarray:
+def _hit_probabilities(poly: np.ndarray, a: int, b: int) -> np.ndarray:
     """P[x, H]: probability that a photons from Alice's arm and b from Bob's,
-    with coefficient grid poly[x] of (u[x].z)^a (v[x].z)^b, hit exactly the
-    detector set H (indexed like `_ALL_PATTERNS`): |poly[x, k]|^2 k! / (a! b!)
-    summed over the occupations k of each H, one matrix product."""
-    probs = np.abs(poly) ** 2 / (factorial(a) * factorial(b))
-    return probs.reshape(len(poly), -1) @ _hit_weights(a + b)
+    with real coefficient grid poly[x] of (u[x].z)^a (v[x].z)^b, hit exactly
+    the detector set H (indexed like `_ALL_PATTERNS`): poly[x, k]^2 k! / (a! b!)
+    summed over the occupations k of each H, one `einsum` (not BLAS)."""
+    probs = np.square(poly).reshape(len(poly), -1) / (factorial(a) * factorial(b))
+    return np.einsum("xk,kh->xh", probs, _hit_weights(a + b))
 
 
 def _dark_count_matrix(dark: float) -> np.ndarray:
@@ -175,27 +176,24 @@ def _dark_count_matrix(dark: float) -> np.ndarray:
 _BB84_ANTICORRELATED = {("key", 1): True, ("key", 2): True, ("test", 1): True, ("test", 2): False}
 
 
-def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[Complex, Complex, np.ndarray]:
-    """The protocol's signal-state pairs, stacked: Alice's and Bob's
+def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The protocol's signal-state pairs, stacked: Alice's and Bob's real
     polarizations (X, 2) and W (X, 2, 4), which maps each pair's (Type1,
     Type2) probabilities to its share of (yield_1, error_1, yield_2, error_2).
 
     SARG04 averages uniformly over the bit pairs and over the accepted
-    rotation values (all k for Type1, k in {0, 2} for Type2; the k = k'
-    sifting probability is a separate factor of the rate engine), and
-    Alice flips for Type1, so i == i' is an error there.  BB84 uses the
-    x-basis key states or z-basis test states with the per-type
-    correlation flips of the Bell outcomes.
+    rotations R^k|phi_i> = +/-|phi_(i+k mod 4)> (all k for Type1, k in
+    {0, 2} for Type2; the sign is a global phase, and the k = k' sifting
+    probability a factor of the rate engine); Alice flips for Type1, so
+    i == i' is an error there.  BB84 uses the x-basis key states or z-basis
+    test states with the per-type correlation flips of the Bell outcomes.
     """
     pairs = []
     if protocol == "sarg04":
-        # rotated[k][i] = R^k |phi_i>
-        rotated = [[rotation(k) @ phi_state(i) for i in (0, 1)] for k in range(4)]
         for i, ip, k in product((0, 1), (0, 1), range(4)):
-            w1 = 1 / 16
             w2 = 1 / 8 if k in (0, 2) else 0.0
-            weights = [[w1, w1 * (i == ip), 0, 0], [0, 0, w2, w2 * (i != ip)]]
-            pairs.append((rotated[k][i], rotated[k][ip], weights))
+            weights = [[1 / 16, (i == ip) / 16, 0, 0], [0, 0, w2, w2 * (i != ip)]]
+            pairs.append((phi_state((i + k) % 4), phi_state((ip + k) % 4), weights))
     elif protocol != "bb84":
         raise ValueError(f"unknown protocol {protocol!r}")
     elif bb84_basis not in ("key", "test"):
@@ -207,7 +205,10 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[Complex, Complex, np.
             weights = 0.25 * np.array([[1, errs[0], 0, 0], [0, 0, 1, errs[1]]])
             pairs.append((basis_ket(kets[i]), basis_ket(kets[ip]), weights))
     pol_a, pol_b, weights = zip(*pairs)
-    return np.array(pol_a), np.array(pol_b), np.array(weights, dtype=float)
+    pol = np.array([pol_a, pol_b])
+    if pol.imag.any():
+        raise ValueError("signal polarizations must be real in the x basis")
+    return pol.real[0], pol.real[1], np.array(weights, dtype=float)
 
 
 def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.ndarray:
@@ -227,7 +228,7 @@ def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np
     dark_types = np.einsum("hp,pt->ht", _dark_count_matrix(dark), _PATTERN_TYPES)
     response = np.einsum("ht,xtc->xhc", dark_types, weights)
     table = np.empty((n_max + 1, n_max + 1, 4))
-    alice = np.ones((len(u), 1, 1, 1), dtype=complex)
+    alice = np.ones((len(u), 1, 1, 1))
     for a in range(n_max + 1):
         if a:
             alice = _times_photon(alice, u)
@@ -255,14 +256,13 @@ def relay_yields(
     With `qnd` the relay accepts at most one arriving photon per arm, so
     only arrivals {0, 1} of the channel thinning reach the detectors.
     """
-    t_arm = np.asarray(t_arm, dtype=float)
+    cut = min(n_max, 1) if qnd else n_max
+    table = arrival_table(det.dark, protocol, bb84_basis, cut)
     if qnd:
-        cut = min(n_max, 1)
-        table = arrival_table(det.dark, protocol, bb84_basis, cut)
-        thin = thinning_matrix(t_arm, n_max)[..., : cut + 1] @ thinning_matrix(det.eta, cut)
+        channel = thinning_matrix(t_arm, n_max)[..., : cut + 1]
+        thin = np.einsum("...ik,kj->...ij", channel, thinning_matrix(det.eta, cut))
     else:
-        table = arrival_table(det.dark, protocol, bb84_basis, n_max)
-        thin = thinning_matrix(t_arm * det.eta, n_max)
+        thin = thinning_matrix(np.multiply(t_arm, det.eta), n_max)
     return np.einsum("...ia,...jb,abc->...ijc", thin, thin, table)
 
 

@@ -1,11 +1,14 @@
 """Configuration round-tripping and the command-line interface."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import mdi_sarg04
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
 from mdi_sarg04.scenario import optimize_distances
@@ -186,15 +189,16 @@ class TestCliOptimizeMu:
 
 class TestRatePathWithoutEigensolver:
     """The rate path and the bound and relay tables run without an
-    eigenvalue solve: LAPACK's first call alone costs close to 1 MB of
-    peak memory in a process that needs none of it."""
+    eigenvalue solve or a matrix power: the first LAPACK call alone costs
+    close to 1 MB of peak memory, and the first BLAS calls several hundred
+    KB, in a process that needs none of it."""
 
     @pytest.fixture(autouse=True)
     def no_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("eigenvalue solve on the rate path")
+            raise AssertionError("eigenvalue solve or matrix power on the rate path")
 
-        for name in ("eigvals", "eig"):
+        for name in ("eigvals", "eig", "matrix_power"):
             monkeypatch.setattr(np.linalg, name, refuse)
 
     @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded"])
@@ -206,6 +210,31 @@ class TestRatePathWithoutEigensolver:
         assert main(["bounds"]) == 0
         assert main(["mu-table", "--n-max", "3", "--protocol", "sarg04"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 102 + 17
+
+
+RATE_PATH_MODULES = ("optics", "sources", "rates", "bounds", "scenario")
+DENSE_LINEAR_ALGEBRA = frozenset(("dot", "vdot", "inner", "matmul", "tensordot", "linalg"))
+
+
+@pytest.mark.parametrize("module", RATE_PATH_MODULES)
+def test_rate_path_source_calls_no_blas(module):
+    """The rate-path modules use no matrix product and no `np.linalg`, whose
+    BLAS and LAPACK calls would page in the libraries; their contractions
+    are unoptimized `einsum`s, which never dispatch to BLAS."""
+    tree = ast.parse(pathlib.Path(mdi_sarg04.__file__).with_name(f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in DENSE_LINEAR_ALGEBRA:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.keyword) and node.arg == "optimize":
+            found.append(f"line {node.value.lineno}: optimized einsum")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {a.name for a in node.names}
+            if node.module.startswith("numpy.linalg") or names & DENSE_LINEAR_ALGEBRA:
+                found.append(f"line {node.lineno}: from {node.module} import")
+    assert not found, found
 
 
 class TestCliBadInput:
