@@ -3,8 +3,10 @@
 Implements the binary entropy, the Type1 bound intercept f(s1), the Type2
 intercept g(s2) defined as the maximal real root of a cubic, and the mixed
 photon-number cases' phase-error bounds at their stationary slope.  The
-cubic is solved in closed form (Cardano, one Newton step) and each root is
-certified the largest, so no eigenvalue solve runs on the rate path.
+cubic has three real roots for every slope; the largest is solved in
+closed form (Cardano's trigonometric form, one Newton step) and each root
+is certified by its residual relative to the cubic's term scale and as the
+largest, so no eigenvalue solve runs on the rate path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ SQRT2 = math.sqrt(2.0)
 S_MAX = 10.0
 # Newton steps to the Type2 slope: 6 leave |x - g(s)| <= 2.1e-15, 4 leave 3.5e-8
 _NEWTON_STEPS = 6
-_CUBIC_RESIDUAL_TOL = 1e-10
+_CUBIC_RESIDUAL_REL_TOL = 1e-14
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,24 +88,19 @@ def cubic_value(s2: float | np.ndarray, x: float | np.ndarray) -> float | np.nda
     return ((a3 * x + a2) * x + a1) * x + a0
 
 
+def _depressed_cubic(a3, a2, a1, a0) -> tuple:
+    """(b, p, q) with P(x) / a3 = t^3 + p t + q at x = t - b/3."""
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    return b, c - b * b / 3, 2 * b**3 / 27 - b * c / 3 + d
+
+
 def _max_real_root_cardano(coeffs) -> np.ndarray:
     a3, a2, a1, a0 = coeffs
-    b, c, d = a2 / a3, a1 / a3, a0 / a3
-    # depressed cubic t^3 + p t + q with x = t - b/3
-    p = c - b * b / 3
-    q = 2 * b**3 / 27 - b * c / 3 + d
-    # three real roots 2 r cos(theta - 2 pi j / 3) where disc <= 0 (then p <= 0),
-    # as everywhere on [0, S_MAX]: theta is in [0, pi/3], so j = 0 is the
-    # largest; r = 0 is the triple root
-    r = np.sqrt(np.maximum(-p / 3, 0.0))
-    cos_arg = np.divide(3 * q, 2 * p * r, out=np.zeros(np.shape(r)), where=r > 0)
-    t = 2 * r * np.cos(np.arccos(np.clip(cos_arg, -1.0, 1.0)) / 3)
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    one_real = disc > 0
-    if one_real.any():
-        root_disc = np.sqrt(np.where(one_real, disc, 0.0))
-        t = np.where(one_real, np.cbrt(-q / 2 + root_disc) + np.cbrt(-q / 2 - root_disc), t)
-    x = t - b / 3
+    b, p, q = _depressed_cubic(*coeffs)
+    # (q/2)^2 + (p/3)^3 = -(4 s^6 - 10 s^4 + 39 s^2 + 1)/6912 < 0 for every real s: three
+    # real roots 2 r cos(theta - 2 pi j / 3), r > 0, theta in [0, pi/3], j = 0 the largest
+    r = np.sqrt(-p / 3)
+    x = 2 * r * np.cos(np.arccos(np.clip(3 * q / (2 * p * r), -1.0, 1.0)) / 3) - b / 3
     # one Newton step on P itself
     return x - (((a3 * x + a2) * x + a1) * x + a0) / ((3 * a3 * x + 2 * a2) * x + a1)
 
@@ -113,18 +110,20 @@ def g_type2(s2: float | np.ndarray) -> float | np.ndarray:
     elementwise on arrays (a float for a float).
 
     Solved by Cardano's formula and one Newton step, every element the same
-    way whatever the array's shape.  Each root is certified: the residual
-    must stay below 1e-10, and the quadratic P(x) / (x - g) must have no
-    real root above g, so that g is the largest root.
+    way whatever the array's shape.  Each root is certified: |P(g)| must
+    stay below 1e-14 sum |a_i| |g|^i, and the quadratic P(x) / (x - g) must
+    have no real root above g, so that g is the largest root.
     """
     s = np.asarray(s2, dtype=float)
     if not (s >= 0).all():
         raise ValueError(f"slope must be nonnegative, got {s2}")
     # a 0-d slope takes the array path too: numpy's scalar arithmetic rounds differently
     flat = s.reshape(-1)
-    a3, a2, a1, _ = coeffs = _cubic_coeffs(flat)
+    a3, a2, a1, a0 = coeffs = _cubic_coeffs(flat)
     root = _max_real_root_cardano(coeffs)
-    residual = ~(np.abs(cubic_value(flat, root)) <= _CUBIC_RESIDUAL_TOL)
+    g_abs = np.abs(root)  # |P(g)| against the term scale sum |a_i| |g|^i, which grows as s^2
+    scale = ((a3 * g_abs + np.abs(a2)) * g_abs + np.abs(a1)) * g_abs + np.abs(a0)
+    residual = ~(np.abs(cubic_value(flat, root)) <= _CUBIC_RESIDUAL_REL_TOL * scale)
     if residual.any():
         raise CubicRootError(f"cubic residual too large at s2={s.flat[np.argmax(residual)]}")
     # P(x) = (x - g)(a3 x^2 + b1 x + b0) + P(g), a3 > 0

@@ -14,10 +14,6 @@ TYPE_SELECTIONS = ("both", "type1_only", "type2_only")
 PHOTON_TERMS = ("one_one_only", "up_to_two")
 # largest distance grid a config may ask for; each point is one mu optimization
 MAX_DISTANCE_POINTS = 100_000
-# largest n_cutoff a config may set.  The key has no effect: every emission
-# probability is a closed form with no photon-number cutoff.  It is still
-# validated so that existing config files load.
-CUTOFF_HARD_CAP = 200
 
 
 class ConfigError(ValueError):
@@ -38,7 +34,6 @@ class ScenarioConfig:
     mu_max: float = 1.5
     type_selection: str = "both"
     photon_terms: str = "up_to_two"
-    n_cutoff: int = 6
     spdc_pair_statistics: str = "thermal"
     output_path: str | None = None
 
@@ -72,8 +67,6 @@ class ScenarioConfig:
             raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
         if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
-        if not isinstance(self.n_cutoff, int) or not 2 <= self.n_cutoff <= CUTOFF_HARD_CAP:
-            raise ConfigError(f"source cutoff must be an integer from 2 to {CUTOFF_HARD_CAP}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError("output path must be a string or null")
 

@@ -41,9 +41,10 @@ from .sources import poisson_probs, spdc_heralded
 MU_COARSE_POINTS = 40
 MU_REL_TOL = 1e-4
 
-CSV_HEADER = (
-    "distance_km,mu_opt,G1,G2,total,total_per_pulse,e_tot_1,e_tot_2,p_herald"
+CSV_COLUMNS = (
+    "distance_km", "mu_opt", "G1", "G2", "total", "total_per_pulse", "e_tot_1", "e_tot_2", "p_herald"
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -205,25 +206,7 @@ def _fmt(x: float) -> str:
 
 
 def csv_lines(points: list[RateCurvePoint]) -> list[str]:
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    p.distance_km,
-                    p.mu_opt,
-                    p.G1,
-                    p.G2,
-                    p.total,
-                    p.total_per_pulse,
-                    p.e_tot_1,
-                    p.e_tot_2,
-                    p.p_herald,
-                )
-            )
-        )
-    return lines
+    return [CSV_HEADER] + [",".join(_fmt(getattr(p, c)) for c in CSV_COLUMNS) for p in points]
 
 
 def write_csv(points: list[RateCurvePoint], path: str) -> None:

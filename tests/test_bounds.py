@@ -13,6 +13,7 @@ from mdi_sarg04.bounds import (
     BoundResult,
     CubicRootError,
     _cubic_coeffs,
+    _depressed_cubic,
     binary_entropy,
     cubic_value,
     f_type1,
@@ -149,6 +150,33 @@ class TestTypeTwoIntercept:
             g_type2(np.linspace(0.0, S_MAX, 10))
         with pytest.raises(CubicRootError, match="not the largest"):
             g_type2(2.0)
+
+    def test_offset_root_rejected(self, monkeypatch):
+        cardano = bounds._max_real_root_cardano
+        monkeypatch.setattr(bounds, "_max_real_root_cardano", lambda coeffs: cardano(coeffs) + 1e-6)
+        with pytest.raises(CubicRootError, match="residual too large"):
+            g_type2(np.linspace(0.0, S_MAX, 10))
+
+    def test_certified_at_large_slopes(self):
+        # the coefficients grow as s^2: an absolute residual bound of 1e-10
+        # once rejected correct roots from s = 862.07 on
+        s = np.linspace(0.0, 1e4, 100_001)
+        a3, a2, a1, a0 = np.broadcast_arrays(*_cubic_coeffs(s))
+        # np.roots' companion matrices, every slope in one call; all roots are real
+        companion = np.zeros((s.size, 3, 3))
+        companion[:, 0] = -np.stack([a2, a1, a0], axis=-1) / a3[:, None]
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        largest = np.linalg.eigvals(companion).real.max(axis=-1)
+        assert np.abs(g_type2(s) - largest).max() <= 1e-14
+
+    def test_three_real_roots_for_every_slope(self):
+        # Cardano's trigonometric form holds where (q/2)^2 + (p/3)^3 < 0
+        s = np.concatenate([np.linspace(0.0, 10.0, 10_001), np.geomspace(10.0, 1e6, 10_001)])
+        _, p, q = _depressed_cubic(*_cubic_coeffs(s))
+        disc = (q / 2) ** 2 + (p / 3) ** 3
+        exact = -(4 * s**6 - 10 * s**4 + 39 * s**2 + 1) / 6912
+        assert (np.abs(disc - exact) <= 1e-12 * np.abs(exact)).all()
+        assert (disc < 0).all()
 
 
 class TestGoldenSection:

@@ -1,9 +1,11 @@
 """Configuration round-tripping and the command-line interface."""
 
 import ast
+import dataclasses
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -47,8 +49,6 @@ class TestConfig:
             {"distance_stop_km": 1e6, "distance_step_km": 1e-3},
             {"type_selection": "all"},
             {"photon_terms": "everything"},
-            {"n_cutoff": 201},
-            {"n_cutoff": 10**12},
             # JSON true and false are not numbers, nor null and strings
             {"eta": True},
             {"distance_step_km": True},
@@ -65,6 +65,13 @@ class TestConfig:
             ScenarioConfig.from_json("not json")
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json("[1, 2]")
+
+    def test_readme_schema_lists_every_field(self):
+        readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+        table = readme.split("### Config schema")[1].split("\n#")[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        keys = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
 
     def test_distance_grid(self):
         cfg = ScenarioConfig(distance_start_km=0.0, distance_stop_km=6.0, distance_step_km=2.0)
@@ -161,7 +168,7 @@ class TestCliRateCurve:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
-                {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson", "n_cutoff": 200}
+                {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson"}
             )
         )
         assert main(["rate-curve", "--config", str(cfg), "--mu", "0", "--distance", "0"]) == 0
@@ -176,6 +183,12 @@ class TestCliRateCurve:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"scenario": "warp_drive"}')
         assert main(["rate-curve", "--config", str(cfg)]) == 2
+
+    def test_unknown_config_keys_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_cutoff": 6}')
+        assert main(["rate-curve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['n_cutoff']\n"
 
 
 class TestCliOptimizeMu:

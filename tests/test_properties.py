@@ -88,7 +88,6 @@ INVALID_FIELDS = {
     "distance_step_km": st.floats(max_value=0.0) | NON_FINITE | NOT_A_NUMBER,
     "mu_min": st.floats(max_value=0.0) | NON_FINITE | NOT_A_NUMBER,
     "mu_max": st.floats(max_value=DEFAULT.mu_min) | NON_FINITE | NOT_A_NUMBER,
-    "n_cutoff": st.integers(max_value=1) | st.floats(2.5, 10.0),
     "output_path": st.integers() | st.lists(st.text(string.printable, max_size=3), max_size=2),
 }
 

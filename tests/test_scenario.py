@@ -95,16 +95,6 @@ class TestOptimizeMu:
         assert point.total > 0
         assert 0 < point.p_herald < 1
 
-    @pytest.mark.parametrize("statistics", ["thermal", "poisson"])
-    def test_source_cutoff_has_no_effect(self, statistics):
-        # emission probabilities are closed forms: n_cutoff is validated only
-        cfg = dataclasses.replace(SHORT, scenario="spdc_heralded", spdc_pair_statistics=statistics)
-        rows = []
-        for cutoff in (2, 200):
-            points = points_at(dataclasses.replace(cfg, n_cutoff=cutoff), [0.0, 40.0], 0.5)
-            rows.append([dataclasses.asdict(p) for p in points])
-        assert rows[0] == rows[1]
-
 
 class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -151,6 +141,38 @@ class TestRunSweep:
         a = csv_lines(run_sweep(SHORT))
         b = csv_lines(run_sweep(SHORT))
         assert a == b
+
+    def test_output_path_written(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        points = run_sweep(dataclasses.replace(SHORT, output_path=str(path)))
+        assert path.read_bytes() == ("\n".join(csv_lines(points)) + "\n").encode()
+
+    def test_every_config_field_changes_the_csv(self):
+        # a key that changes no output is a knob the user is told nothing about
+        base = ScenarioConfig(distance_stop_km=20.0, distance_step_km=20.0)
+        other = {
+            "scenario": "spdc_heralded",
+            "eta": 0.1,
+            "dark": 1e-5,
+            "loss_db_per_km": 0.3,
+            "ec_inefficiency": 1.1,
+            "distance_start_km": 1.0,
+            "distance_stop_km": 40.0,
+            "distance_step_km": 10.0,
+            "mu_min": 1e-3,
+            "mu_max": 1.0,
+            "type_selection": "type1_only",
+            "photon_terms": "one_one_only",
+            "spdc_pair_statistics": "poisson",
+        }
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"output_path"}
+        assert set(other) == fields
+        for name, value in other.items():
+            cfg = base
+            if name == "spdc_pair_statistics":
+                cfg = dataclasses.replace(base, scenario="spdc_heralded")
+            changed = dataclasses.replace(cfg, **{name: value})
+            assert csv_lines(run_sweep(changed)) != csv_lines(run_sweep(cfg)), name
 
 
 class TestLockstep:
