@@ -9,13 +9,12 @@ of the first scenario for the crossover comparison.
 """
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
 
 from mdi_sarg04.config import ScenarioConfig
-from mdi_sarg04.scenario import run_sweep, write_csv
+from mdi_sarg04.scenario import run_sweep
 
 
 def main(argv=None) -> int:
@@ -31,15 +30,14 @@ def main(argv=None) -> int:
     base = ScenarioConfig(distance_stop_km=args.stop_km, distance_step_km=args.step_km)
     runs = {
         "qnd_coherent": base,
-        "qnd_coherent_11_only": dataclasses.replace(base, photon_terms="one_one_only"),
-        "spdc_heralded": dataclasses.replace(base, scenario="spdc_heralded"),
-        "bb84_baseline": dataclasses.replace(base, scenario="bb84_baseline"),
+        "qnd_coherent_11_only": base._replace(photon_terms="one_one_only"),
+        "spdc_heralded": base._replace(scenario="spdc_heralded"),
+        "bb84_baseline": base._replace(scenario="bb84_baseline"),
     }
     for name, cfg in runs.items():
         t0 = time.perf_counter()
-        points = run_sweep(cfg)
         path = outdir / f"rate_curve_{name}.csv"
-        write_csv(points, str(path))
+        points = run_sweep(cfg._replace(output_path=str(path)))
         cutoff = next((p.distance_km for p in points if p.total_per_pulse <= 0), None)
         reach = f"rate reaches 0 at {cutoff:g} km" if cutoff is not None else "positive everywhere"
         print(f"{name}: {len(points)} points in {time.perf_counter() - t0:.1f}s -> {path} ({reach})")

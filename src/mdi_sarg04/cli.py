@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 check failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -15,20 +14,11 @@ import numpy as np
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
-from .scenario import _fmt, csv_lines, optimize_distances, optimize_mu, points_at
+from .scenario import _fmt, csv_lines, optimize_distances, optimize_mu, points_at, write_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
-
-
-def _write_lines(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_verify(args) -> int:
@@ -53,7 +43,7 @@ def _cmd_bounds(args) -> int:
         phase_bound(case, t, e_bit).e_ph for case in ((1, 1), (1, 2)) for t in (1, 2)
     ]
     lines += [",".join(_fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns))]
-    _write_lines(lines, args.output)
+    write_csv(lines, args.output)
     return EXIT_OK
 
 
@@ -66,7 +56,7 @@ def _cmd_mu_table(args) -> int:
     for n, m in np.ndindex(y.shape[:2]):
         row = (y[n, m, 0], ebit[n, m, 0], y[n, m, 2], ebit[n, m, 1])
         lines.append(",".join([str(n), str(m)] + [_fmt(v) for v in row]))
-    _write_lines(lines, args.output)
+    write_csv(lines, args.output)
     return EXIT_OK
 
 
@@ -81,7 +71,7 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "distance", None) is not None:
         overrides["distance_start_km"] = args.distance
         overrides["distance_stop_km"] = args.distance
-    return dataclasses.replace(config, **overrides)
+    return config._replace(**overrides)
 
 
 def _cmd_rate_curve(args) -> int:
@@ -90,7 +80,7 @@ def _cmd_rate_curve(args) -> int:
         points = points_at(config, config.distances(), args.mu)
     else:
         points = optimize_distances(config, config.distances())
-    _write_lines(csv_lines(points), args.output or config.output_path)
+    write_csv(csv_lines(points), args.output or config.output_path)
     return EXIT_OK
 
 

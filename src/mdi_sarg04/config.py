@@ -3,11 +3,8 @@
 Defaults follow the Gobby-Yuan-Shields detector and fiber parameters.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SCENARIOS = ("qnd_coherent", "spdc_heralded", "bb84_baseline")
 TYPE_SELECTIONS = ("both", "type1_only", "type2_only")
@@ -20,8 +17,9 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+# the annotations are evaluated (no `from __future__ import annotations`), so
+# the numeric fields can be read off them as `float`
+class _ScenarioConfig(NamedTuple):
     scenario: str = "qnd_coherent"
     eta: float = 0.045
     dark: float = 8.5e-7
@@ -37,13 +35,24 @@ class ScenarioConfig:
     spdc_pair_statistics: str = "thermal"
     output_path: str | None = None
 
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+
+_NUMBER_FIELDS = tuple(
+    name for name, kind in _ScenarioConfig.__annotations__.items() if kind is float
+)
+
+
+class ScenarioConfig(_ScenarioConfig):
+    """A scenario and its parameters, checked on construction (also by `_replace`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
             # JSON true/false would pass as 1/0, and null or a string fails a comparison
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if field.type == "float" and not number:
-                raise ConfigError(f"{field.name} must be a number, got {value!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.type_selection not in TYPE_SELECTIONS:
@@ -69,6 +78,14 @@ class ScenarioConfig:
             raise ConfigError("invalid mean-photon-number bounds")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError("output path must be a string or null")
+        return self
+
+    __new__.__wrapped__ = _ScenarioConfig.__new__  # the signature `help` shows
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checking constructor, so `_replace` checks too."""
+        return cls(*iterable)
 
     def distances(self) -> list[float]:
         """Points start + i*step up to stop (with 1e-9 km slack), rounded to 9 decimals."""
@@ -79,12 +96,11 @@ class ScenarioConfig:
     def to_json(self) -> str:
         import json
 
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(self._asdict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:

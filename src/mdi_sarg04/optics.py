@@ -38,7 +38,6 @@ sector is independent (phase-randomized sources).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, inf, sqrt
 from typing import NamedTuple
@@ -52,33 +51,51 @@ N_MAX_CAP = 3
 _FACTORIALS = np.array([factorial(n) for n in range(2 * N_MAX_CAP + 1)], dtype=float)
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    """Threshold-detector quantum efficiency and per-gate dark-count probability."""
-
+class _DetectorParams(NamedTuple):
     eta: float
     dark: float
 
-    def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"detector efficiency must be in (0, 1], got {self.eta}")
-        if not 0 <= self.dark < 1:
-            raise ValueError(f"dark-count probability must be in [0, 1), got {self.dark}")
+
+class DetectorParams(_DetectorParams):
+    """Threshold-detector quantum efficiency and per-gate dark-count probability."""
+
+    __slots__ = ()
+
+    def __new__(cls, eta: float, dark: float):
+        if not 0 < eta <= 1:
+            raise ValueError(f"detector efficiency must be in (0, 1], got {eta}")
+        if not 0 <= dark < 1:
+            raise ValueError(f"dark-count probability must be in [0, 1), got {dark}")
+        return super().__new__(cls, eta, dark)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checking constructor, so `_replace` checks too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fiber loss coefficient and total Alice-Bob distance (relay at midpoint)."""
-
+class _ChannelParams(NamedTuple):
     loss_db_per_km: float
     distance_km: float
 
-    def __post_init__(self):
-        if not (0 <= self.loss_db_per_km < inf and 0 <= self.distance_km < inf):
+
+class ChannelParams(_ChannelParams):
+    """Fiber loss coefficient and total Alice-Bob distance (relay at midpoint)."""
+
+    __slots__ = ()
+
+    def __new__(cls, loss_db_per_km: float, distance_km: float):
+        if not (0 <= loss_db_per_km < inf and 0 <= distance_km < inf):
             raise ValueError(
                 "loss coefficient and distance must be finite and nonnegative, got "
-                f"{self.loss_db_per_km} dB/km and {self.distance_km} km"
+                f"{loss_db_per_km} dB/km and {distance_km} km"
             )
+        return super().__new__(cls, loss_db_per_km, distance_km)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checking constructor, so `_replace` checks too."""
+        return cls(*iterable)
 
     @property
     def t_arm(self) -> float:
@@ -205,10 +222,7 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[np.ndarray, np.ndarra
             weights = 0.25 * np.array([[1, errs[0], 0, 0], [0, 0, 1, errs[1]]])
             pairs.append((basis_ket(kets[i]), basis_ket(kets[ip]), weights))
     pol_a, pol_b, weights = zip(*pairs)
-    pol = np.array([pol_a, pol_b])
-    if pol.imag.any():
-        raise ValueError("signal polarizations must be real in the x basis")
-    return pol.real[0], pol.real[1], np.array(weights, dtype=float)
+    return np.array(pol_a), np.array(pol_b), np.array(weights, dtype=float)
 
 
 def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.ndarray:

@@ -11,13 +11,13 @@ primed modes ascending; e.g. the (2,2) operators act on A1' A3' B1' B3'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .linalg import Complex, basis_ket, bell_state, filter1, filter2, kron, projector, rotation
+from .linalg import Array, basis_ket, bell_state, filter1, filter2, kron, rotation
 
 Case = tuple[int, int]
 
@@ -30,23 +30,21 @@ class FilteredOutError(ValueError):
     """The state has (numerically) zero probability of passing the filter."""
 
 
-@dataclass(frozen=True)
-class PovmSet:
+class PovmSet(NamedTuple):
     """Filter / bit-error / phase-error POVM triple for one case and type."""
 
     case: Case
     announcement_type: int
-    fil: Complex
-    bit: Complex
-    ph: Complex
+    fil: Array
+    bit: Array
+    ph: Array
 
     @property
     def dim(self) -> int:
         return self.fil.shape[0]
 
 
-@dataclass(frozen=True)
-class ErrorPair:
+class ErrorPair(NamedTuple):
     """Normalized bit and phase error rates with the filter probability."""
 
     e_bit: float
@@ -62,38 +60,42 @@ def _type_terms(announcement_type: int):
     raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
 
-def _party_ops(photons: int, k: int, angle: float):
-    """Rotated transposed-filter map for a party emitting 1 or 2 photons,
-    plus the ancillary tail ket appended to its bit/phase target."""
-    rk = rotation(k)
+def _party_ops(photons: int, ks: tuple[int, ...], angle: float) -> tuple[Array, Array]:
+    """A party's rotated transposed filters M[k] = R^k F^T, stacked over the
+    rotations ks, and their images M[k] (|i b> (x) tail) of the bit values
+    i in the bases b = z, x, shape (2, K, 2, dim), where the tail is the
+    ancillary ket |0x> of a second photon."""
+    rot = np.array([rotation(k) for k in ks])
     if photons == 1:
-        return rk @ filter1(angle).T, np.ones(1)
-    if photons == 2:
-        return kron(rk, rk) @ filter2(angle).T, basis_ket("0x")
-    raise ValueError(f"per-party photon number must be 1 or 2, got {photons}")
+        fil, tail = filter1(angle), np.ones(1)
+    elif photons == 2:
+        rot = np.einsum("kac,kbd->kabcd", rot, rot).reshape(len(ks), 4, 4)
+        fil, tail = filter2(angle), basis_ket("0x")
+    else:
+        raise ValueError(f"per-party photon number must be 1 or 2, got {photons}")
+    m = np.einsum("kij,lj->kil", rot, fil)
+    targets = np.array([[kron(basis_ket(f"{i}{b}"), tail) for i in (0, 1)] for b in "zx"])
+    return m, np.einsum("kxy,biy->bkix", m, targets)
 
 
 def _build(case: Case, announcement_type: int, angle: float) -> PovmSet:
+    """fil = w sum_k M_k M_k^T with M_k = M_A[k] (x) M_B[k], and bit (ph) =
+    w sum_(k, i) |v><v| over the joint images v of Alice's and Bob's bit
+    values i in the z (x) basis, where Bob's z bit is flipped for Type2."""
     if case not in CASES:
         raise ValueError(f"unsupported photon-number case {case}")
     n, m = case
     ks, w = _type_terms(announcement_type)
+    ma, va = _party_ops(n, ks, angle)
+    mb, vb = _party_ops(m, ks, angle)
+    if announcement_type == 2:
+        vb[0] = vb[0][:, [1, 0]]
     dim = 2 ** (n + m)
-    fil = np.zeros((dim, dim), dtype=complex)
-    bit = np.zeros((dim, dim), dtype=complex)
-    ph = np.zeros((dim, dim), dtype=complex)
-    for k in ks:
-        ma, tail_a = _party_ops(n, k, angle)
-        mb, tail_b = _party_ops(m, k, angle)
-        fil += w * (lambda M: M @ M.conj().T)(kron(ma, mb))
-        for i in (0, 1):
-            ib = i ^ 1 if announcement_type == 2 else i
-            for basis, target in (("z", bit), ("x", ph)):
-                ia_lbl = f"{i}{basis}"
-                ib_lbl = f"{ib if basis == 'z' else i}{basis}"
-                va = ma @ kron(basis_ket(ia_lbl), tail_a)
-                vb = mb @ kron(basis_ket(ib_lbl), tail_b)
-                target += w * projector(kron(va, vb))
+    gram_a = np.einsum("kac,kec->kae", ma, ma)
+    gram_b = np.einsum("kbd,kfd->kbf", mb, mb)
+    fil = w * np.einsum("kae,kbf->abef", gram_a, gram_b).reshape(dim, dim)
+    v = np.einsum("skia,skib->skiab", va, vb).reshape(2, -1, dim)
+    bit, ph = w * np.einsum("skx,sky->sxy", v, v)
     return PovmSet(case, announcement_type, fil, bit, ph)
 
 
@@ -110,22 +112,21 @@ def build_povm_perturbed(case: Case, announcement_type: int, angle: float) -> Po
     return _build(case, announcement_type, angle)
 
 
-def error_rates(povms: PovmSet, rho: Complex) -> ErrorPair:
-    """Bit/phase error rates of a (density-operator) state under a triple."""
-    rho = np.asarray(rho, dtype=complex)
+def error_rates(povms: PovmSet, rho: Array) -> ErrorPair:
+    """Bit/phase error rates of a (density-operator) state under a triple:
+    the real parts of the traces Tr(P rho), for a real or complex rho."""
+    rho = np.asarray(rho)
     if rho.shape != povms.fil.shape:
         raise ValueError(
             f"state dimension {rho.shape} does not match POVM dimension {povms.fil.shape}"
         )
-    p_fil = float(np.trace(povms.fil @ rho).real)
+    p_fil, e_bit, e_ph = np.einsum("tij,ji->t", (povms.fil, povms.bit, povms.ph), rho).real.tolist()
     if p_fil <= FILTER_TOL:
         raise FilteredOutError(f"filter probability {p_fil:g} is numerically zero")
-    e_bit = float(np.trace(povms.bit @ rho).real) / p_fil
-    e_ph = float(np.trace(povms.ph @ rho).real) / p_fil
-    return ErrorPair(e_bit=e_bit, e_ph=e_ph, p_fil=p_fil)
+    return ErrorPair(e_bit=e_bit / p_fil, e_ph=e_ph / p_fil, p_fil=p_fil)
 
 
-def attack_state_22(announcement_type: int, which: int) -> Complex:
+def attack_state_22(announcement_type: int, which: int) -> Array:
     """Eve's four-photon attack states on A1' A3' B1' B3' (canonical order).
 
     Type1 exposes the orthogonal pair mu_1, mu_2 (which = 1, 2); Type2 the
@@ -153,7 +154,7 @@ def attack_state_22(announcement_type: int, which: int) -> Complex:
     raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
 
-def project_attack_from_bell_pairs(announcement_type: int, which: int) -> Complex:
+def project_attack_from_bell_pairs(announcement_type: int, which: int) -> Array:
     """Post-measurement state (unnormalized) of the primed modes when Eve
     projects her four ancilla photons onto an attack state.
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-@dataclass(frozen=True)
-class RateCurvePoint:
+class RateCurvePoint(NamedTuple):
     distance_km: float
     mu_opt: float
     G1: float
@@ -197,7 +197,7 @@ def run_sweep(config: ScenarioConfig) -> list[RateCurvePoint]:
     """
     points = optimize_distances(config, config.distances())
     if config.output_path:
-        write_csv(points, config.output_path)
+        write_csv(csv_lines(points), config.output_path)
     return points
 
 
@@ -209,6 +209,12 @@ def csv_lines(points: list[RateCurvePoint]) -> list[str]:
     return [CSV_HEADER] + [",".join(_fmt(getattr(p, c)) for c in CSV_COLUMNS) for p in points]
 
 
-def write_csv(points: list[RateCurvePoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(points)) + "\n")
+def write_csv(lines: list[str], path: str | None = None) -> None:
+    """Write CSV lines, each ended by a newline, to the file at path, or to
+    standard output when no path is given."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)

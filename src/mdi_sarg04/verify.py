@@ -8,7 +8,7 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .povm import (
 FRONTIER_GRID = np.round(np.arange(0.0, S_MAX + 1e-9, 0.25), 10)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -76,14 +75,15 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
 
     # rotation cycles the four signal states
     worst = 0.0
+    r = linalg.rotation(1)
     for i in range(4):
-        ov = abs(np.vdot(linalg.phi_state((i + 1) % 4), linalg.rotation(1) @ linalg.phi_state(i)))
+        ov = abs(np.einsum("i,ij,j->", linalg.phi_state((i + 1) % 4), r, linalg.phi_state(i)))
         worst = max(worst, abs(ov - 1.0))
     checks.append(_check("rotation_cycles_signal_states", worst <= 1e-12, f"max deviation {worst:.3e}"))
 
     # filters are contractions: F'F <= identity
     for name, f in (("filter1", linalg.filter1()), ("filter2", linalg.filter2())):
-        m = linalg.min_eigenvalue(np.eye(f.shape[0]) - f.conj().T @ f)
+        m = linalg.min_eigenvalue(np.eye(f.shape[0]) - np.einsum("ki,kj->ij", f, f))
         checks.append(_check(f"{name}_contraction", m >= -1e-12, f"min eigenvalue {m:.3e}"))
 
     p11t1 = _povm((1, 1), 1, angle_offset)
@@ -132,7 +132,7 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
             f"(e_bit, e_ph) = ({r2.e_bit:.12f}, {r2.e_ph:.12f})",
         )
     )
-    ortho = abs(np.vdot(mu1, mu2))
+    ortho = abs(np.einsum("i,i->", mu1, mu2))
     checks.append(_check("attack_22_mu_orthogonal", ortho <= 1e-12, f"|<mu1|mu2>| = {ortho:.3e}"))
 
     p22t2 = _povm((2, 2), 2, angle_offset)
@@ -158,7 +158,7 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
 
     # heralding the attack from Bell pairs succeeds with probability 1/16
     proj = project_attack_from_bell_pairs(1, 1)
-    p_succ = float(np.vdot(proj, proj).real)
+    p_succ = float(np.einsum("i,i->", proj, proj))
     checks.append(
         _check(
             "attack_projection_probability",

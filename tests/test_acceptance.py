@@ -5,7 +5,6 @@ output) and asserts the stated tolerance.  Criteria with runtime budgets
 also assert wall-clock time.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -152,8 +151,8 @@ def test_criterion_6_rate_curve_properties():
     start = time.perf_counter()
     base = ScenarioConfig()  # GYS defaults, 0-60 km step 2
     full = run_sweep(base)
-    only = run_sweep(dataclasses.replace(base, photon_terms="one_one_only"))
-    bb84 = run_sweep(dataclasses.replace(base, scenario="bb84_baseline"))
+    only = run_sweep(base._replace(photon_terms="one_one_only"))
+    bb84 = run_sweep(base._replace(scenario="bb84_baseline"))
 
     below_bb84 = all(f.total <= b.total + 1e-12 for f, b in zip(full, bb84))
     full_ge_only = all(f.total >= o.total - 1e-12 for f, o in zip(full, only))

@@ -65,6 +65,28 @@ def test_import_loads_the_rate_path_only():
     assert out["same"]
 
 
+_DATACLASSES_PROBE = """
+import io, sys, contextlib
+from mdi_sarg04.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(repr((code, "dataclasses" in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["rate-curve", "--distance", "10"]], ids=" ".join)
+def test_cli_process_imports_no_dataclasses(argv):
+    """Every record is a NamedTuple, so no CLI process pays for importing
+    `dataclasses` or for building a dataclass."""
+    src = os.path.dirname(os.path.dirname(mdi_sarg04.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-c", _DATACLASSES_PROBE, *argv]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert ast.literal_eval(run.stdout.splitlines()[-1]) == (0, False)
+
+
 def test_lazy_names_resolve_once_and_are_listed():
     assert set(mdi_sarg04.__all__) | {"povm", "verify"} <= set(dir(mdi_sarg04))
     assert isinstance(mdi_sarg04.povm, types.ModuleType)

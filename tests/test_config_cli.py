@@ -1,7 +1,6 @@
 """Configuration round-tripping and the command-line interface."""
 
 import ast
-import dataclasses
 import json
 import math
 import pathlib
@@ -13,7 +12,7 @@ import pytest
 import mdi_sarg04
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
-from mdi_sarg04.scenario import optimize_distances
+from mdi_sarg04.scenario import optimize_distances, run_sweep
 
 
 class TestConfig:
@@ -60,6 +59,13 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(bad)
 
+    def test_replace_checks_too(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig()._replace(eta=2.0)
+        with pytest.raises(ConfigError):
+            ScenarioConfig()._replace(eta="x")
+        assert ScenarioConfig()._replace(eta=0.5).eta == 0.5
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json("not json")
@@ -71,7 +77,7 @@ class TestConfig:
         table = readme.split("### Config schema")[1].split("\n#")[0]
         rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
         keys = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
-        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+        assert sorted(keys) == sorted(ScenarioConfig._fields)
 
     def test_distance_grid(self):
         cfg = ScenarioConfig(distance_start_km=0.0, distance_stop_km=6.0, distance_step_km=2.0)
@@ -135,6 +141,21 @@ class TestCliRateCurve:
         assert main(["rate-curve", "--config", str(cfg)]) == 0
         assert configured.read_bytes() == out.read_bytes()
         assert capsys.readouterr().out == ""
+
+    def test_one_writer_for_every_route(self, tmp_path, capsys):
+        # `-o`, the config's output_path and run_sweep all write the same bytes
+        paths = {name: tmp_path / f"{name}.csv" for name in ("flag", "config", "sweep")}
+        settings = {"distance_stop_km": 6.0, "distance_step_km": 3.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "output_path": str(paths["config"])}))
+        assert main(["rate-curve", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps(settings))
+        assert main(["rate-curve", "--config", str(cfg), "-o", str(paths["flag"])]) == 0
+        run_sweep(ScenarioConfig(**settings, output_path=str(paths["sweep"])))
+        assert capsys.readouterr().out == ""
+        want = paths["sweep"].read_bytes()
+        assert want.startswith(b"distance_km,mu_opt,") and want.count(b"\n") == 4
+        assert paths["flag"].read_bytes() == paths["config"].read_bytes() == want
 
     def test_fixed_mu_single_distance(self, capsys):
         assert main(["rate-curve", "--distance", "0", "--mu", "0.5"]) == 0
@@ -226,27 +247,64 @@ class TestRatePathWithoutEigensolver:
 
 
 RATE_PATH_MODULES = ("optics", "sources", "rates", "bounds", "scenario")
-DENSE_LINEAR_ALGEBRA = frozenset(("dot", "vdot", "inner", "matmul", "tensordot", "linalg"))
+PROOF_MODULES = ("linalg", "povm", "verify")
+DENSE_LINEAR_ALGEBRA = frozenset(
+    ("dot", "vdot", "inner", "matmul", "tensordot", "matrix_power", "linalg")
+)
 
 
-@pytest.mark.parametrize("module", RATE_PATH_MODULES)
+def _module_tree(module: str) -> ast.Module:
+    return ast.parse(pathlib.Path(mdi_sarg04.__file__).with_name(f"{module}.py").read_text())
+
+
+def _eigensolve_in_min_eigenvalue(tree: ast.Module) -> set[int]:
+    """The `np.linalg` nodes of `np.linalg.eigvalsh` inside `min_eigenvalue`."""
+    allowed = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == "min_eigenvalue":
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "eigvalsh":
+                    allowed.add(id(node.value))
+    return allowed
+
+
+@pytest.mark.parametrize("module", RATE_PATH_MODULES + PROOF_MODULES)
 def test_rate_path_source_calls_no_blas(module):
-    """The rate-path modules use no matrix product and no `np.linalg`, whose
+    """The package's modules use no matrix product and no `np.linalg`, whose
     BLAS and LAPACK calls would page in the libraries; their contractions
-    are unoptimized `einsum`s, which never dispatch to BLAS."""
-    tree = ast.parse(pathlib.Path(mdi_sarg04.__file__).with_name(f"{module}.py").read_text())
+    are unoptimized `einsum`s, which never dispatch to BLAS.  The one
+    exception is the eigenvalue solve of `linalg.min_eigenvalue`."""
+    tree = _module_tree(module)
+    allowed = _eigensolve_in_min_eigenvalue(tree) if module == "linalg" else set()
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append(f"line {node.lineno}: @")
         elif isinstance(node, ast.Attribute) and node.attr in DENSE_LINEAR_ALGEBRA:
-            found.append(f"line {node.lineno}: .{node.attr}")
+            if id(node) not in allowed:
+                found.append(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.keyword) and node.arg == "optimize":
             found.append(f"line {node.value.lineno}: optimized einsum")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             names = {a.name for a in node.names}
             if node.module.startswith("numpy.linalg") or names & DENSE_LINEAR_ALGEBRA:
                 found.append(f"line {node.lineno}: from {node.module} import")
+    assert not found, found
+    if module == "linalg":
+        assert len(allowed) == 1
+
+
+@pytest.mark.parametrize("module", RATE_PATH_MODULES + PROOF_MODULES)
+def test_source_makes_no_complex_array(module):
+    """Every state and operator is real in the x basis: no module names a
+    complex dtype or writes an imaginary literal."""
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(_module_tree(module))
+        if (isinstance(node, ast.Name) and node.id == "complex")
+        or (isinstance(node, ast.Attribute) and node.attr.startswith(("complex", "cdouble")))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+    ]
     assert not found, found
 
 

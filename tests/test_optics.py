@@ -63,6 +63,17 @@ class TestParams:
             with pytest.raises(ValueError):
                 ChannelParams(loss, distance)
 
+    def test_replace_checks_too(self):
+        # NamedTuple's _replace builds through _make, which the records route
+        # through their checking constructor
+        with pytest.raises(ValueError):
+            GYS._replace(eta=1.5)
+        with pytest.raises(ValueError):
+            GYS._replace(dark=-1e-3)
+        with pytest.raises(ValueError):
+            ChannelParams(0.21, 10.0)._replace(distance_km=-1.0)
+        assert GYS._replace(eta=0.5) == DetectorParams(0.5, 8.5e-7)
+
 
 class TestThinning:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.045, 1.0])

@@ -1,6 +1,5 @@
 """Scenario sweeps, mean-photon-number optimization, CSV emission."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -57,9 +56,7 @@ class TestOptimizeMu:
     def test_zero_rate_flag(self):
         # starved configuration: tiny mu range cannot produce key at long
         # distance with one_one_only removed terms and huge dark floor
-        cfg = dataclasses.replace(
-            SHORT, dark=0.05, mu_min=1e-4, mu_max=2e-4, distance_stop_km=300.0
-        )
+        cfg = SHORT._replace(dark=0.05, mu_min=1e-4, mu_max=2e-4, distance_stop_km=300.0)
         point = optimize_mu(cfg, 300.0)
         assert point.zero_rate
         assert point.total == 0.0
@@ -67,10 +64,10 @@ class TestOptimizeMu:
     @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
     def test_optimum_row_equals_one_shot_row(self, scenario):
         # the forms optimize_mu reuses across mu must belong to its distance
-        cfg = dataclasses.replace(SHORT, scenario=scenario)
+        cfg = SHORT._replace(scenario=scenario)
         for d in (5.0, 40.0):
             p = optimize_mu(cfg, d)
-            assert dataclasses.asdict(p) == dataclasses.asdict(points_at(cfg, [d], p.mu_opt)[0])
+            assert p._asdict() == points_at(cfg, [d], p.mu_opt)[0]._asdict()
             for field, want in oracle_point(cfg, d, p.mu_opt).items():
                 assert getattr(p, field) == pytest.approx(want, rel=1e-13, abs=0.0), field
 
@@ -78,7 +75,7 @@ class TestOptimizeMu:
         "window", [(1e-4, 1.5), (0.051, 0.5), (1e-3, 0.998), (0.3, 0.7), (1e-6, 20.0)]
     )
     def test_grid_ends_at_the_window(self, window):
-        grid = mu_grid(dataclasses.replace(SHORT, mu_min=window[0], mu_max=window[1]))
+        grid = mu_grid(SHORT._replace(mu_min=window[0], mu_max=window[1]))
         assert len(grid) == MU_COARSE_POINTS
         assert (grid[0], grid[-1]) == window
         assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -90,7 +87,7 @@ class TestOptimizeMu:
         assert point.mu_opt == SHORT.mu_min
 
     def test_heralded_scenario_runs(self):
-        cfg = dataclasses.replace(SHORT, scenario="spdc_heralded")
+        cfg = SHORT._replace(scenario="spdc_heralded")
         point = optimize_mu(cfg, 0.0)
         assert point.total > 0
         assert 0 < point.p_herald < 1
@@ -127,12 +124,12 @@ class TestRunSweep:
         from mdi_sarg04.config import ConfigError
 
         with pytest.raises(ConfigError):
-            dataclasses.replace(SHORT, distance_stop_km=-1.0)
+            SHORT._replace(distance_stop_km=-1.0)
 
     def test_csv_round_trip(self, tmp_path):
         points = run_sweep(SHORT)
         path = tmp_path / "curve.csv"
-        write_csv(points, str(path))
+        write_csv(csv_lines(points), str(path))
         text = path.read_text()
         assert text.splitlines()[0].startswith("distance_km,mu_opt,")
         assert len(text.splitlines()) == len(points) + 1
@@ -144,7 +141,7 @@ class TestRunSweep:
 
     def test_output_path_written(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        points = run_sweep(dataclasses.replace(SHORT, output_path=str(path)))
+        points = run_sweep(SHORT._replace(output_path=str(path)))
         assert path.read_bytes() == ("\n".join(csv_lines(points)) + "\n").encode()
 
     def test_every_config_field_changes_the_csv(self):
@@ -165,13 +162,13 @@ class TestRunSweep:
             "photon_terms": "one_one_only",
             "spdc_pair_statistics": "poisson",
         }
-        fields = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"output_path"}
+        fields = set(ScenarioConfig._fields) - {"output_path"}
         assert set(other) == fields
         for name, value in other.items():
             cfg = base
             if name == "spdc_pair_statistics":
-                cfg = dataclasses.replace(base, scenario="spdc_heralded")
-            changed = dataclasses.replace(cfg, **{name: value})
+                cfg = base._replace(scenario="spdc_heralded")
+            changed = cfg._replace(**{name: value})
             assert csv_lines(run_sweep(changed)) != csv_lines(run_sweep(cfg)), name
 
 
