@@ -10,9 +10,9 @@ import importlib
 from .bounds import BoundResult, binary_entropy, f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, ClickPattern, DetectorParams, relay_yields
-from .rates import GainTable, KeyRateBreakdown, assemble_gains, bb84_baseline_rate
+from .rates import KeyRateBreakdown, bb84_baseline_rate
 from .scenario import RateCurvePoint, optimize_mu, run_sweep
-from .sources import poisson_source, spdc_heralded
+from .sources import spdc_heralded
 
 __all__ = [
     "BoundResult",
@@ -30,14 +30,11 @@ __all__ = [
     "attack_state_22",
     "build_povm",
     "error_rates",
-    "GainTable",
     "KeyRateBreakdown",
-    "assemble_gains",
     "bb84_baseline_rate",
     "RateCurvePoint",
     "optimize_mu",
     "run_sweep",
-    "poisson_source",
     "spdc_heralded",
     "verify_suite",
 ]

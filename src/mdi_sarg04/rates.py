@@ -16,8 +16,7 @@ type t there are three (`key_forms`):
 `key_fractions` gives G_t = pᵀ K_t p − f_EC Q_t h(E_tot,t).  The simplified
 MDI-BB84 comparator (`bb84_forms`, `bb84_baseline_rate`) uses the same
 forms.  Infinite decoy states are assumed: every per-photon-number gain and
-error rate is known exactly.  `assemble_gains` is the one-row view: the
-(N, N) gains of one pair of emission distributions and float totals.
+error rate is known exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import binary_entropy, phase_bound
-from .optics import N_MAX_DEFAULT, DetectorParams, error_rate, relay_yields
+from .optics import error_rate
 
 # probability that the broadcast rotation labels satisfy the sifting rule:
 # k = k' for Type1 (1/4), k = k' restricted to {0, 2} for Type2 (1/8)
@@ -39,34 +38,6 @@ INCLUDED_TYPES = {"both": (1, 2), "type1_only": (1,), "type2_only": (2,)}
 # the key terms (n, m), in the stacks that share one `phase_bound` call:
 # (1,1), then the mixed (1,2) and its role-swapped twin (2,1)
 KEY_TERMS = (((1, 1),), ((1, 2), (2, 1)))
-
-
-class TypeGains(NamedTuple):
-    """Gains q[n, m] = p_n p'_m S_t[n, m] and bit error rates ebit[n, m] of
-    one announcement type, with the totals q_tot = Q_t and e_tot = E_tot,t
-    (0 where nothing is detected) from its quadratic forms."""
-
-    q: np.ndarray
-    ebit: np.ndarray
-    q_tot: float
-    e_tot: float
-
-
-class GainTable(NamedTuple):
-    """Gains for both announcement types plus the heralding probability
-    (1 for non-heralded sources); rates built from this table are per
-    (heralded) pulse pair."""
-
-    type1: TypeGains
-    type2: TypeGains
-    herald_probability: float = 1.0
-
-    def for_type(self, announcement_type: int) -> TypeGains:
-        if announcement_type == 1:
-            return self.type1
-        if announcement_type == 2:
-            return self.type2
-        raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
 
 class KeyRateBreakdown(NamedTuple):
@@ -190,34 +161,3 @@ def bb84_baseline_rate(values: np.ndarray, ec_inefficiency: float) -> KeyRateBre
     total = np.where(q_all == 0, 0.0, np.maximum(k[0] + k[1] - ec, 0.0))
     zero = np.zeros(q_all.shape)
     return KeyRateBreakdown(zero, zero, total, ec, *_total_error(e, q))
-
-
-def assemble_gains(
-    p_a: np.ndarray,
-    p_b: np.ndarray,
-    det: DetectorParams,
-    t_arm: float,
-    qnd: bool = False,
-    protocol: str = "sarg04",
-    bb84_basis: str = "key",
-    n_max: int = N_MAX_DEFAULT,
-) -> GainTable:
-    """Gains Q[n, m] = p_n p_m * sift * yield for both types, from the first
-    n_max + 1 emission probabilities of each sender, with the totals of
-    their quadratic forms: the one-row view of one pair of non-heralded
-    sources.
-
-    With `qnd` the relay accepts at most one arriving photon per arm
-    (see optics.relay_yields).
-    """
-    sifted = _sifted_yields(relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd), protocol)
-    p_a, p_b = (np.asarray(p, dtype=float)[: n_max + 1] for p in (p_a, p_b))
-    q, e = form_values(sifted.reshape((4,) + sifted.shape[2:]), p_a, p_b).reshape(2, 2).T
-    e_tot = _total_error(e, q)
-    ebit = error_rate(sifted[:, 1], sifted[:, 0])
-    return GainTable(
-        *(
-            TypeGains(p_a[:, None] * p_b * sifted[t, 0], ebit[t], float(q[t]), float(e_tot[t]))
-            for t in (0, 1)
-        )
-    )

@@ -29,8 +29,6 @@ from .config import ScenarioConfig
 from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay_yields
 from .rates import (
     INCLUDED_TYPES,
-    GainTable,
-    assemble_gains,
     bb84_baseline_rate,
     bb84_forms,
     form_values,
@@ -115,17 +113,6 @@ def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple
         return breakdown.total * herald, herald, breakdown
 
     return rate
-
-
-def evaluate_gains(config: ScenarioConfig, distance_km: float, mu: float) -> GainTable:
-    """Gain table of the configured SARG04 scenario at one distance and mu:
-    the one-row view of the forms of `rate_at`."""
-    if config.scenario == "bb84_baseline":
-        raise ValueError(f"scenario {config.scenario!r} has no SARG04 gain table")
-    det, t = _relay(config, distance_km)
-    p, herald = _emission_probs(config, det, np.array([mu]))
-    gains = assemble_gains(p[0], p[0], det, t, qnd=config.scenario == "qnd_coherent")
-    return gains._replace(herald_probability=float(herald[0]))
 
 
 def mu_grid(config: ScenarioConfig) -> list[float]:

@@ -41,12 +41,6 @@ def poisson_probs(mu: np.ndarray | list[float], n_max: int) -> np.ndarray:
     return p
 
 
-def poisson_source(mu: float) -> np.ndarray:
-    """Emission probabilities p_n = exp(-mu) mu^n / n!, n <= N_MAX_DEFAULT, of
-    a phase-randomized coherent source."""
-    return poisson_probs([mu], N_MAX_DEFAULT)[0]
-
-
 def spdc_heralded(
     mu: np.ndarray | list[float],
     herald: DetectorParams,

@@ -15,7 +15,7 @@ from mdi_sarg04 import linalg
 from mdi_sarg04.bounds import cubic_value, f_type1, g_type2, phase_bound
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import ScenarioConfig
-from mdi_sarg04.optics import DetectorParams
+from mdi_sarg04.optics import DetectorParams, error_rate, relay_yields
 from mdi_sarg04.povm import (
     attack_state_22,
     build_povm,
@@ -23,9 +23,9 @@ from mdi_sarg04.povm import (
     project_attack_from_bell_pairs,
     verify_bound_certificate,
 )
-from mdi_sarg04.rates import assemble_gains
-from mdi_sarg04.scenario import evaluate_gains, run_sweep
-from mdi_sarg04.sources import poisson_source
+from mdi_sarg04.rates import form_values, key_forms
+from mdi_sarg04.scenario import run_sweep
+from mdi_sarg04.sources import poisson_probs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,21 +129,20 @@ def test_criterion_4_two_photon_attack():
 
 def test_criterion_5_two_photon_error_floor():
     ideal = DetectorParams(eta=1.0, dark=0.0)
-    src = poisson_source(0.01)
-    g = assemble_gains(src, src, ideal, 1.0)
-    floor_ok = 0.24 <= g.type1.e_tot <= 0.26 and 0.24 <= g.type2.e_tot <= 0.26
-    half_ok = all(
-        abs(t.ebit[nm] - 0.5) <= 1e-10
-        for t in (g.type1, g.type2)
-        for nm in ((2, 0), (0, 2))
-    )
-    zero_ok = all(abs(t.ebit[(1, 1)]) <= 1e-12 for t in (g.type1, g.type2))
+    src = poisson_probs([0.01], 2)[0]
+    forms = key_forms(relay_yields(ideal, 1.0))  # (S_1, E_1, K_1, S_2, E_2, K_2)
+    q, errors = form_values(forms, src, src).reshape(2, 3)[:, :2].T
+    e_tot = errors / q
+    ebit = error_rate(forms[1::3], forms[0::3])  # per type, over (n, m)
+    floor_ok = 0.24 <= e_tot[0] <= 0.26 and 0.24 <= e_tot[1] <= 0.26
+    half_ok = all(abs(e[nm] - 0.5) <= 1e-10 for e in ebit for nm in ((2, 0), (0, 2)))
+    zero_ok = all(abs(e[(1, 1)]) <= 1e-12 for e in ebit)
     ok = floor_ok and half_ok and zero_ok
     assert _report(
         5,
         "two-photon emissions pin the total error rate near 0.25",
         ok,
-        f"e_tot {g.type1.e_tot:.4f}/{g.type2.e_tot:.4f}",
+        f"e_tot {e_tot[0]:.4f}/{e_tot[1]:.4f}",
     )
 
 
@@ -157,12 +156,15 @@ def test_criterion_6_rate_curve_properties():
     below_bb84 = all(f.total <= b.total + 1e-12 for f, b in zip(full, bb84))
     full_ge_only = all(f.total >= o.total - 1e-12 for f, o in zip(full, only))
 
-    gains0 = evaluate_gains(base, 0.0, full[0].mu_opt)
+    # the QND relay's gains p_n p_m S_t[n, m] at 0 km and the optimal mu
+    det = DetectorParams(eta=base.eta, dark=base.dark)
+    p0 = poisson_probs([full[0].mu_opt], 2)[0]
+    gains0 = p0[:, None] * p0 * key_forms(relay_yields(det, 1.0, qnd=True))[0::3]
     q12_zero = (
-        gains0.type1.q[(1, 2)] == 0.0
-        and gains0.type1.q[(2, 1)] == 0.0
-        and gains0.type2.q[(1, 2)] == 0.0
-        and gains0.type2.q[(2, 1)] == 0.0
+        gains0[0][(1, 2)] == 0.0
+        and gains0[0][(2, 1)] == 0.0
+        and gains0[1][(1, 2)] == 0.0
+        and gains0[1][(2, 1)] == 0.0
     )
     zero_km_agree = abs(full[0].total - only[0].total) <= 1e-9
 

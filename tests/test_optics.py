@@ -19,9 +19,8 @@ from mdi_sarg04.optics import (
     ClickPattern,
     DetectorParams,
     _dark_count_matrix,
-    _hit_probabilities,
+    _hit_set_probabilities,
     _signal_pairs,
-    _times_photon,
     arrival_table,
     error_rate,
     relay_yields,
@@ -103,14 +102,12 @@ class TestClickClassification:
 
 
 def array_hits(a, b, pol_a, pol_b):
-    """Hit-set probabilities of one signal pair from the coefficient grid of
-    its a + b photons; any polarization stands for an arm that brings none."""
+    """Hit-set probabilities of one signal pair from the subset
+    probabilities of its a + b photons; any polarization stands for an arm
+    that brings none."""
     u = np.array([_mode_amplitudes(phi_state(0) if pol_a is None else pol_a, "a")]).real
     v = np.array([_mode_amplitudes(phi_state(0) if pol_b is None else pol_b, "b")]).real
-    poly = np.ones((1, 1, 1, 1))
-    for w in [u] * a + [v] * b:
-        poly = _times_photon(poly, w)
-    return _hit_probabilities(poly, a, b)[0]
+    return _hit_set_probabilities(u, v, max(a, b))[a, b, 0]
 
 
 def array_clicks(a, b, pol_a, pol_b, dark):
@@ -127,7 +124,7 @@ PROTOCOL_BASES = [("sarg04", "key"), ("bb84", "key"), ("bb84", "test")]
 
 class TestOutputDistribution:
     """Photon-number distribution over the output modes (reference
-    expansion) and the hit-set probabilities of the coefficient grid."""
+    expansion) and the hit-set probabilities of the subset formula."""
 
     def test_single_photon_splits_evenly(self):
         dist = output_photon_distribution(1, 0, phi_state(0), None)
@@ -137,6 +134,23 @@ class TestOutputDistribution:
         hits = array_hits(1, 0, phi_state(0), None)
         assert abs(hits.sum() - 1) < 1e-12
         assert abs(hits[LEFT_ONLY].sum() - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("case", PROTOCOL_BASES)
+    def test_hit_sets_past_the_cap(self, case):
+        # every signal pair at every (a, b) <= (4, 4), beyond N_MAX_CAP: the
+        # reference distribution summed per hit set.  True zeros leave
+        # residues of up to 4.4e-16 after the inversion, so the tolerance is
+        # absolute
+        n_max = 4
+        pol_a, pol_b, _ = _signal_pairs(*case)
+        u = np.array([_mode_amplitudes(pol, "a") for pol in pol_a]).real
+        v = np.array([_mode_amplitudes(pol, "b") for pol in pol_b]).real
+        hits = _hit_set_probabilities(u, v, n_max)
+        for a, b, x in product(range(n_max + 1), range(n_max + 1), range(len(u))):
+            want = np.zeros(16)
+            for k, p in output_photon_distribution(a, b, pol_a[x], pol_b[x]).items():
+                want[sum(1 << j for j in range(4) if k[j])] += p
+            np.testing.assert_allclose(hits[a, b, x], want, rtol=0, atol=2e-15)
 
     def test_hong_ou_mandel_bunching(self):
         # identical photons in each arm never exit on opposite sides
@@ -150,7 +164,7 @@ class TestOutputDistribution:
 
 class TestClickDistribution:
     """Click patterns of photons reaching the beamsplitter, from the
-    reference expansion and from the coefficient grid; loss acts before
+    reference expansion and from the subset formula; loss acts before
     them, as binomial thinning (TestThinning)."""
 
     def test_vacuum_no_dark(self):
@@ -233,10 +247,9 @@ class TestArrivalTable:
 
 
     def test_allocation_peak(self):
-        # the coefficient grid is real and has one axis per mode but the
-        # last, whose power the degree implies: (a+b+1)^3 floats per signal
-        # pair.  Measured 181,776 bytes under numpy 2.4; the bound leaves
-        # about 20 % for other numpy versions.
+        # the subset and hit-set probabilities take 16 floats per signal
+        # pair and (a, b) cell.  Measured 112,078 bytes under numpy 2.4; the
+        # bound, set for an earlier and larger construction, is kept.
         arrival_table(GYS.dark, "sarg04", "key", N_MAX_CAP)
         tracemalloc.start()
         try:

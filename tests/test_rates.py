@@ -11,11 +11,8 @@ from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ConfigEr
 from mdi_sarg04.optics import ChannelParams, DetectorParams, error_rate, relay_yields
 from mdi_sarg04.rates import (
     INCLUDED_TYPES,
-    GainTable,
     KeyRateBreakdown,
     SIFT_FACTOR,
-    TypeGains,
-    assemble_gains,
     bb84_baseline_rate,
     bb84_forms,
     form_values,
@@ -23,8 +20,8 @@ from mdi_sarg04.rates import (
     key_fractions,
     privacy_factors,
 )
-from mdi_sarg04.scenario import evaluate_gains, rate_at
-from mdi_sarg04.sources import poisson_probs, poisson_source, spdc_heralded
+from mdi_sarg04.scenario import rate_at
+from mdi_sarg04.sources import poisson_probs, spdc_heralded
 from tests.rate_oracle import oracle_point
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
@@ -35,6 +32,17 @@ SINGLE = np.array([0.0, 1.0, 0.0])  # emission probabilities of a single-photon 
 def bit_error_rates(y):
     """ebit[t - 1, ..., n, m] of relay yields y[..., n, m, :]."""
     return np.stack([error_rate(y[..., 1], y[..., 0]), error_rate(y[..., 3], y[..., 2])])
+
+
+def type_gains(p, det, t_arm, qnd=False, n_max=2):
+    """Per announcement type, from the SARG04 key forms at emission
+    probabilities p of both senders: the gains q[n, m] = p_n p_m S_t[n, m],
+    the bit error rates ebit[n, m] = E_t[n, m] / S_t[n, m], and the totals
+    q_tot = pᵀ S_t p and e_tot = pᵀ E_t p / q_tot."""
+    forms = key_forms(relay_yields(det, t_arm, n_max=n_max, qnd=qnd))
+    s, e = forms[0::3], forms[1::3]
+    q_tot, errors = form_values(forms, p, p).reshape(2, 3)[:, :2].T
+    return list(zip(p[:, None] * p * s, error_rate(e, s), q_tot, error_rate(errors, q_tot)))
 
 
 def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="both"):
@@ -48,84 +56,88 @@ def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="
 
 
 class TestAssembleGains:
+    """Gains of one pair of emission distributions, read off the key forms."""
+
     def test_ideal_single_photons_error_free(self):
-        g = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0)
-        assert abs(g.type1.e_tot) <= 1e-12
-        assert abs(g.type2.e_tot) <= 1e-12
+        (q1, _, q_tot1, e_tot1), (_, _, _, e_tot2) = type_gains(SINGLE, IDEAL, 1.0)
+        assert abs(e_tot1) <= 1e-12
+        assert abs(e_tot2) <= 1e-12
         # only the (1,1) entry carries weight
-        assert abs(g.type1.q_tot - g.type1.q[(1, 1)]) <= 1e-15
+        assert abs(q_tot1 - q1[(1, 1)]) <= 1e-15
 
     def test_sift_factors_applied(self):
-        g = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0)
+        (q1, *_), (q2, *_) = type_gains(SINGLE, IDEAL, 1.0)
         # ideal (1,1) relay yield is 1/8 per type before sifting
-        assert abs(g.type1.q[(1, 1)] - SIFT_FACTOR[1] * 0.125) < 1e-12
-        assert abs(g.type2.q[(1, 1)] - SIFT_FACTOR[2] * 0.125) < 1e-12
+        assert abs(q1[(1, 1)] - SIFT_FACTOR[1] * 0.125) < 1e-12
+        assert abs(q2[(1, 1)] - SIFT_FACTOR[2] * 0.125) < 1e-12
 
     def test_error_floor_near_quarter(self):
-        src = poisson_source(0.01)
-        g = assemble_gains(src, src, IDEAL, 1.0)
-        assert 0.24 <= g.type1.e_tot <= 0.26
-        assert 0.24 <= g.type2.e_tot <= 0.26
+        src = poisson_probs([0.01], 2)[0]
+        (*_, e_tot1), (*_, e_tot2) = type_gains(src, IDEAL, 1.0)
+        assert 0.24 <= e_tot1 <= 0.26
+        assert 0.24 <= e_tot2 <= 0.26
 
     def test_two_photon_gain_ratios(self):
-        src = poisson_source(0.01)
-        g = assemble_gains(src, src, IDEAL, 1.0)
-        for t in (g.type1, g.type2):
-            assert abs(t.q[(1, 1)] / 2 / t.q[(2, 0)] - 1) < 0.1
-            assert abs(t.q[(2, 0)] / t.q[(0, 2)] - 1) < 1e-9
+        src = poisson_probs([0.01], 2)[0]
+        for q, *_ in type_gains(src, IDEAL, 1.0):
+            assert abs(q[(1, 1)] / 2 / q[(2, 0)] - 1) < 0.1
+            assert abs(q[(2, 0)] / q[(0, 2)] - 1) < 1e-9
 
     def test_totals_consistent(self):
-        src = poisson_source(0.3)
-        g = assemble_gains(src, src, GYS, 0.5)
-        for t in (g.type1, g.type2):
-            assert abs(t.q_tot - sum(t.q.ravel())) <= 1e-15
-            weighted = sum((t.q * t.ebit).ravel())
-            assert abs(t.e_tot - weighted / t.q_tot) <= 1e-12
+        src = poisson_probs([0.3], 2)[0]
+        for q, ebit, q_tot, e_tot in type_gains(src, GYS, 0.5):
+            assert abs(q_tot - sum(q.ravel())) <= 1e-15
+            weighted = sum((q * ebit).ravel())
+            assert abs(e_tot - weighted / q_tot) <= 1e-12
 
     def test_symmetric_source_symmetric_gains(self):
-        src = poisson_source(0.2)
-        g = assemble_gains(src, src, GYS, 0.6)
-        for t in (g.type1, g.type2):
+        src = poisson_probs([0.2], 2)[0]
+        for q, *_ in type_gains(src, GYS, 0.6):
             for n in range(3):
                 for m in range(3):
-                    assert abs(t.q[(n, m)] - t.q[(m, n)]) <= 1e-15
+                    assert abs(q[(n, m)] - q[(m, n)]) <= 1e-15
 
     @pytest.mark.parametrize("qnd", [False, True])
     def test_wider_table(self, qnd):
         # N = 4: the (n, m) axes grow, the totals stay row-major sums and the
         # bounded key terms stay the same six
         src = poisson_probs([0.4], 3)[0]
-        g = assemble_gains(src, src, GYS, 0.5, qnd=qnd, n_max=3)
-        for t in (g.type1, g.type2):
-            assert t.q.shape == t.ebit.shape == (4, 4)
-            assert t.q_tot == sum(t.q.ravel().tolist())
-            errors = sum((t.q * t.ebit).ravel().tolist())
-            assert abs(t.e_tot - errors / t.q_tot) <= 1e-13 * t.e_tot
-        narrow = assemble_gains(src, src, GYS, 0.5, qnd=qnd)
+        wide = type_gains(src, GYS, 0.5, qnd=qnd, n_max=3)
+        for q, ebit, q_tot, e_tot in wide:
+            assert q.shape == ebit.shape == (4, 4)
+            assert q_tot == sum(q.ravel().tolist())
+            errors = sum((q * ebit).ravel().tolist())
+            assert abs(e_tot - errors / q_tot) <= 1e-13 * e_tot
+        narrow = type_gains(src[:3], GYS, 0.5, qnd=qnd)
         # the six key terms of both types, as at N = 3, zero-padded to n, m <= 3
         padded = np.zeros((2, 4, 4))
-        padded[:, :3, :3] = privacy_factors(np.stack([narrow.type1.ebit, narrow.type2.ebit]))
-        assert privacy_factors(np.stack([g.type1.ebit, g.type2.ebit])).tolist() == padded.tolist()
+        padded[:, :3, :3] = privacy_factors(np.stack([ebit for _, ebit, *_ in narrow]))
+        assert privacy_factors(np.stack([ebit for _, ebit, *_ in wide])).tolist() == padded.tolist()
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
-        src = poisson_source(0.5)
-        g = assemble_gains(src, src, GYS, 1.0, qnd=True)
-        assert g.type1.q[(1, 2)] == 0.0
-        assert g.type1.q[(2, 1)] == 0.0
-        assert g.type2.q[(1, 2)] == 0.0
+        src = poisson_probs([0.5], 2)[0]
+        (q1, *_), (q2, *_) = type_gains(src, GYS, 1.0, qnd=True)
+        assert q1[(1, 2)] == 0.0
+        assert q1[(2, 1)] == 0.0
+        assert q2[(1, 2)] == 0.0
 
     def test_qnd_rejects_heralded_source(self):
         # heralded sources meet the bare relay: with no loss, multiphoton
         # arrivals keep the gain the postselection would remove
-        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
-        assert g.type1.q[(1, 2)] > 0.0 and g.type2.q[(2, 1)] > 0.0
+        cond = spdc_heralded([0.1], GYS)[1][0]
+        (q1, *_), (q2, *_) = type_gains(cond, GYS, 1.0)
+        assert q1[(1, 2)] > 0.0 and q2[(2, 1)] > 0.0
 
     def test_heralded_probability_reported(self):
+        # the SPDC scenario evaluates the bare relay at the conditional
+        # emission probabilities and reports the joint heralding probability
+        config = ScenarioConfig(scenario="spdc_heralded")
         p_herald, cond = (v[0] for v in spdc_heralded([0.1], GYS))
-        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 0.0, 0.1)
-        assert abs(g.herald_probability - p_herald**2) < 1e-15
-        bare = assemble_gains(cond, cond, GYS, 1.0)
-        assert np.array_equal(g.type1.q, bare.type1.q) and np.array_equal(g.type2.q, bare.type2.q)
+        _, herald, b = rate_at(config, 0.0)(np.array([0.1]))
+        assert abs(herald[0] - p_herald**2) < 1e-15
+        values = form_values(key_forms(relay_yields(GYS, 1.0)), cond, cond)
+        bare = key_fractions(values, config.ec_inefficiency, INCLUDED_TYPES["both"])
+        assert (b.G1[0], b.G2[0]) == (bare.G1, bare.G2)
 
 
 class TestKeyRate:
@@ -147,7 +159,7 @@ class TestKeyRate:
         assert b.total == 0.0
 
     def test_one_one_only_drops_mixed_terms(self):
-        src = poisson_source(0.5)
+        src = poisson_probs([0.5], 2)[0]
         y = relay_yields(GYS, 0.5)
         full, only = (key_forms(y, one_one_only) for one_one_only in (False, True))
         b_full, b_only = (
@@ -232,8 +244,8 @@ class TestBb84Baseline:
         return bb84_baseline_rate(form_values(forms, p, p), 1.22)
 
     def test_ideal_lossless_single_photons(self):
-        kg = assemble_gains(SINGLE, SINGLE, IDEAL, 1.0, protocol="bb84")
-        q11 = kg.type1.q[(1, 1)] + kg.type2.q[(1, 1)]
+        y = relay_yields(IDEAL, 1.0, "bb84")[1, 1]
+        q11 = y[0] + y[2]
         assert abs(self._rate(IDEAL, 1.0, SINGLE).total - q11) < 1e-12
 
     def test_zero_yields_give_zero(self):
@@ -243,7 +255,7 @@ class TestBb84Baseline:
 
     def test_decreasing_with_distance(self):
         t_arm = np.array([10 ** (-0.21 * (d_km / 2) / 10) for d_km in (0.0, 20.0, 40.0)])
-        rates = self._rate(GYS, t_arm, poisson_source(0.3)[None]).total.tolist()
+        rates = self._rate(GYS, t_arm, poisson_probs([0.3], 2)).total.tolist()
         assert rates[0] > rates[1] > rates[2] > 0
 
 
@@ -269,28 +281,7 @@ class TestRateOracle:
 
 
 class TestRecords:
-    """The one-row records are built positionally or by keyword, with their
-    defaults, and keep their views."""
-
-    def test_gain_table_construction_and_views(self):
-        t1, t2 = (
-            TypeGains(np.full((2, 2), v), np.full((2, 2), v / 10), v, v / 10) for v in (0.2, 0.4)
-        )
-        table = GainTable(t1, t2)
-        assert table.herald_probability == 1.0
-        assert GainTable(type1=t1, type2=t2, herald_probability=0.5).herald_probability == 0.5
-        assert table.for_type(1) is t1 and table.for_type(2) is t2
-        assert (t2.q_tot, t2.e_tot) == (0.4, 0.04)
-        with pytest.raises(ValueError):
-            table.for_type(3)
-
-    def test_one_row_views_have_float_totals(self):
-        g = evaluate_gains(ScenarioConfig(scenario="spdc_heralded"), 20.0, 0.1)
-        assert isinstance(g, GainTable) and isinstance(g.type2, TypeGains)
-        assert isinstance(g.herald_probability, float)
-        for t in (g.type1, g.type2):
-            assert t.q.shape == t.ebit.shape == (3, 3)
-            assert isinstance(t.q_tot, float) and isinstance(t.e_tot, float)
+    """The records are built positionally or by keyword."""
 
     def test_breakdown_and_bound_by_keyword(self):
         b = KeyRateBreakdown(G1=0.1, G2=-0.2, total=0.1, ec_cost=0.3, e_tot_1=0.01, e_tot_2=0.02)

@@ -17,7 +17,7 @@ from mdi_sarg04.optics import (
     thinning_matrix,
 )
 from mdi_sarg04.scenario import mu_grid
-from mdi_sarg04.sources import poisson_probs, poisson_source, spdc_heralded
+from mdi_sarg04.sources import poisson_probs, spdc_heralded
 
 HERALD = DetectorParams(eta=0.045, dark=8.5e-7)
 MEAN = st.integers(0, 100) | st.floats(0.0, 100.0)
@@ -130,10 +130,10 @@ class TestEmissionProbabilities:
 
 class TestPoissonSource:
     def test_vacuum_at_zero(self):
-        assert poisson_source(0.0)[0] == 1.0
+        assert poisson_probs([0.0], 2)[0][0] == 1.0
 
     def test_term_ratio(self):
-        p = poisson_source(0.1)
+        p = poisson_probs([0.1], 2)[0]
         assert abs(p[1] / p[2] - 20.0) < 1e-9
 
     def test_mass_accounting(self):
@@ -142,7 +142,7 @@ class TestPoissonSource:
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
-            poisson_source(-0.1)
+            poisson_probs([-0.1], 2)
 
     @pytest.mark.parametrize("mu", [60.0, 80.0, 150.0])
     def test_large_mu_past_float_range_of_terms(self, mu):
@@ -157,7 +157,7 @@ class TestPoissonSource:
         p = poisson_probs([mu], 40)[0]
         assert abs(p.sum() - 1.0) <= 1e-12
         assert p.min() >= 0
-        np.testing.assert_array_equal(poisson_source(mu), p[:3])
+        np.testing.assert_array_equal(poisson_probs([mu], 2)[0], p[:3])
 
     def test_matches_log_space_oracle(self):
         # mu in [0, 150] and n <= 200, through the region where mu^n or n!
@@ -261,7 +261,7 @@ class TestLossPropagation:
     """Loss is binomial thinning p @ B(t) of the emission probabilities."""
 
     def test_identity_at_unit_transmittance(self):
-        p = poisson_source(0.3)
+        p = poisson_probs([0.3], 2)[0]
         np.testing.assert_allclose(p @ thinning_matrix(1.0, 2), p, atol=1e-15)
 
     def test_single_photon_half_loss(self):
