@@ -119,27 +119,31 @@ def form_values(forms: np.ndarray, p_a: np.ndarray, p_b: np.ndarray) -> np.ndarr
 
 
 def _total_error(e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """E_tot = pᵀ E p / Q, 0 where nothing is detected."""
-    e_tot = np.zeros(q.shape)
-    np.divide(e, q, out=e_tot, where=q > 0)
-    return e_tot
+    """E_tot = pᵀ E p / Q in place of pᵀ E p (a scalar becomes a 0-d array),
+    0 where nothing is detected."""
+    e, detected = np.asarray(e), q > 0
+    np.divide(e, q, out=e, where=detected)
+    e[~detected] = 0.0
+    return e
 
 
 def key_fractions(
     values: np.ndarray, ec_inefficiency: float, include: tuple[int, ...]
 ) -> KeyRateBreakdown:
     """Asymptotic key fractions G_t = pᵀ K_t p - f_EC Q_t h(E_tot,t) from the
-    `form_values` of `key_forms`.  Negative G_t are clamped to zero in
-    `total`, which sums the `include`d types; raw values are kept in G1/G2
-    for diagnostics."""
+    `form_values` of `key_forms`, which are overwritten.  Negative G_t are
+    clamped to zero in `total`, which sums the `include`d types; raw values
+    are kept in G1/G2 for diagnostics."""
     q, e, k = values.reshape((2, 3) + values.shape[1:]).swapaxes(0, 1)
+    # in place, and the entropy per type: the temporaries bound a grid call's
+    # memory; E_tot takes the place of pᵀ E p, the EC cost that of Q and G
+    # that of pᵀ K p
     e_tot = _total_error(e, q)
-    # per type and in place: the entropy's temporaries bound a grid call's memory
-    ec = ec_inefficiency * q
+    ec = np.multiply(q, ec_inefficiency, out=q)
     for t in (0, 1):
         ec[t] *= binary_entropy(np.minimum(e_tot[t], 1.0))
     ec_cost = ec[0] + ec[1]
-    raw = np.subtract(k, ec, out=ec)
+    raw = np.subtract(k, ec, out=k)
     total = 0.0
     for t in include:
         total = total + np.maximum(raw[t - 1], 0.0)
@@ -148,7 +152,7 @@ def key_fractions(
 
 def bb84_baseline_rate(values: np.ndarray, ec_inefficiency: float) -> KeyRateBreakdown:
     """Simplified asymptotic MDI-BB84 comparator from the `form_values` of
-    `bb84_forms`.
+    `bb84_forms`, which are overwritten.
 
     R = Q^(1,1) [1 - h(e_ph^(1,1))] - f_EC Q h(E), with the gain Q and the
     error rate E of both announcement types merged.  `total` is R clamped at

@@ -42,26 +42,45 @@ def _check(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _frontier_checks(case, atype, intercept, angle_offset) -> list[CheckResult]:
-    label = f"{case[0]}{case[1]}_type{atype}"
-    p = _povm(case, atype, angle_offset)
+def _frontier_stacks(angle_offset) -> tuple[list[str], np.ndarray]:
+    """The case and type labels, and the matrices s*bit + t(s)*fil - ph over
+    FRONTIER_GRID at the raised and lowered intercepts t*(1+1e-6) and
+    t*(1-1e-2) of each, as one stack (label, side, slope, n, n)."""
     s = FRONTIER_GRID[:, None, None]
-    t = intercept(FRONTIER_GRID)[:, None, None]
-    worst_valid = linalg.min_eigenvalue(s * p.bit + t * (1 + 1e-6) * p.fil - p.ph).min()
-    # tight at every slope: each 1 %-reduced intercept must fail
-    worst_invalid = linalg.min_eigenvalue(s * p.bit + t * (1 - 1e-2) * p.fil - p.ph).max()
-    return [
-        _check(
-            f"frontier_{label}_valid_side",
-            worst_valid >= -1e-9,
-            f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)",
-        ),
-        _check(
-            f"frontier_{label}_tightness",
-            worst_invalid <= -1e-8,
-            f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)",
-        ),
-    ]
+    intercepts = {1: f_type1(FRONTIER_GRID)[:, None, None], 2: g_type2(FRONTIER_GRID)[:, None, None]}
+    povms = {
+        f"{case[0]}{case[1]}_type{atype}": (_povm(case, atype, angle_offset), intercepts[atype])
+        for case in ((1, 2), (2, 1))
+        for atype in (1, 2)
+    }
+    dim = povms["12_type1"][0].dim
+    stack = np.empty((len(povms), 2, FRONTIER_GRID.size, dim, dim))
+    for (p, t), sides in zip(povms.values(), stack):
+        for factor, side in zip((1 + 1e-6, 1 - 1e-2), sides):
+            np.subtract(s * p.bit + t * factor * p.fil, p.ph, out=side)
+    return list(povms), stack
+
+
+def _frontier_checks(angle_offset) -> list[CheckResult]:
+    """Every frontier is PSD at the raised intercept, and tight at every
+    slope: each 1 %-reduced intercept must fail.  One eigenvalue call."""
+    labels, stack = _frontier_stacks(angle_offset)
+    checks = []
+    for label, (valid, invalid) in zip(labels, linalg.min_eigenvalue(stack)):
+        worst_valid, worst_invalid = valid.min(), invalid.max()
+        checks += [
+            _check(
+                f"frontier_{label}_valid_side",
+                worst_valid >= -1e-9,
+                f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)",
+            ),
+            _check(
+                f"frontier_{label}_tightness",
+                worst_invalid <= -1e-8,
+                f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)",
+            ),
+        ]
+    return checks
 
 
 def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
@@ -93,16 +112,13 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     )
 
     p11t2 = _povm((1, 1), 2, angle_offset)
-    m3 = linalg.min_eigenvalue(3 * p11t2.bit - p11t2.ph)
-    m29 = linalg.min_eigenvalue(2.9 * p11t2.bit - p11t2.ph)
+    m3, m29 = linalg.min_eigenvalue(np.stack([s * p11t2.bit - p11t2.ph for s in (3, 2.9)]))
     checks.append(_check("povm_11_type2_s3_psd", m3 >= -1e-10, f"min eigenvalue {m3:.3e}"))
     checks.append(
         _check("povm_11_type2_s2p9_fails", m29 <= -1e-6, f"min eigenvalue {m29:.3e}")
     )
 
-    for case in ((1, 2), (2, 1)):
-        checks.extend(_frontier_checks(case, 1, f_type1, angle_offset))
-        checks.extend(_frontier_checks(case, 2, g_type2, angle_offset))
+    checks.extend(_frontier_checks(angle_offset))
 
     # cubic root quality for the Type2 intercept
     s = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, S_MAX])

@@ -1,6 +1,7 @@
 """State/operator constructors and small-matrix utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,58 @@ class TestMinEigenvalue:
         for idx in np.ndindex(3, 5):
             assert got[idx] == min_eigenvalue(stack[idx])
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_stacks_match_eigvalsh(self, rng, dtype):
+        # np.linalg.eigvalsh is the oracle here; the package makes no LAPACK call
+        for n in range(1, 17):
+            a = rng.normal(size=(20, n, n))
+            if dtype is complex:
+                a = a + 1j * rng.normal(size=(20, n, n))
+            stack = a + a.conj().swapaxes(-1, -2)
+            want = np.linalg.eigvalsh(stack)
+            err = np.abs(min_eigenvalue(stack) - want[:, 0])
+            assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), (n, err.max())
+
+    def test_special_matrices(self):
+        v = np.arange(1.0, 6.0)
+        assert min_eigenvalue(np.array([[-2.5]])) == -2.5
+        assert min_eigenvalue(np.zeros((5, 5))) == 0.0
+        assert min_eigenvalue(np.eye(5)) == 1.0
+        cases = {
+            "rank one": (np.outer(v, v), 0.0),
+            "rank one, negative": (-np.outer(v, v), -v @ v),
+            "repeated": (np.diag([3.0, -1.0, 2.0, -1.0, -1.0]), -1.0),
+        }
+        for name, (h, want) in cases.items():
+            assert abs(min_eigenvalue(h) - want) <= 1e-14 * max(1.0, abs(want)), name
+
+    @pytest.mark.parametrize("power", [500, -500])
+    def test_extreme_scales(self, rng, power):
+        # scaling by a power of two commutes exactly with the solve, and no
+        # squared off-diagonal overflows or underflows on the way
+        a = rng.normal(size=(6, 16, 16))
+        stack = a + a.swapaxes(-1, -2)
+        factor = 2.0**power
+        got = min_eigenvalue(factor * stack)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, factor * min_eigenvalue(stack))
+        want = np.linalg.eigvalsh(stack)
+        assert (np.abs(got / factor - want[:, 0]) <= 1e-14 * np.abs(want).max(axis=1)).all()
+
+    def test_no_floating_point_warning(self, rng):
+        a = rng.normal(size=(50, 6, 6)).round(1)
+        stacks = [
+            a + a.swapaxes(-1, -2),
+            np.stack([np.diag(rng.integers(-2, 3, size=6).astype(float)) for _ in range(20)]),
+            np.kron(np.eye(3), np.ones((2, 2)))[None].repeat(3, axis=0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stack in stacks:
+                got = min_eigenvalue(stack)
+                want = np.linalg.eigvalsh(stack)[:, 0]
+                assert np.abs(got - want).max() <= 1e-13
+
     def test_non_hermitian_in_stack_rejected(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
         assert min_eigenvalue(stack[:2]).tolist() == [1.0, -2.0]
@@ -183,6 +236,8 @@ class TestMinEigenvalue:
             min_eigenvalue(stack)
         with pytest.raises(ValueError):
             min_eigenvalue(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            min_eigenvalue(np.zeros((2, 0, 0)))
 
 
 class TestPartialProject:
