@@ -71,14 +71,27 @@ from mdi_sarg04.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(repr((code, "dataclasses" in sys.modules)))
+print(repr((code, any(m in sys.modules for m in ("dataclasses", "argparse", "gettext", "locale")))))
 """
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["rate-curve", "--distance", "10"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["rate-curve", "--distance", "10"],
+        ["bounds"],
+        ["mu-table", "--n-max", "3"],
+        ["optimize-mu", "--distance", "10"],
+        ["rate-curve", "-h"],
+    ],
+    ids=" ".join,
+)
 def test_cli_process_imports_no_dataclasses(argv):
     """Every record is a NamedTuple, so no CLI process pays for importing
-    `dataclasses` or for building a dataclass."""
+    `dataclasses` or for building a dataclass; and the CLI reads its
+    arguments from its own option table, so no CLI process imports
+    `argparse` or the `gettext` and `locale` modules it loads."""
     src = os.path.dirname(os.path.dirname(mdi_sarg04.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     cmd = [sys.executable, "-c", _DATACLASSES_PROBE, *argv]

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import mdi_sarg04
-from mdi_sarg04.cli import main
+from mdi_sarg04.cli import COMMANDS, main
 from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
 from mdi_sarg04.scenario import optimize_distances, run_sweep
+from tests.test_golden import MU_TABLE
 
 
 class TestConfig:
@@ -324,8 +325,18 @@ class TestCliBadInput:
             ["rate-curve", "--config", "."],
             ["bounds", "-o", "."],
             ["mu-table", "-o", "."],
+            # parse errors: one line too, and a return rather than SystemExit
+            [],
+            ["warp-drive"],
+            ["mu-table", "--bogus", "1"],
+            ["mu-table", "--eta"],
+            ["mu-table", "--d", "10"],  # --dark or --distance
+            ["mu-table", "--n-max", "x"],
+            ["mu-table", "--protocol", "qkd"],
+            ["optimize-mu"],
+            ["optimize-mu", "--distance", "10", "stray"],
         ],
-        ids=" ".join,
+        ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_out_of_range_flag_exits_two(self, argv, capsys):
         assert main(argv) == 2
@@ -333,3 +344,50 @@ class TestCliBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+class TestCliSpellings:
+    """Every accepted spelling of a call gives the same bytes: defaults
+    left out or written out, --flag=value, unique prefixes, a repeated flag
+    (the last wins) and -o with its value attached."""
+
+    def test_defaults_spelled_out(self, capsys):
+        assert main(["mu-table"]) == 0
+        implicit = capsys.readouterr().out
+        defaults = ["--eta", "0.045", "--dark", "8.5e-7", "--loss", "0.21", "--distance", "0"]
+        assert main(["mu-table", *defaults, "--protocol", "sarg04", "--n-max", "2"]) == 0
+        assert capsys.readouterr().out == implicit
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--distance=20", "--n-max", "3"],
+            ["--dist", "20", "--n", "3"],
+            ["--distance", "5", "--n-max=3", "--distance", "20"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("protocol", sorted(MU_TABLE))
+    def test_mu_table_matches_golden(self, argv, protocol, capsys):
+        assert main(["mu-table", *argv, f"--prot={protocol}"]) == 0
+        assert capsys.readouterr().out == "\n".join(MU_TABLE[protocol]) + "\n"
+
+    @pytest.mark.parametrize("output", [["-o", "{}"], ["-o{}"], ["--out={}"]], ids=" ".join)
+    def test_output_flag(self, output, tmp_path, capsys):
+        path = tmp_path / "bounds.csv"
+        assert main(["bounds", *(arg.format(path) for arg in output)]) == 0
+        assert main(["bounds"]) == 0
+        assert path.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"]] + [[command, "-h"] for command in COMMANDS], ids=" ".join
+    )
+    def test_help_lists_every_flag(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        listed = COMMANDS if argv[0].startswith("-") else argv[:1]
+        for command in listed:
+            assert f"{command}: {COMMANDS[command][1]}" in out
+            for flag in COMMANDS[command][2]:
+                assert f" {flag} " in out, flag
