@@ -6,15 +6,14 @@ photon-number cases' phase-error bounds at their stationary slope.  The
 cubic has three real roots for every slope; the largest is solved in
 closed form (Cardano's trigonometric form, one Newton step) and each root
 is certified by its residual relative to the cubic's term scale and as the
-largest, so no eigenvalue solve runs on the rate path.
+largest, so no eigenvalue solve runs on the rate path.  Every function
+takes and returns plain floats, one slope or error rate at a time.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,44 +36,34 @@ class CubicRootError(RuntimeError):
 
 
 class BoundResult(NamedTuple):
-    """Minimized phase-error bound with the minimizing slope (arrays for an
-    array of bit error rates)."""
+    """Minimized phase-error bound with the minimizing slope."""
 
-    e_ph: float | np.ndarray
-    s_star: float | np.ndarray
+    e_ph: float
+    s_star: float
 
 
-def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
-    """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity.
-
-    Elementwise on arrays; a float for a float.
-    """
-    arr = np.asarray(x, dtype=float)
-    if ((arr < -1e-12) | (arr > 1 + 1e-12)).any():
+def binary_entropy(x: float) -> float:
+    """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity;
+    arguments within 1e-12 of [0, 1] are taken as its ends."""
+    if not -1e-12 <= x <= 1 + 1e-12:
         raise ValueError(f"entropy argument {x} outside [0, 1]")
-    edge = (arr <= 0.0) | (arr >= 1.0)
-    # -y log2(y) - (1 - y) log2(1 - y), with at most three arrays of x's size
-    y = np.where(edge, 0.5, arr)
-    h = np.log2(y)
-    h *= -y
-    np.subtract(1.0, y, out=y)
-    y *= np.log2(y)
-    h -= y
-    h = np.where(edge, 0.0, h)
-    return float(h) if h.ndim == 0 else h
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def f_type1(s1: float | np.ndarray) -> float | np.ndarray:
-    """Intercept of the Type1 (1,2) phase-error bound e_ph <= s1*e_bit + f(s1),
-    elementwise on arrays.
+def f_type1(s1: float) -> float:
+    """Intercept of the Type1 (1,2) phase-error bound e_ph <= s1*e_bit + f(s1).
 
     The discriminant 6 - 6*sqrt(2)*s1 + 4*s1^2 is positive for all real s1
     (its minimum value is 3/2 at s1 = 3*sqrt(2)/4).
     """
-    return (3 - 2 * s1 + np.sqrt(6 - 6 * SQRT2 * s1 + 4 * s1 * s1)) / 6
+    return (3 - 2 * s1 + math.sqrt(6 - 6 * SQRT2 * s1 + 4 * s1 * s1)) / 6
 
 
-def _cubic_coeffs(s2: float | np.ndarray) -> tuple:
+def _cubic_coeffs(s2):
+    """(a3, a2, a1, a0) of the cubic whose largest root is g(s2); plain
+    arithmetic, so it also maps an array of slopes."""
     return (
         4 * SQRT2,
         2 * (1 - 3 * SQRT2 + 3 * SQRT2 * s2),
@@ -83,7 +72,8 @@ def _cubic_coeffs(s2: float | np.ndarray) -> tuple:
     )
 
 
-def cubic_value(s2: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+def cubic_value(s2, x):
+    """The cubic at x, by Horner's rule; plain arithmetic, like `_cubic_coeffs`."""
     a3, a2, a1, a0 = _cubic_coeffs(s2)
     return ((a3 * x + a2) * x + a1) * x + a0
 
@@ -94,120 +84,116 @@ def _depressed_cubic(a3, a2, a1, a0) -> tuple:
     return b, c - b * b / 3, 2 * b**3 / 27 - b * c / 3 + d
 
 
-def _max_real_root_cardano(coeffs) -> np.ndarray:
+def _max_real_root_cardano(coeffs) -> float:
     a3, a2, a1, a0 = coeffs
     b, p, q = _depressed_cubic(*coeffs)
     # (q/2)^2 + (p/3)^3 = -(4 s^6 - 10 s^4 + 39 s^2 + 1)/6912 < 0 for every real s: three
     # real roots 2 r cos(theta - 2 pi j / 3), r > 0, theta in [0, pi/3], j = 0 the largest
-    r = np.sqrt(-p / 3)
-    x = 2 * r * np.cos(np.arccos(np.clip(3 * q / (2 * p * r), -1.0, 1.0)) / 3) - b / 3
+    r = math.sqrt(-p / 3)
+    x = 2 * r * math.cos(math.acos(min(max(3 * q / (2 * p * r), -1.0), 1.0)) / 3) - b / 3
     # one Newton step on P itself
     return x - (((a3 * x + a2) * x + a1) * x + a0) / ((3 * a3 * x + 2 * a2) * x + a1)
 
 
-def g_type2(s2: float | np.ndarray) -> float | np.ndarray:
-    """Intercept of the Type2 (1,2) bound: maximal real root of the cubic,
-    elementwise on arrays (a float for a float).
+def g_type2(s2: float) -> float:
+    """Intercept of the Type2 (1,2) bound: maximal real root of the cubic.
 
-    Solved by Cardano's formula and one Newton step, every element the same
-    way whatever the array's shape.  Each root is certified: |P(g)| must
-    stay below 1e-14 sum |a_i| |g|^i, and the quadratic P(x) / (x - g) must
-    have no real root above g, so that g is the largest root.
+    Solved by Cardano's formula and one Newton step.  The root is
+    certified: |P(g)| must stay below 1e-14 sum |a_i| |g|^i, and the
+    quadratic P(x) / (x - g) must have no real root above g, so that g is
+    the largest root.
     """
-    s = np.asarray(s2, dtype=float)
-    if not (s >= 0).all():
+    if not s2 >= 0:
         raise ValueError(f"slope must be nonnegative, got {s2}")
-    # a 0-d slope takes the array path too: numpy's scalar arithmetic rounds differently
-    flat = s.reshape(-1)
-    a3, a2, a1, a0 = coeffs = _cubic_coeffs(flat)
+    a3, a2, a1, a0 = coeffs = _cubic_coeffs(s2)
     root = _max_real_root_cardano(coeffs)
-    g_abs = np.abs(root)  # |P(g)| against the term scale sum |a_i| |g|^i, which grows as s^2
-    scale = ((a3 * g_abs + np.abs(a2)) * g_abs + np.abs(a1)) * g_abs + np.abs(a0)
-    residual = ~(np.abs(cubic_value(flat, root)) <= _CUBIC_RESIDUAL_REL_TOL * scale)
-    if residual.any():
-        raise CubicRootError(f"cubic residual too large at s2={s.flat[np.argmax(residual)]}")
+    g_abs = abs(root)  # |P(g)| against the term scale sum |a_i| |g|^i, which grows as s^2
+    scale = ((a3 * g_abs + abs(a2)) * g_abs + abs(a1)) * g_abs + abs(a0)
+    if not abs(cubic_value(s2, root)) <= _CUBIC_RESIDUAL_REL_TOL * scale:
+        raise CubicRootError(f"cubic residual too large at s2={s2}")
     # P(x) = (x - g)(a3 x^2 + b1 x + b0) + P(g), a3 > 0
     b1 = a2 + a3 * root
     b0 = a1 + root * b1
     disc = b1 * b1 - 4 * a3 * b0
-    above = (disc >= 0) & (np.sqrt(np.maximum(disc, 0.0)) - b1 > 2 * a3 * root)
-    if above.any():
-        i = np.argmax(above)
-        raise CubicRootError(f"root {root[i]} at s2={s.flat[i]} is not the largest")
-    return float(root[0]) if s.ndim == 0 else root.reshape(s.shape)
+    if disc >= 0 and math.sqrt(disc) - b1 > 2 * a3 * root:
+        raise CubicRootError(f"root {root} at s2={s2} is not the largest")
+    return root
 
 
-def golden_section_minimize(fun, a, b, tol: float):
-    """Golden-section search for the minimum of a unimodal function on [a, b].
-
-    Elementwise over 1-D arrays of brackets: `fun` maps an array of points,
-    one per bracket, to their values, and every bracket is shrunk until
-    b - a <= tol through the iterates its scalar search would take; a
-    bracket that reaches the tolerance is frozen while the others go on.
-    Returns the arrays (x_min, f(x_min)).
-    """
+def golden_section_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for the minimum of a unimodal function on
+    [a, b], shrinking the bracket until b - a <= tol.  Returns
+    (x_min, fun(x_min))."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    active = b - a > tol
-    while active.any():
-        left = active & (fc < fd)
-        right = active ^ left
-        # left: b, d, fd = d, c, fc and a new c; right: a, c, fc = c, d, fd and a new d
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = fun(x)
-        c, d = np.where(left, x, c), np.where(right, x, d)
-        fc, fd = np.where(left, fx, fc), np.where(right, fx, fd)
-        active = b - a > tol
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fun(d)
     x = (a + b) / 2
     return x, fun(x)
 
 
-def _cubic_partials(s: np.ndarray, x: np.ndarray) -> tuple:
+def _cubic_partials(s: float, x: float) -> tuple:
     """P, P_s, P_x, P_ss, P_sx, P_xx of the cubic P(s, x) whose largest root is g(s)."""
-    a3, a2, a1, _ = _cubic_coeffs(s)
+    a3, a2, a1, a0 = _cubic_coeffs(s)
     p_sx = 12 * SQRT2 * x + 2 - 6 * SQRT2 + 4 * SQRT2 * s
     p_s = (p_sx - 6 * SQRT2 * x) * x + SQRT2 - 1 + 2 * (1 - SQRT2) * s
     p_x, p_xx = (3 * a3 * x + 2 * a2) * x + a1, 6 * a3 * x + 2 * a2
-    return cubic_value(s, x), p_s, p_x, 4 * SQRT2 * x + 2 * (1 - SQRT2), p_sx, p_xx
+    p = ((a3 * x + a2) * x + a1) * x + a0  # cubic_value(s, x)
+    return p, p_s, p_x, 4 * SQRT2 * x + 2 * (1 - SQRT2), p_sx, p_xx
 
 
-def _type1_slope(e: np.ndarray) -> np.ndarray:
+def _type1_slope(e: float) -> float:
     """argmin over [0, S_MAX] of s*e + f(s): with c = 1 - 3e, f'(s) = -e is
-    (4s - 3 sqrt2)^2 (1 - c^2) = 6 c^2, the root with the sign of c."""
-    c = np.clip(1 - 3 * e, -1.0, 1.0)
-    with np.errstate(divide="ignore"):  # c = +-1: s = +-inf
-        s = (c * np.sqrt(6 / (1 - c * c)) + 3 * SQRT2) / 4
-    return np.clip(s, 0.0, S_MAX)
+    (4s - 3 sqrt2)^2 (1 - c^2) = 6 c^2, the root with the sign of c; at
+    c = +-1 that root is +-infinity, so the window edge S_MAX or 0."""
+    c = min(max(1 - 3 * e, -1.0), 1.0)
+    if c * c == 1.0:
+        return S_MAX if c > 0 else 0.0
+    s = (c * math.sqrt(6 / (1 - c * c)) + 3 * SQRT2) / 4
+    return min(max(s, 0.0), S_MAX)
 
 
-def _type2_slope(e: np.ndarray) -> np.ndarray:
+def _edge_slopes() -> tuple[float, float]:
+    """The bit error rates at which the Type2 objective's slope e + g' is
+    zero at S_MAX and at 0."""
+    slopes = []
+    for s in (S_MAX, 0.0):
+        _, p_s, p_x, *_ = _cubic_partials(s, g_type2(s))
+        slopes.append(p_s / p_x)
+    return slopes[0], slopes[1]
+
+
+_TYPE2_TOP, _TYPE2_BOTTOM = _edge_slopes()
+
+
+def _type2_slope(e: float) -> float:
     """argmin over [0, S_MAX] of s*e + g(s), with g' = -P_s / P_x: an edge
     where the objective's slope e + g' keeps its sign across the window, else
-    Newton steps on P = 0, P_s = e P_x in (s, x) from the Type1 slope.  They
-    run on e clipped to the range between the edges, where they converge."""
-    edges = np.array([0.0, S_MAX])
-    _, p_s, p_x, *_ = _cubic_partials(edges, g_type2(edges))
-    top, bottom = p_s[1] / p_x[1], p_s[0] / p_x[0]  # e + g' = 0 at S_MAX, at 0
-    e_in = np.clip(e, top, bottom)
-    s = _type1_slope(e_in)
+    Newton steps on P = 0, P_s = e P_x in (s, x) from the Type1 slope."""
+    if e <= _TYPE2_TOP:
+        return S_MAX
+    if e >= _TYPE2_BOTTOM:
+        return 0.0
+    s = _type1_slope(e)
     x = g_type2(s)
     for _ in range(_NEWTON_STEPS):
         p, p_s, p_x, p_ss, p_sx, p_xx = _cubic_partials(s, x)
-        r, r_s, r_x = p_s - e_in * p_x, p_ss - e_in * p_sx, p_sx - e_in * p_xx
+        r, r_s, r_x = p_s - e * p_x, p_ss - e * p_sx, p_sx - e * p_xx
         det = p_s * r_x - p_x * r_s
         s, x = s - (p * r_x - p_x * r) / det, x - (p_s * r - r_s * p) / det
-    return np.where(e <= top, S_MAX, np.where(e >= bottom, 0.0, np.clip(s, 0.0, S_MAX)))
+    return min(max(s, 0.0), S_MAX)
 
 
-def phase_bound(
-    case: tuple[int, int], announcement_type: int, e_bit: float | np.ndarray
-) -> BoundResult:
-    """Upper bound on the phase error rate from the bit error rate,
-    elementwise on arrays (floats for a float).
+def phase_bound(case: tuple[int, int], announcement_type: int, e_bit: float) -> BoundResult:
+    """Upper bound on the phase error rate from the bit error rate.
 
     (1,1) has the closed forms 1.5*e and 3*e for Type1/Type2; (1,2) and
     its role-swapped twin (2,1) minimize the convex s*e + f(s) or s*e + g(s)
@@ -215,19 +201,17 @@ def phase_bound(
     at s*, a feasible slope, so it is valid whatever the accuracy of s*,
     clamped to [0, 1]; values above 0.5 are kept (they mean "no key").
     """
-    e = np.asarray(e_bit, dtype=float)
-    if not ((e >= -1e-12) & (e <= 1 + 1e-12)).all():
+    if not -1e-12 <= e_bit <= 1 + 1e-12:
         raise ValueError(f"bit error rate {e_bit} outside [0, 1]")
-    e = np.clip(e, 0.0, 1.0)
+    e = min(max(e_bit, 0.0), 1.0)
     if announcement_type not in (1, 2):
         raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
     type1 = announcement_type == 1
     if case == (1, 1):
-        s_star, intercept = np.full(e.shape, 1.5 if type1 else 3.0), np.zeros_like
+        s_star, intercept = (1.5 if type1 else 3.0), 0.0
     elif case in ((1, 2), (2, 1)):
         s_star = _type1_slope(e) if type1 else _type2_slope(e)
-        intercept = f_type1 if type1 else g_type2
+        intercept = f_type1(s_star) if type1 else g_type2(s_star)
     else:
         raise ValueError(f"no phase-error bound for case {case}")
-    e_ph = np.clip(s_star * e + intercept(s_star), 0.0, 1.0)
-    return BoundResult(e_ph, s_star) if e.ndim else BoundResult(float(e_ph), float(s_star))
+    return BoundResult(min(max(s_star * e + intercept, 0.0), 1.0), s_star)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import sys
 import types
 
-import numpy as np
-
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
 from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
@@ -43,12 +41,13 @@ def _cmd_bounds(args) -> int:
     lines = [
         "s,f_s,g_s,e_bit,e_ph_11_t1,e_ph_11_t2,e_ph_12_t1,e_ph_12_t2"
     ]
-    s = np.round(np.arange(0.0, 5.0 + 1e-9, 0.05), 10)
-    e_bit = s / 10.0
-    columns = [s, f_type1(s), g_type2(s), e_bit] + [
-        phase_bound(case, t, e_bit).e_ph for case in ((1, 1), (1, 2)) for t in (1, 2)
-    ]
-    lines += [",".join(_fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns))]
+    for i in range(101):  # s = 0, 0.05, ..., 5, each rounded to 10 decimals
+        s = round(i * 0.05 * 1e10) / 1e10
+        e_bit = s / 10.0
+        row = [s, f_type1(s), g_type2(s), e_bit] + [
+            phase_bound(case, t, e_bit).e_ph for case in ((1, 1), (1, 2)) for t in (1, 2)
+        ]
+        lines.append(",".join(_fmt(v) for v in row))
     write_csv(lines, args.output)
     return EXIT_OK
 
@@ -57,11 +56,12 @@ def _cmd_mu_table(args) -> int:
     det = DetectorParams(eta=args.eta, dark=args.dark)
     t_arm = ChannelParams(args.loss, args.distance).t_arm
     y = relay_yields(det, t_arm, protocol=args.protocol, n_max=args.n_max)
-    ebit = error_rate(y[..., 1::2], y[..., 0::2])  # 0.5 where nothing is detected
     lines = ["n,m,yield_t1,ebit_t1,yield_t2,ebit_t2"]
-    for n, m in np.ndindex(y.shape[:2]):
-        row = (y[n, m, 0], ebit[n, m, 0], y[n, m, 2], ebit[n, m, 1])
-        lines.append(",".join([str(n), str(m)] + [_fmt(v) for v in row]))
+    for n, row in enumerate(y):
+        for m, (y1, e1, y2, e2) in enumerate(row):
+            # the bit error rates are 0.5 where nothing is detected
+            values = (y1, error_rate(e1, y1), y2, error_rate(e2, y2))
+            lines.append(",".join([str(n), str(m)] + [_fmt(v) for v in values]))
     write_csv(lines, args.output)
     return EXIT_OK
 
@@ -86,7 +86,7 @@ def _cmd_rate_curve(args) -> int:
         points = points_at(config, config.distances(), args.mu)
     else:
         points = optimize_distances(config, config.distances())
-    write_csv(csv_lines(points), args.output or config.output_path)
+    write_csv(csv_lines(points), config.output_path if args.output is None else args.output)
     return EXIT_OK
 
 
@@ -113,11 +113,19 @@ def _cmd_help(args) -> int:
     return EXIT_OK
 
 
+def path(text: str) -> str:
+    """A file path; an empty one would silently mean standard output."""
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 _CONFIG_FLAGS = {
-    "--config": (str, None, "JSON scenario config path"),
+    "--config": (path, None, "JSON scenario config path"),
     "--scenario": (str, None, "override the configured scenario"),
 }
 _REQUIRED = ...  # the default of a flag that every call must give
+_DEFAULTS = ScenarioConfig._field_defaults  # the detector and fiber of mu-table
 
 # command: (handler, help line, {flag: (type or choices, default, help)});
 # the handler reads a flag's value as the attribute named like it: --n-max
@@ -127,19 +135,19 @@ COMMANDS = {
     "bounds": (
         _cmd_bounds,
         "emit the phase-error bound tables as CSV",
-        {"--output": (str, None, "output CSV path (default stdout)")},
+        {"--output": (path, None, "output CSV path (default stdout)")},
     ),
     "mu-table": (
         _cmd_mu_table,
         "dump the relay yield/error table as CSV",
         {
-            "--eta": (float, 0.045, "detector efficiency"),
-            "--dark": (float, 8.5e-7, "dark-count probability"),
-            "--loss": (float, 0.21, "fiber loss in dB/km"),
+            "--eta": (float, _DEFAULTS["eta"], "detector efficiency"),
+            "--dark": (float, _DEFAULTS["dark"], "dark-count probability"),
+            "--loss": (float, _DEFAULTS["loss_db_per_km"], "fiber loss in dB/km"),
             "--distance": (float, 0.0, "total distance in km"),
             "--protocol": (("sarg04", "bb84"), "sarg04", "relay protocol"),
             "--n-max": (int, 2, "photon-number cutoff, 0 to 3"),
-            "--output": (str, None, "output CSV path (default stdout)"),
+            "--output": (path, None, "output CSV path (default stdout)"),
         },
     ),
     "rate-curve": (
@@ -149,7 +157,7 @@ COMMANDS = {
             **_CONFIG_FLAGS,
             "--distance": (float, None, "single-distance override (km)"),
             "--mu": (float, None, "fixed mean photon number (skip optimization)"),
-            "--output": (str, None, "output CSV path (default the config's output_path)"),
+            "--output": (path, None, "output CSV path (default the config's output_path)"),
         },
     ),
     "optimize-mu": (

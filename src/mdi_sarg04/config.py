@@ -76,8 +76,10 @@ class ScenarioConfig(_ScenarioConfig):
             raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
         if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError("output path must be a string or null")
+        # an empty path would silently mean standard output
+        path = self.output_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigError("output path must be a non-empty string or null")
         return self
 
     __new__.__wrapped__ = _ScenarioConfig.__new__  # the signature `help` shows

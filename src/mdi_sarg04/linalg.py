@@ -13,8 +13,9 @@ which never dispatch to BLAS, and `min_eigenvalue` needs no LAPACK: it
 reduces each matrix to tridiagonal form by Householder reflections and
 brackets the smallest eigenvalue by Sturm counts (Barth, Martin &
 Wilkinson, Numer. Math. 9 (1967)), in elementwise numpy.  The import-time
-constants come from `math`: numpy's scalar ufuncs at import raised every
-process's peak memory by up to about 190 KB.
+constants come from `math`, and the kets from the floats of
+`optics.SIGNAL_STATES` and `optics.BASIS_KETS`: numpy's scalar ufuncs at
+import raised every process's peak memory by up to about 190 KB.
 """
 
 from __future__ import annotations
@@ -23,22 +24,15 @@ import math
 
 import numpy as np
 
+from .optics import BASIS_KETS, SIGNAL_STATES
+
 # a float64 array (complex only where a caller passes one); a plain alias,
 # since numpy.typing costs about 1 ms to import
 Array = np.ndarray
 
 HERMITIAN_TOL = 1e-10
 
-# x-basis single-qubit kets
-_KET_0X = np.array([1.0, 0.0])
-_KET_1X = np.array([0.0, 1.0])
-_KET_0Z = (_KET_0X + _KET_1X) / math.sqrt(2)
-_KET_1Z = (_KET_0X - _KET_1X) / math.sqrt(2)
-
-_BASIS_KETS = {"0x": _KET_0X, "1x": _KET_1X, "0z": _KET_0Z, "1z": _KET_1Z}
-
-_COS8 = math.cos(math.pi / 8)
-_SIN8 = math.sin(math.pi / 8)
+_BASIS_KETS = {label: np.array(ket) for label, ket in BASIS_KETS.items()}
 
 
 def basis_ket(label: str) -> Array:
@@ -52,15 +46,9 @@ def basis_ket(label: str) -> Array:
 def phi_state(i: int) -> Array:
     """SARG04 signal state: cos(pi/8)|0x> +/- sin(pi/8)|1x> and the
     sin-leading pair, indexed i = 0..3."""
-    if i == 0:
-        return _COS8 * _KET_0X + _SIN8 * _KET_1X
-    if i == 1:
-        return _COS8 * _KET_0X - _SIN8 * _KET_1X
-    if i == 2:
-        return _SIN8 * _KET_0X - _COS8 * _KET_1X
-    if i == 3:
-        return _SIN8 * _KET_0X + _COS8 * _KET_1X
-    raise ValueError(f"signal-state index must be 0..3, got {i}")
+    if i not in (0, 1, 2, 3):
+        raise ValueError(f"signal-state index must be 0..3, got {i}")
+    return np.array(SIGNAL_STATES[i])
 
 
 # (cos, sin) of k pi/4 for k = 0..3, with exact zeros

@@ -26,8 +26,9 @@ through passive linear optics, so the response factors exactly in two:
   the 16 subsets turns the P_S into the P(H), so terms cancel: against the
   reference Fock expansion of the tests, the n_max = 3 tables of both
   protocols are within 2.5e-16 absolute and 7.9e-15 relative at dark
-  counts from 0 to 0.5, and their exact zeros stay 0.  Every contraction
-  is an unoptimized `einsum` (no BLAS);
+  counts from 0 to 0.5, and their exact zeros stay 0.  The table is built
+  in plain Python floats, one (a, b) cell at a time, and each sum runs in
+  a fixed order;
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s = t_arm * eta.
 
@@ -35,21 +36,28 @@ The response to an (n, m) emission is Y[n, m] = sum_ab B[n, a] B[m, b]
 A[a, b].  The relay's nondemolition postselection of <= 1 arriving photon
 per arm acts between channel and detectors, so it only cuts the columns
 of the channel thinning: B = B(t_arm)[:, :2] B(eta).  Each photon-number
-sector is independent (phase-randomized sources).
+sector is independent (phase-randomized sources).  `relay` builds the
+table once and thins it at each transmittance it is called with.
+
+Tables are nested lists: A[a][b] and Y[n][m] are lists of four floats.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import product
-from math import comb, inf, sqrt
+from math import comb, cos, inf, pi, sin, sqrt
 from typing import NamedTuple
-
-import numpy as np
-
-from .linalg import basis_ket, phi_state
 
 N_MAX_DEFAULT = 2
 N_MAX_CAP = 3
+
+# x-basis components of the SARG04 signal states |phi_i> and of the BB84
+# kets; `linalg` builds its vectors from these
+_COS8, _SIN8 = cos(pi / 8), sin(pi / 8)
+SIGNAL_STATES = ((_COS8, _SIN8), (_COS8, -_SIN8), (_SIN8, -_COS8), (_SIN8, _COS8))
+_HALF = 1 / sqrt(2)
+BASIS_KETS = {"0x": (1.0, 0.0), "1x": (0.0, 1.0), "0z": (_HALF, _HALF), "1z": (_HALF, -_HALF)}
 
 
 class _DetectorParams(NamedTuple):
@@ -125,54 +133,78 @@ class ClickPattern(NamedTuple):
         return None
 
 
+# pattern p fires detector j where bit j of p is set; a detector subset or
+# hit set is indexed the same way
 _ALL_PATTERNS = [ClickPattern(*(bool((p >> j) & 1) for j in range(4))) for p in range(16)]
-_PATTERN_CLICKS = np.array(_ALL_PATTERNS, dtype=bool)
-# _PATTERN_TYPES[p, t - 1] is 1 where pattern p announces type t
-_PATTERN_TYPES = np.array([[pat.classify() == t for t in (1, 2)] for pat in _ALL_PATTERNS], float)
-# _MOBIUS[S, H] = (-1)^|H - S| where S lies inside H, else 0: from the
-# probabilities that every photon lands inside S to those that the photons
-# hit exactly H
-_MOBIUS = np.array(
-    [[0.0 if s & ~h else (-1.0) ** (h ^ s).bit_count() for h in range(16)] for s in range(16)]
-)
+# _PATTERN_TYPES[p][t - 1] is 1.0 where pattern p announces type t
+_PATTERN_TYPES = [[float(pat.classify() == t) for t in (1, 2)] for pat in _ALL_PATTERNS]
+# the Moebius step from the probabilities that every photon lands inside S
+# to those that the photons hit exactly H: for each S, every H containing
+# S with its sign (-1)^|H - S|
+_SUPERSETS = [
+    [(h, (-1.0) ** (h ^ s).bit_count()) for h in range(16) if not s & ~h] for s in range(16)
+]
 
 
-def thinning_matrix(s: float | np.ndarray, n_max: int) -> np.ndarray:
-    """Binomial thinning B[..., n, k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
-    the probability that k of n photons survive, each with probability s;
-    one matrix per element of an array s."""
-    k = np.arange(n_max + 1)
-    binom = np.array([[comb(n, j) for j in k] for n in k], dtype=float)
-    s = np.asarray(s, dtype=float)[..., None]
-    return binom * (s**k)[..., None, :] * ((1 - s) ** k)[..., np.maximum(k[:, None] - k, 0)]
+def thinning_matrix(s: float, n_max: int) -> list[list[float]]:
+    """Binomial thinning B[n][k] = C(n, k) s^k (1-s)^(n-k) for n, k <= n_max:
+    the probability that k of n photons survive, each with probability s."""
+    return [
+        [comb(n, k) * s**k * (1 - s) ** (n - k) if k <= n else 0.0 for k in range(n_max + 1)]
+        for n in range(n_max + 1)
+    ]
 
 
-def _hit_set_probabilities(u: np.ndarray, v: np.ndarray, n_max: int) -> np.ndarray:
-    """P[a, b, x, H]: probability that a photons with the real output-mode
+def _subset_sums(u, v) -> list[list[tuple[float, float, float]]]:
+    """(alpha_S, beta_S, gamma_S) of every signal pair x and detector subset
+    S: the sums of u[x][j]^2, v[x][j]^2 and u[x][j] v[x][j] over j in S."""
+    sums = []
+    for ux, vx in zip(u, v):
+        row = []
+        for s in range(16):
+            alpha = beta = gamma = 0.0
+            for j in range(4):
+                if s >> j & 1:
+                    alpha += ux[j] * ux[j]
+                    beta += vx[j] * vx[j]
+                    gamma += ux[j] * vx[j]
+            row.append((alpha, beta, gamma))
+        sums.append(row)
+    return sums
+
+
+def _hit_set_probabilities(sums, a: int, b: int) -> list[list[float]]:
+    """P[x][H]: probability that a photons with the real output-mode
     amplitudes u[x] and b with v[x], u[x].v[x] = 0, hit exactly the detector
-    set H (indexed like `_ALL_PATTERNS`), for a, b <= n_max: the subset
-    probabilities P_S of the module docstring through `_MOBIUS`."""
-    # the detector subsets S are indexed like the patterns
-    alpha, beta, gamma = (np.einsum("xj,sj->xs", w, _PATTERN_CLICKS) for w in (u * u, v * v, u * v))
-    n = range(n_max + 1)
-    pow_a, pow_b = ([w**i for i in n] for w in (alpha, beta))
-    pow_g = [gamma ** (2 * k) for k in n]
-    inside = np.empty((n_max + 1, n_max + 1, *alpha.shape))
-    for a, b in product(n, n):
-        inside[a, b] = sum(
-            comb(a, k) * comb(b, k) * pow_a[a - k] * pow_b[b - k] * pow_g[k]
-            for k in reversed(range(min(a, b) + 1))
-        )
-    return np.einsum("abxs,sh->abxh", inside, _MOBIUS)
+    set H (indexed like `_ALL_PATTERNS`), from the `_subset_sums` of u and
+    v: the subset probabilities P_S of the module docstring through the
+    Moebius step."""
+    terms = [(comb(a, k) * comb(b, k), a - k, b - k, 2 * k) for k in reversed(range(min(a, b) + 1))]
+    out = []
+    for row in sums:
+        hits = [0.0] * 16
+        for (alpha, beta, gamma), supersets in zip(row, _SUPERSETS):
+            inside = 0.0
+            for c, i, j, k in terms:
+                inside += c * alpha**i * beta**j * gamma**k
+            for h, sign in supersets:
+                hits[h] += sign * inside
+        out.append(hits)
+    return out
 
 
-def _dark_count_matrix(dark: float) -> np.ndarray:
-    """D[H, pattern]: probability that dark counts turn the hit set H into
+def _dark_count_matrix(dark: float) -> list[list[float]]:
+    """D[H][pattern]: probability that dark counts turn the hit set H into
     the click pattern (both indexed like `_ALL_PATTERNS`): a hit detector
     fires, any other with probability `dark`."""
-    hit = _PATTERN_CLICKS[:, None, :]
-    clicks = _PATTERN_CLICKS[None, :, :]
-    return np.where(hit, clicks, np.where(clicks, dark, 1 - dark)).prod(axis=2)
+    out = []
+    for hit in _ALL_PATTERNS:
+        row = []
+        for clicks in _ALL_PATTERNS:
+            f = [float(c) if h else (dark if c else 1 - dark) for h, c in zip(hit, clicks)]
+            row.append(f[0] * f[1] * f[2] * f[3])
+        out.append(row)
+    return out
 
 
 # Flip rules per (basis, type): True means the accepted Bell outcome is
@@ -181,10 +213,11 @@ def _dark_count_matrix(dark: float) -> np.ndarray:
 _BB84_ANTICORRELATED = {("key", 1): True, ("key", 2): True, ("test", 1): True, ("test", 2): False}
 
 
-def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The protocol's signal-state pairs, stacked: Alice's and Bob's real
-    polarizations (X, 2) and W (X, 2, 4), which maps each pair's (Type1,
-    Type2) probabilities to its share of (yield_1, error_1, yield_2, error_2).
+def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[list, list, list]:
+    """The protocol's signal-state pairs: Alice's and Bob's real
+    polarizations, one (x, z) pair of floats per signal pair, and W[x], a
+    2 x 4 list mapping the pair's (Type1, Type2) probabilities to its share
+    of (yield_1, error_1, yield_2, error_2).
 
     SARG04 averages uniformly over the bit pairs and over the accepted
     rotations R^k|phi_i> = +/-|phi_(i+k mod 4)> (all k for Type1, k in
@@ -197,8 +230,8 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[np.ndarray, np.ndarra
     if protocol == "sarg04":
         for i, ip, k in product((0, 1), (0, 1), range(4)):
             w2 = 1 / 8 if k in (0, 2) else 0.0
-            weights = [[1 / 16, (i == ip) / 16, 0, 0], [0, 0, w2, w2 * (i != ip)]]
-            pairs.append((phi_state((i + k) % 4), phi_state((ip + k) % 4), weights))
+            weights = [[1 / 16, (i == ip) / 16, 0.0, 0.0], [0.0, 0.0, w2, w2 * (i != ip)]]
+            pairs.append((SIGNAL_STATES[(i + k) % 4], SIGNAL_STATES[(ip + k) % 4], weights))
     elif protocol != "bb84":
         raise ValueError(f"unknown protocol {protocol!r}")
     elif bb84_basis not in ("key", "test"):
@@ -206,62 +239,127 @@ def _signal_pairs(protocol: str, bb84_basis: str) -> tuple[np.ndarray, np.ndarra
     else:
         kets = ("0x", "1x") if bb84_basis == "key" else ("0z", "1z")
         for i, ip in product((0, 1), (0, 1)):
-            errs = [(i == ip) == _BB84_ANTICORRELATED[(bb84_basis, t)] for t in (1, 2)]
-            weights = 0.25 * np.array([[1, errs[0], 0, 0], [0, 0, 1, errs[1]]])
-            pairs.append((basis_ket(kets[i]), basis_ket(kets[ip]), weights))
+            errs = [0.25 * ((i == ip) == _BB84_ANTICORRELATED[(bb84_basis, t)]) for t in (1, 2)]
+            weights = [[0.25, errs[0], 0.0, 0.0], [0.0, 0.0, 0.25, errs[1]]]
+            pairs.append((BASIS_KETS[kets[i]], BASIS_KETS[kets[ip]], weights))
     pol_a, pol_b, weights = zip(*pairs)
-    return np.array(pol_a), np.array(pol_b), np.array(weights, dtype=float)
+    return list(pol_a), list(pol_b), list(weights)
 
 
-def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.ndarray:
-    """Lossless arrival table A[a, b] = (yield_1, error_1, yield_2, error_2)
+def arrival_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> list:
+    """Lossless arrival table A[a][b] = [yield_1, error_1, yield_2, error_2]
     for a, b <= n_max photons reaching the beamsplitter, where error_t is
     the error-weighted yield of announcement type t: the hit-set
-    probabilities of all signal pairs contracted with their dark-count
-    response D @ _PATTERN_TYPES @ W, shape (X, 16, 4)."""
+    probabilities of every signal pair x summed against its dark-count
+    response R[x][H] = D @ _PATTERN_TYPES @ W[x], over x, then H."""
     if not 0 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max must be in [0, {N_MAX_CAP}], got {n_max}")
     pol_a, pol_b, weights = _signal_pairs(protocol, bb84_basis)
     # one photon enters (L0x, L1x, R0x, R1x) with amplitudes pol / sqrt(2),
     # sign-flipped on the right for Bob's arm
-    u = np.concatenate([pol_a, pol_a], axis=1) / sqrt(2)
-    v = np.concatenate([pol_b, -pol_b], axis=1) / sqrt(2)
-    dark_types = np.einsum("hp,pt->ht", _dark_count_matrix(dark), _PATTERN_TYPES)
-    response = np.einsum("ht,xtc->xhc", dark_types, weights)
-    return np.einsum("abxh,xhc->abc", _hit_set_probabilities(u, v, n_max), response)
+    root2 = sqrt(2)
+    u = [(x / root2, z / root2, x / root2, z / root2) for x, z in pol_a]
+    v = [(x / root2, z / root2, -x / root2, -z / root2) for x, z in pol_b]
+    sums = _subset_sums(u, v)
+    # D @ _PATTERN_TYPES: per hit set, the probability of announcing each type
+    dark_types = []
+    for row in _dark_count_matrix(dark):
+        d1 = d2 = 0.0
+        for d, (type1, type2) in zip(row, _PATTERN_TYPES):
+            d1 += d * type1
+            d2 += d * type2
+        dark_types.append((d1, d2))
+    response = [
+        [tuple(d1 * w[0][c] + d2 * w[1][c] for c in range(4)) for d1, d2 in dark_types]
+        for w in weights
+    ]
+    return [
+        [
+            _combine(
+                (p, r)
+                for hits, resp in zip(_hit_set_probabilities(sums, a, b), response)
+                for p, r in zip(hits, resp)
+            )
+            for b in range(n_max + 1)
+        ]
+        for a in range(n_max + 1)
+    ]
 
 
-def relay_yields(
+def _combine(terms) -> list[float]:
+    """The sum of w c over the (w, c) of terms, for each entry of the
+    four-entry rows c, term by term in order."""
+    y1 = e1 = y2 = e2 = 0.0
+    for w, (c0, c1, c2, c3) in terms:
+        y1 += w * c0
+        e1 += w * c1
+        y2 += w * c2
+        e2 += w * c3
+    return [y1, e1, y2, e2]
+
+
+def relay(
     det: DetectorParams,
-    t_arm: float | np.ndarray,
     protocol: str = "sarg04",
     bb84_basis: str = "key",
     n_max: int = N_MAX_DEFAULT,
     qnd: bool = False,
-) -> np.ndarray:
-    """Y[n, m] = (yield_1, error_1, yield_2, error_2) of the relay for every
-    emission n, m <= n_max: the arrival table thinned by each arm's loss.
-    For a 1-D array of transmittances, one contraction gives Y at all of
-    them, shape (D, n_max + 1, n_max + 1, 4).
+) -> Callable[[float], list]:
+    """t_arm -> relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd):
+    the arrival table is built here, once, and each call thins it at one
+    transmittance."""
+    cut = min(n_max, 1) if qnd else n_max
+    table = arrival_table(det.dark, protocol, bb84_basis, cut)
+    detector = thinning_matrix(det.eta, cut)
+
+    def yields(t_arm: float) -> list:
+        if qnd:
+            channel = [row[: cut + 1] for row in thinning_matrix(t_arm, n_max)]
+            thin = [[_dot(row, column) for column in zip(*detector)] for row in channel]
+        else:
+            thin = thinning_matrix(t_arm * det.eta, n_max)
+        return [
+            [
+                _combine(
+                    (ta * tb, cell)
+                    for ta, table_a in zip(thin_n, table)
+                    for tb, cell in zip(thin_m, table_a)
+                )
+                for thin_m in thin
+            ]
+            for thin_n in thin
+        ]
+
+    return yields
+
+
+def _dot(x, y) -> float:
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
+def relay_yields(
+    det: DetectorParams,
+    t_arm: float,
+    protocol: str = "sarg04",
+    bb84_basis: str = "key",
+    n_max: int = N_MAX_DEFAULT,
+    qnd: bool = False,
+) -> list:
+    """Y[n][m] = [yield_1, error_1, yield_2, error_2] of the relay for every
+    emission n, m <= n_max: the arrival table thinned by each arm's loss
+    at the one-arm transmittance t_arm.
 
     With `qnd` the relay accepts at most one arriving photon per arm, so
     only arrivals {0, 1} of the channel thinning reach the detectors.
     """
-    cut = min(n_max, 1) if qnd else n_max
-    table = arrival_table(det.dark, protocol, bb84_basis, cut)
-    if qnd:
-        channel = thinning_matrix(t_arm, n_max)[..., : cut + 1]
-        thin = np.einsum("...ik,kj->...ij", channel, thinning_matrix(det.eta, cut))
-    else:
-        thin = thinning_matrix(np.multiply(t_arm, det.eta), n_max)
-    return np.einsum("...ia,...jb,abc->...ijc", thin, thin, table)
+    return relay(det, protocol, bb84_basis, n_max, qnd)(t_arm)
 
 
-def error_rate(errors: float | np.ndarray, detections: float | np.ndarray) -> float | np.ndarray:
+def error_rate(errors: float, detections: float) -> float:
     """Bit error rate errors / detections, the uninformative 0.5 where
-    nothing is detected; elementwise on arrays, a float for floats.  Formed
-    only where a ratio is consumed: phase bounds, BB84 phase error, mu-table."""
-    errors, detections = np.asarray(errors, dtype=float), np.asarray(detections, dtype=float)
-    rate = np.full(np.broadcast_shapes(errors.shape, detections.shape), 0.5)
-    np.divide(errors, detections, out=rate, where=detections > 0)
-    return float(rate) if rate.ndim == 0 else rate
+    nothing is detected.  Formed only where a ratio is consumed: phase
+    bounds, BB84 phase error, mu-table."""
+    return errors / detections if detections > 0 else 0.5

@@ -9,24 +9,21 @@ emitted, and the heralding probability is the optimization weight so the
 optimum is per pump pulse.
 
 The rate is a set of quadratic forms in the emission vector whose
-matrices depend on the relay alone (see `rates`): a sweep builds them for
-every distance at once, then evaluates the whole mu grid over (distance,
-mu) in one call and the mu search of every distance in lockstep.
+matrices depend on the relay alone (see `rates`): a sweep builds the
+relay's arrival table once, then takes one distance at a time, builds its
+forms and evaluates them at each mean photon number of its mu search.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
-import numpy as np
-
 from .bounds import golden_section_minimize
 from .config import ScenarioConfig
-from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay_yields
+from .optics import N_MAX_DEFAULT, ChannelParams, DetectorParams, relay
 from .rates import (
     INCLUDED_TYPES,
     bb84_baseline_rate,
@@ -62,57 +59,59 @@ class RateCurvePoint(NamedTuple):
         return self.total * self.p_herald
 
 
-def _relay(config: ScenarioConfig, distance_km) -> tuple[DetectorParams, float | np.ndarray]:
-    """Relay detector and one-arm transmittance at one distance, or the
-    array of them at each of a sequence of distances."""
+def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
+    """The configured scenario's (emission, rates_at): mu -> (p, joint
+    heralding probability), and distance -> (p, herald) -> (key rate per
+    pump pulse, herald, KeyRateBreakdown).  The relay's arrival table is
+    built here once, and the forms of a distance once per distance; the
+    emission probabilities do not depend on the distance."""
     det = DetectorParams(eta=config.eta, dark=config.dark)
-    if np.ndim(distance_km):
-        return det, np.array([ChannelParams(config.loss_db_per_km, d).t_arm for d in distance_km])
-    return det, ChannelParams(config.loss_db_per_km, distance_km).t_arm
-
-
-def _emission_probs(config: ScenarioConfig, det: DetectorParams, mu: np.ndarray) -> tuple:
-    """Emission probabilities p[..., n] for n <= N_MAX_DEFAULT and the joint
-    heralding probability, at every mean photon number of the array mu."""
-    flat = mu.ravel()
-    if config.scenario != "spdc_heralded":
-        p, herald = poisson_probs(flat, N_MAX_DEFAULT), np.ones(flat.size)
+    f_ec, include = config.ec_inefficiency, INCLUDED_TYPES[config.type_selection]
+    bb84 = config.scenario == "bb84_baseline"
+    if bb84:
+        key, test = (relay(det, "bb84", basis) for basis in ("key", "test"))
     else:
-        p_herald, p = spdc_heralded(flat, det, N_MAX_DEFAULT, config.spdc_pair_statistics)
-        herald = p_herald * p_herald
-    return p.reshape(mu.shape + (N_MAX_DEFAULT + 1,)), herald.reshape(mu.shape)
+        yields = relay(det, qnd=config.scenario == "qnd_coherent")
+        one_one_only = config.photon_terms == "one_one_only"
+
+    def emission(mu: float) -> tuple[list[float], float]:
+        if config.scenario != "spdc_heralded":
+            return poisson_probs(mu, N_MAX_DEFAULT), 1.0
+        p_herald, p = spdc_heralded(mu, det, N_MAX_DEFAULT, config.spdc_pair_statistics)
+        return p, p_herald * p_herald
+
+    def rates_at(distance_km: float) -> Callable[[list[float], float], tuple]:
+        t_arm = ChannelParams(config.loss_db_per_km, distance_km).t_arm
+        if bb84:
+            forms = bb84_forms(key(t_arm), test(t_arm))
+        else:
+            forms = key_forms(yields(t_arm), one_one_only)
+
+        def rate(p: list[float], herald: float) -> tuple:
+            values = form_values(forms, p, p)
+            if bb84:
+                breakdown = bb84_baseline_rate(values, f_ec)
+            else:
+                breakdown = key_fractions(values, f_ec, include)
+            return breakdown.total * herald, herald, breakdown
+
+        return rate
+
+    return emission, rates_at
 
 
-def rate_at(config: ScenarioConfig, distance_km) -> Callable[[np.ndarray], tuple]:
+def rate_at(config: ScenarioConfig, distance_km: float) -> Callable[[float], tuple]:
     """mu -> (key rate per pump pulse, joint heralding probability,
-    KeyRateBreakdown), for every scenario.
+    KeyRateBreakdown) at one distance, for every scenario.
 
-    At one distance mu is a 1-D array and the results run over it.  At a
-    sequence of D distances the results are (D, K) for a grid of K points
-    shared by every distance (mu of shape (1, K)), and (D, 1) for one mu
-    per distance (mu of shape (D, 1)).  The six matrices of the rate's
-    quadratic forms depend on the distance only and are built here once for
-    all distances: the relay yields in one contraction, the phase-error
-    bounds in one array call per type and intercept.  A call evaluates
-    them at the emission probabilities of every (distance, mu) in one
-    einsum, with no (n, m) temporaries.
+    The six matrices of the rate's quadratic forms depend on the distance
+    only and are built here once: the relay yields, and the phase-error
+    bounds of their key terms.  A call evaluates them at the emission
+    probabilities of one mean photon number.
     """
-    det, t = _relay(config, distance_km)
-    if config.scenario == "bb84_baseline":
-        forms = bb84_forms(*(relay_yields(det, t, "bb84", basis) for basis in ("key", "test")))
-        fractions = bb84_baseline_rate
-    else:
-        y = relay_yields(det, t, qnd=config.scenario == "qnd_coherent")
-        forms = key_forms(y, config.photon_terms == "one_one_only")
-        fractions = functools.partial(key_fractions, include=INCLUDED_TYPES[config.type_selection])
-    forms = forms[:, ..., None, :, :]  # a mu axis after the distances
-
-    def rate(mu: np.ndarray):
-        p, herald = _emission_probs(config, det, mu)
-        breakdown = fractions(form_values(forms, p, p), config.ec_inefficiency)
-        return breakdown.total * herald, herald, breakdown
-
-    return rate
+    emission, rates_at = _rates(config)
+    rate = rates_at(distance_km)
+    return lambda mu: rate(*emission(mu))
 
 
 def mu_grid(config: ScenarioConfig) -> list[float]:
@@ -126,30 +125,33 @@ def mu_grid(config: ScenarioConfig) -> list[float]:
 
 def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[RateCurvePoint]:
     """Maximize the per-pulse key rate over the mean photon number at every
-    distance, all distances in lockstep.
+    distance, one distance at a time.
 
-    The whole coarse logarithmic grid is evaluated over (distance, mu) in
-    one call, whose largest array holds the six form values, (6, D, K).
-    Golden-section search then refines log mu to 1e-4 within one grid step
-    either side of each distance's best grid point, every distance through
-    the iterates of its own search: a bracket at a grid edge is half as
-    wide and finishes earlier, and a distance whose best grid rate is 0
-    keeps that point without a search.  Both senders share the same mu.
+    The whole coarse logarithmic grid is evaluated, then golden-section
+    search refines log mu to 1e-4 within one grid step either side of the
+    best grid point: a bracket at a grid edge is half as wide, and a
+    distance whose best grid rate is 0 keeps that point without a search.
+    Both senders share the same mu.
     """
-    rate = rate_at(config, distances)
-    grid = mu_grid(config)
-    rates = rate(np.array([grid]))[0]
-    best = np.argmax(rates, axis=1)
-    best_rate = rates[np.arange(len(distances)), best]
-    live = best_rate > 0.0
-    log_grid = np.array([math.log(m) for m in grid])
-    lo = np.where(live, log_grid[np.maximum(best - 1, 0)], log_grid[best])
-    hi = np.where(live, log_grid[np.minimum(best + 1, len(grid) - 1)], log_grid[best])
-    log_mu, neg = golden_section_minimize(
-        lambda x: -rate(np.exp(x)[:, None])[0][:, 0], lo, hi, MU_REL_TOL
-    )
-    mu_opt = np.where(live & (-neg >= best_rate), np.exp(log_mu), np.array(grid)[best])
-    return _points(distances, mu_opt.tolist(), rate(mu_opt[:, None]))
+    (emission, rates_at), grid = _rates(config), mu_grid(config)
+    grid_emission = [emission(mu) for mu in grid]
+    log_grid = [math.log(m) for m in grid]
+    points = []
+    for distance in distances:
+        rate = rates_at(distance)
+        rates = [rate(p, herald)[0] for p, herald in grid_emission]
+        best_rate = max(rates)
+        best = rates.index(best_rate)
+        mu_opt = grid[best]
+        if best_rate > 0.0:
+            lo, hi = log_grid[max(best - 1, 0)], log_grid[min(best + 1, len(grid) - 1)]
+            log_mu, neg = golden_section_minimize(
+                lambda x: -rate(*emission(math.exp(x)))[0], lo, hi, MU_REL_TOL
+            )
+            if -neg >= best_rate:
+                mu_opt = math.exp(log_mu)
+        points.append(_point(distance, mu_opt, rate(*emission(mu_opt))))
+    return points
 
 
 def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
@@ -160,30 +162,29 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
 
 def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list[RateCurvePoint]:
     """Rate-curve rows of the configured scenario at a fixed mu, one per
-    distance, from one evaluation over all of them."""
-    mus = [mu] * len(distances)
-    return _points(distances, mus, rate_at(config, distances)(np.array(mus)[:, None]))
+    distance."""
+    emission, rates_at = _rates(config)
+    p, herald = emission(mu)
+    return [_point(d, mu, rates_at(d)(p, herald)) for d in distances]
 
 
-def _points(distances: list[float], mus: list[float], result: tuple) -> list[RateCurvePoint]:
-    """Rows of a `rate_at` result over D distances with one mu each."""
+def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
+    """The row of a `rate_at` result at one distance and mu."""
     rate, herald, b = result
-    columns = [c[:, 0] for c in (rate, b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2, herald)]
-    return [
-        RateCurvePoint(d, mu, *row[1:], zero_rate=row[0] <= 0.0)
-        for d, mu, row in zip(distances, mus, zip(*(c.tolist() for c in columns)))
-    ]
+    return RateCurvePoint(
+        distance_km, mu, b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2, herald, zero_rate=rate <= 0.0
+    )
 
 
 def run_sweep(config: ScenarioConfig) -> list[RateCurvePoint]:
-    """Optimize mu at every distance on the grid, in lockstep (see
-    `optimize_distances`); write CSV to the config's output_path if set.
+    """Optimize mu at every distance on the grid (see `optimize_distances`);
+    write CSV to the config's output_path if set.
 
     Output is deterministic for a fixed config; the config rejects an empty
     distance grid.
     """
     points = optimize_distances(config, config.distances())
-    if config.output_path:
+    if config.output_path is not None:
         write_csv(csv_lines(points), config.output_path)
     return points
 
@@ -198,10 +199,10 @@ def csv_lines(points: list[RateCurvePoint]) -> list[str]:
 
 def write_csv(lines: list[str], path: str | None = None) -> None:
     """Write CSV lines, each ended by a newline, to the file at path, or to
-    standard output when no path is given."""
+    standard output when path is None."""
     text = "\n".join(lines) + "\n"
-    if path:
+    if path is None:
+        sys.stdout.write(text)
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)

@@ -47,7 +47,10 @@ def _frontier_stacks(angle_offset) -> tuple[list[str], np.ndarray]:
     FRONTIER_GRID at the raised and lowered intercepts t*(1+1e-6) and
     t*(1-1e-2) of each, as one stack (label, side, slope, n, n)."""
     s = FRONTIER_GRID[:, None, None]
-    intercepts = {1: f_type1(FRONTIER_GRID)[:, None, None], 2: g_type2(FRONTIER_GRID)[:, None, None]}
+    intercepts = {
+        t: np.array([intercept(x) for x in FRONTIER_GRID.tolist()])[:, None, None]
+        for t, intercept in ((1, f_type1), (2, g_type2))
+    }
     povms = {
         f"{case[0]}{case[1]}_type{atype}": (_povm(case, atype, angle_offset), intercepts[atype])
         for case in ((1, 2), (2, 1))
@@ -121,11 +124,10 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     checks.extend(_frontier_checks(angle_offset))
 
     # cubic root quality for the Type2 intercept
-    s = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, S_MAX])
-    g = g_type2(s)
-    worst_res = np.abs(cubic_value(s, g)).max()
+    g = {s: g_type2(s) for s in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, S_MAX)}
+    worst_res = max(abs(cubic_value(s, root)) for s, root in g.items())
     checks.append(_check("g_cubic_residual", worst_res <= 1e-10, f"max residual {worst_res:.3e}"))
-    g0 = float(g[0])
+    g0 = g[0.0]
     checks.append(_check("g_at_zero_is_one", abs(g0 - 1.0) <= 1e-10, f"g(0) = {g0!r}"))
 
     # (2,2) attack states reach phase error 0.5

@@ -5,8 +5,8 @@ The creation-operator monomials of each arm are expanded over the four
 output modes as dicts of occupation tuples, multiplied out term by term,
 and every output occupation's click probabilities are formed with dark
 counts on each detector directly.  It is slow and shares no expansion code
-with `mdi_sarg04.optics`, which computes the same table as an array
-program; the tests compare the two.
+with `mdi_sarg04.optics`, which computes the same table from subset
+probabilities; the tests compare the two.
 """
 
 from math import factorial, prod, sqrt
@@ -14,7 +14,9 @@ from math import factorial, prod, sqrt
 import numpy as np
 
 from mdi_sarg04.linalg import Array
-from mdi_sarg04.optics import _PATTERN_CLICKS, _PATTERN_TYPES, N_MAX_CAP, _signal_pairs
+from mdi_sarg04.optics import _ALL_PATTERNS, _PATTERN_TYPES, N_MAX_CAP, _signal_pairs
+
+_PATTERN_CLICKS = np.array(_ALL_PATTERNS)
 
 
 def _mode_amplitudes(pol: Array, arm: str) -> list[complex]:
@@ -80,5 +82,5 @@ def oracle_table(dark: float, protocol: str, bb84_basis: str, n_max: int) -> np.
         for b in range(n_max + 1):
             for pol_a, pol_b, weights in zip(*_signal_pairs(protocol, bb84_basis)):
                 clicks = lossless_clicks(a, b, pol_a, pol_b, dark)
-                table[a, b] += clicks @ _PATTERN_TYPES @ weights
+                table[a, b] += clicks @ np.array(_PATTERN_TYPES) @ np.array(weights)
     return table

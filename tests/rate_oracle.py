@@ -44,13 +44,13 @@ def oracle_point(config: ScenarioConfig, distance_km: float, mu: float) -> dict[
     det = DetectorParams(eta=config.eta, dark=config.dark)
     t_arm = ChannelParams(config.loss_db_per_km, distance_km).t_arm
     if config.scenario == "spdc_heralded":
-        p = spdc_heralded([mu], det, N_MAX, config.spdc_pair_statistics)[1][0].tolist()
+        p = spdc_heralded(mu, det, N_MAX, config.spdc_pair_statistics)[1]
     else:
-        p = poisson_probs([mu], N_MAX)[0].tolist()
+        p = poisson_probs(mu, N_MAX)
     f = config.ec_inefficiency
     if config.scenario == "bb84_baseline":
         return _bb84(det, t_arm, p, f)
-    y = relay_yields(det, t_arm, qnd=config.scenario == "qnd_coherent").tolist()
+    y = relay_yields(det, t_arm, qnd=config.scenario == "qnd_coherent")
     key_terms = [(1, 1)] if config.photon_terms == "one_one_only" else [(1, 1), (1, 2), (2, 1)]
     out = {}
     for t in (1, 2):
@@ -69,8 +69,8 @@ def oracle_point(config: ScenarioConfig, distance_km: float, mu: float) -> dict[
 
 
 def _bb84(det: DetectorParams, t_arm: float, p: list[float], f: float) -> dict[str, float]:
-    key = relay_yields(det, t_arm, "bb84", "key").tolist()
-    test = relay_yields(det, t_arm, "bb84", "test").tolist()
+    key = relay_yields(det, t_arm, "bb84", "key")
+    test = relay_yields(det, t_arm, "bb84", "test")
     out = {"G1": 0.0, "G2": 0.0}
     q_all = errors_all = q11 = 0.0
     for t in (1, 2):

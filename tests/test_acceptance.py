@@ -129,11 +129,12 @@ def test_criterion_4_two_photon_attack():
 
 def test_criterion_5_two_photon_error_floor():
     ideal = DetectorParams(eta=1.0, dark=0.0)
-    src = poisson_probs([0.01], 2)[0]
+    src = poisson_probs(0.01, 2)
     forms = key_forms(relay_yields(ideal, 1.0))  # (S_1, E_1, K_1, S_2, E_2, K_2)
-    q, errors = form_values(forms, src, src).reshape(2, 3)[:, :2].T
+    q, errors = np.array(form_values(forms, src, src)).reshape(2, 3)[:, :2].T
     e_tot = errors / q
-    ebit = error_rate(forms[1::3], forms[0::3])  # per type, over (n, m)
+    forms = np.array(forms)
+    ebit = np.vectorize(error_rate)(forms[1::3], forms[0::3])  # per type, over (n, m)
     floor_ok = 0.24 <= e_tot[0] <= 0.26 and 0.24 <= e_tot[1] <= 0.26
     half_ok = all(abs(e[nm] - 0.5) <= 1e-10 for e in ebit for nm in ((2, 0), (0, 2)))
     zero_ok = all(abs(e[(1, 1)]) <= 1e-12 for e in ebit)
@@ -158,8 +159,8 @@ def test_criterion_6_rate_curve_properties():
 
     # the QND relay's gains p_n p_m S_t[n, m] at 0 km and the optimal mu
     det = DetectorParams(eta=base.eta, dark=base.dark)
-    p0 = poisson_probs([full[0].mu_opt], 2)[0]
-    gains0 = p0[:, None] * p0 * key_forms(relay_yields(det, 1.0, qnd=True))[0::3]
+    p0 = np.array(poisson_probs(full[0].mu_opt, 2))
+    gains0 = p0[:, None] * p0 * np.array(key_forms(relay_yields(det, 1.0, qnd=True)))[0::3]
     q12_zero = (
         gains0[0][(1, 2)] == 0.0
         and gains0[0][(2, 1)] == 0.0

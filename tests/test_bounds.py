@@ -49,22 +49,23 @@ class TestBinaryEntropy:
 
     def test_tolerance_band(self):
         # arguments within 1e-12 of [0, 1] are taken as its ends; beyond, they raise
-        assert binary_entropy(np.array([0.0, 1.0, -1e-12, 1 + 1e-12])).tolist() == [0.0] * 4
-        for bad in (-2e-12, 1 + 2e-12, np.array([0.5, 1.1])):
+        assert [binary_entropy(x) for x in (0.0, 1.0, -1e-12, 1 + 1e-12)] == [0.0] * 4
+        for bad in (-2e-12, 1 + 2e-12, 1.1):
             with pytest.raises(ValueError):
                 binary_entropy(bad)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1e-12, 1 + 1e-12), min_size=1, max_size=50))
     def test_array_equals_float_calls(self, xs):
-        h = binary_entropy(np.array(xs))
-        assert h.tolist() == [binary_entropy(x) for x in xs]
-        assert binary_entropy(np.array(xs).reshape(1, -1)).tolist() == [h.tolist()]
+        # the entropy a sweep row takes of a numpy float equals that of the float alone
+        h = [binary_entropy(x) for x in np.array(xs)]
+        assert h == [binary_entropy(x) for x in xs]
+        assert all(type(v) in (float, np.float64) for v in h)
 
     def test_matches_log2_reference(self):
         tails = [np.geomspace(1e-300, 0.5, 301), 1 - np.geomspace(1e-16, 0.5, 201)]
         x = np.concatenate(tails + [np.linspace(0, 1, 1001)[1:-1]])
-        for v, h in zip(x.tolist(), binary_entropy(x).tolist()):
+        for v, h in zip(x.tolist(), [binary_entropy(v) for v in x.tolist()]):
             reference = -v * math.log2(v) - (1 - v) * math.log2(1 - v)
             assert math.isclose(h, reference, rel_tol=1e-15), v
 
@@ -119,16 +120,17 @@ class TestTypeTwoIntercept:
         with pytest.raises(ValueError):
             g_type2(-0.5)
         with pytest.raises(ValueError):
-            g_type2(np.array([0.5, -0.5]))
+            g_type2(np.float64(-0.5))
         with pytest.raises(ValueError):
-            g_type2(np.array([0.5, np.nan]))
+            g_type2(np.nan)
 
     def test_batched_equals_scalar_root(self):
         # s = 0 and s = 1 zero the constant coefficient, which np.roots strips
         s = np.concatenate(
             [[0.0, 1e-6, 1.0, S_MAX - 1e-6, S_MAX], np.random.default_rng(5).uniform(0, S_MAX, 200)]
         )
-        batched = g_type2(s).tolist()
+        # a sweep over slopes equals the same slope alone, as float or numpy float
+        batched = [g_type2(x) for x in s]
         assert batched == [g_type2(x) for x in s.tolist()]
         # oracle: the companion-matrix eigenvalues of np.roots, slope by slope
         for x, g in zip(s.tolist(), batched):
@@ -136,18 +138,17 @@ class TestTypeTwoIntercept:
             assert abs(g - roots[np.abs(roots.imag) < 1e-8].real.max()) <= 1e-14, x
 
     def test_residual_across_window(self):
-        s = np.linspace(0.0, S_MAX, 100_001)
-        assert np.abs(cubic_value(s, g_type2(s))).max() <= 1e-14
+        s = np.linspace(0.0, S_MAX, 100_001).tolist()
+        assert max(abs(cubic_value(x, g_type2(x))) for x in s) <= 1e-14
 
     def test_smaller_root_rejected(self, monkeypatch):
         # the middle root has zero residual; only the maximality certificate catches it
         def middle_root(coeffs):
-            rows = zip(*np.broadcast_arrays(*coeffs))
-            return np.array([np.sort(np.roots(row).real)[1] for row in rows])
+            return float(np.sort(np.roots(coeffs).real)[1])
 
         monkeypatch.setattr(bounds, "_max_real_root_cardano", middle_root)
         with pytest.raises(CubicRootError, match="not the largest"):
-            g_type2(np.linspace(0.0, S_MAX, 10))
+            [g_type2(x) for x in np.linspace(0.0, S_MAX, 10).tolist()]
         with pytest.raises(CubicRootError, match="not the largest"):
             g_type2(2.0)
 
@@ -155,7 +156,7 @@ class TestTypeTwoIntercept:
         cardano = bounds._max_real_root_cardano
         monkeypatch.setattr(bounds, "_max_real_root_cardano", lambda coeffs: cardano(coeffs) + 1e-6)
         with pytest.raises(CubicRootError, match="residual too large"):
-            g_type2(np.linspace(0.0, S_MAX, 10))
+            [g_type2(x) for x in np.linspace(0.0, S_MAX, 10).tolist()]
 
     def test_certified_at_large_slopes(self):
         # the coefficients grow as s^2: an absolute residual bound of 1e-10
@@ -167,7 +168,7 @@ class TestTypeTwoIntercept:
         companion[:, 0] = -np.stack([a2, a1, a0], axis=-1) / a3[:, None]
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0
         largest = np.linalg.eigvals(companion).real.max(axis=-1)
-        assert np.abs(g_type2(s) - largest).max() <= 1e-14
+        assert np.abs(np.array([g_type2(x) for x in s.tolist()]) - largest).max() <= 1e-14
 
     def test_three_real_roots_for_every_slope(self):
         # Cardano's trigonometric form holds where (q/2)^2 + (p/3)^3 < 0
@@ -181,11 +182,10 @@ class TestTypeTwoIntercept:
 
 class TestGoldenSection:
     def test_quadratic_minimum(self):
-        lo, hi = np.array([0.0]), np.array([4.0])
-        x, fx = golden_section_minimize(lambda x: (x - 1.3) ** 2 + 2.0, lo, hi, 1e-8)
-        assert x.shape == fx.shape == (1,)
-        assert abs(x[0] - 1.3) < 1e-6
-        assert abs(fx[0] - 2.0) < 1e-12
+        x, fx = golden_section_minimize(lambda x: (x - 1.3) ** 2 + 2.0, 0.0, 4.0, 1e-8)
+        assert type(x) is type(fx) is float
+        assert abs(x - 1.3) < 1e-6
+        assert abs(fx - 2.0) < 1e-12
 
 
 class TestPhaseBound:
@@ -252,13 +252,16 @@ class TestPhaseBound:
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_array_equals_scalar(self, t):
+        # the bounds of a sweep over error rates, as numpy floats, equal each
+        # rate's bound alone, for both role-swapped cases
         e = np.linspace(0.0, 1.0, 1001)
         scalar = [phase_bound((1, 2), t, x) for x in e.tolist()]
         for case in ((1, 2), (2, 1)):
-            r = phase_bound(case, t, e)
-            assert r.e_ph.tolist() == [b.e_ph for b in scalar]
-            assert r.s_star.tolist() == [b.s_star for b in scalar]
-        assert phase_bound((1, 2), t, e.reshape(77, 13)).e_ph.shape == (77, 13)
+            r = [phase_bound(case, t, x) for x in e]
+            assert [b.e_ph for b in r] == [b.e_ph for b in scalar]
+            assert [b.s_star for b in r] == [b.s_star for b in scalar]
+        grid = [[phase_bound((1, 2), t, x).e_ph for x in row] for row in e.reshape(77, 13)]
+        assert grid == np.reshape([b.e_ph for b in scalar], (77, 13)).tolist()
 
     @pytest.mark.parametrize("case", [(1, 2), (2, 1)])
     @pytest.mark.parametrize("t, intercept", [(1, f_type1), (2, g_type2)])
@@ -266,16 +269,18 @@ class TestPhaseBound:
         # oracle: golden-section search over the whole window to 1e-6, the
         # objective at a feasible slope and so itself a valid bound
         e = np.linspace(0.0, 1.0, 1001)
-        lo, hi = np.zeros(e.size), np.full(e.size, S_MAX)
-        _, golden = golden_section_minimize(lambda s: s * e + intercept(s), lo, hi, 1e-6)
+        golden = np.array(
+            [golden_section_minimize(lambda s: s * x + intercept(s), 0, S_MAX, 1e-6)[1] for x in e]
+        )
         golden = np.clip(golden, 0.0, 1.0)
-        r = phase_bound(case, t, e)
+        r = BoundResult(*np.array([phase_bound(case, t, x) for x in e.tolist()]).T)
         key = golden < 0.5
         assert (r.e_ph[key] <= golden[key] + 1e-15).all()
         # e_ph >= 0.5 carries no key
         assert (r.e_ph[~key] <= golden[~key] + 1e-14).all()
         assert ((0.0 <= r.s_star) & (r.s_star <= S_MAX)).all()
-        assert r.e_ph.tolist() == np.clip(r.s_star * e + intercept(r.s_star), 0.0, 1.0).tolist()
+        intercepts = np.array([intercept(s) for s in r.s_star.tolist()])
+        assert r.e_ph.tolist() == np.clip(r.s_star * e + intercepts, 0.0, 1.0).tolist()
         if t == 1:
             # inside the window f'(s) = -e has the closed-form minimum
             inside = (0.0 < r.s_star) & (r.s_star < S_MAX)
@@ -285,7 +290,7 @@ class TestPhaseBound:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            phase_bound((1, 2), 1, np.array([0.1, 1.5]))
+            phase_bound((1, 2), 1, np.float64(1.5))
         with pytest.raises(ValueError):
             phase_bound((1, 2), 1, 1.5)
         with pytest.raises(ValueError):

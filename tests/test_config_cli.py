@@ -56,6 +56,8 @@ class TestConfig:
             {"dark": False},
             {"eta": None},
             {"distance_stop_km": "60"},
+            # an empty output path is no path, not standard output
+            {"output_path": ""},
         ):
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(bad)
@@ -206,6 +208,14 @@ class TestCliRateCurve:
         cfg.write_text('{"scenario": "warp_drive"}')
         assert main(["rate-curve", "--config", str(cfg)]) == 2
 
+    def test_empty_output_path_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output_path": "", "distance_stop_km": 0.0}')
+        assert main(["rate-curve", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: output path must be a non-empty string or null\n"
+
     def test_unknown_config_keys_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n_cutoff": 6}')
@@ -261,6 +271,7 @@ class TestRatePathWithoutEigensolver:
 
 
 RATE_PATH_MODULES = ("optics", "sources", "rates", "bounds", "scenario")
+NUMPY_FREE_MODULES = ("config", "bounds", "optics", "sources", "rates", "scenario", "cli")
 PROOF_MODULES = ("linalg", "povm", "verify")
 DENSE_LINEAR_ALGEBRA = frozenset(
     ("dot", "vdot", "inner", "matmul", "tensordot", "matrix_power", "linalg")
@@ -288,6 +299,26 @@ def test_rate_path_source_calls_no_blas(module):
             names = {a.name for a in node.names}
             if node.module.startswith("numpy.linalg") or names & DENSE_LINEAR_ALGEBRA:
                 found.append(f"line {node.lineno}: from {node.module} import")
+    assert not found, found
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE_MODULES)
+def test_rate_path_imports_no_numpy(module):
+    """The rate path and the CLI are plain Python: no import of numpy, at
+    module level or inside a function, so that only `verify` loads it."""
+    found = []
+    for node in ast.walk(_module_tree(module)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name == "numpy" or name.startswith("numpy.")
+        ]
     assert not found, found
 
 
@@ -335,6 +366,12 @@ class TestCliBadInput:
             ["mu-table", "--protocol", "qkd"],
             ["optimize-mu"],
             ["optimize-mu", "--distance", "10", "stray"],
+            # an empty output path is rejected, not taken as standard output
+            ["bounds", "--output="],
+            ["bounds", "-o", ""],
+            ["mu-table", "-o="],
+            ["rate-curve", "--distance", "0", "--output="],
+            ["rate-curve", "--config="],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
@@ -350,6 +387,23 @@ class TestCliSpellings:
     """Every accepted spelling of a call gives the same bytes: defaults
     left out or written out, --flag=value, unique prefixes, a repeated flag
     (the last wins) and -o with its value attached."""
+
+    def test_mu_table_defaults_come_from_the_config(self, capsys):
+        # the detector and fiber of mu-table are the scenario config's defaults
+        defaults = ScenarioConfig._field_defaults
+        assert main(["mu-table", "-h"]) == 0
+        flag_lines = {
+            line.split(":")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  --")
+        }
+        for flag, field in (("--eta", "eta"), ("--dark", "dark"), ("--loss", "loss_db_per_km")):
+            assert flag_lines[f"{flag} FLOAT"].endswith(f" (default {defaults[field]})"), flag
+        assert main(["mu-table"]) == 0
+        implicit = capsys.readouterr().out
+        explicit = [f"--eta={defaults['eta']}", f"--dark={defaults['dark']}"]
+        assert main(["mu-table", *explicit, f"--loss={defaults['loss_db_per_km']}"]) == 0
+        assert capsys.readouterr().out == implicit
 
     def test_defaults_spelled_out(self, capsys):
         assert main(["mu-table"]) == 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mdi_sarg04.linalg import phi_state, rotation
 from mdi_sarg04.optics import (
-    _PATTERN_CLICKS,
+    _ALL_PATTERNS,
     _PATTERN_TYPES,
     N_MAX_CAP,
     ChannelParams,
@@ -21,8 +21,10 @@ from mdi_sarg04.optics import (
     _dark_count_matrix,
     _hit_set_probabilities,
     _signal_pairs,
+    _subset_sums,
     arrival_table,
     error_rate,
+    relay,
     relay_yields,
     thinning_matrix,
 )
@@ -40,7 +42,7 @@ GYS = DetectorParams(eta=0.045, dark=8.5e-7)
 def row(n, m, det, t_arm, protocol="sarg04", bb84_basis="key"):
     """(yield_1, ebit_1, yield_2, ebit_2) of an (n, m) emission: the relay
     yields with the bit error rates formed from them."""
-    y = relay_yields(det, t_arm, protocol, bb84_basis, max(n, m))[n, m]
+    y = relay_yields(det, t_arm, protocol, bb84_basis, max(n, m))[n][m]
     return y[0], error_rate(y[1], y[0]), y[2], error_rate(y[3], y[2])
 
 
@@ -81,8 +83,8 @@ class TestThinning:
         for n in range(13):
             for k in range(13):
                 want = comb(n, k) * s**k * (1 - s) ** (n - k) if k <= n else 0.0
-                assert b[n, k] == pytest.approx(want, rel=1e-14, abs=1e-300)
-        np.testing.assert_allclose(b.sum(axis=1), 1.0, rtol=1e-13)
+                assert b[n][k] == pytest.approx(want, rel=1e-14, abs=1e-300)
+        np.testing.assert_allclose(np.asarray(b).sum(axis=1), 1.0, rtol=1e-13)
 
 
 class TestClickClassification:
@@ -107,18 +109,19 @@ def array_hits(a, b, pol_a, pol_b):
     that brings none."""
     u = np.array([_mode_amplitudes(phi_state(0) if pol_a is None else pol_a, "a")]).real
     v = np.array([_mode_amplitudes(phi_state(0) if pol_b is None else pol_b, "b")]).real
-    return _hit_set_probabilities(u, v, max(a, b))[a, b, 0]
+    return np.array(_hit_set_probabilities(_subset_sums(u.tolist(), v.tolist()), a, b)[0])
 
 
 def array_clicks(a, b, pol_a, pol_b, dark):
     """The 16 click-pattern probabilities of one signal pair: its hit sets
     through the dark-count matrix."""
-    return array_hits(a, b, pol_a, pol_b) @ _dark_count_matrix(dark)
+    return array_hits(a, b, pol_a, pol_b) @ np.array(_dark_count_matrix(dark))
 
 
 # hit sets (indexed like the click patterns) on the left side only, and on both sides
-LEFT_ONLY = _PATTERN_CLICKS[:, :2].any(axis=1) & ~_PATTERN_CLICKS[:, 2:].any(axis=1)
-BOTH_SIDES = _PATTERN_CLICKS[:, :2].any(axis=1) & _PATTERN_CLICKS[:, 2:].any(axis=1)
+CLICKS = np.array(_ALL_PATTERNS)
+LEFT_ONLY = CLICKS[:, :2].any(axis=1) & ~CLICKS[:, 2:].any(axis=1)
+BOTH_SIDES = CLICKS[:, :2].any(axis=1) & CLICKS[:, 2:].any(axis=1)
 PROTOCOL_BASES = [("sarg04", "key"), ("bb84", "key"), ("bb84", "test")]
 
 
@@ -145,12 +148,14 @@ class TestOutputDistribution:
         pol_a, pol_b, _ = _signal_pairs(*case)
         u = np.array([_mode_amplitudes(pol, "a") for pol in pol_a]).real
         v = np.array([_mode_amplitudes(pol, "b") for pol in pol_b]).real
-        hits = _hit_set_probabilities(u, v, n_max)
-        for a, b, x in product(range(n_max + 1), range(n_max + 1), range(len(u))):
-            want = np.zeros(16)
-            for k, p in output_photon_distribution(a, b, pol_a[x], pol_b[x]).items():
-                want[sum(1 << j for j in range(4) if k[j])] += p
-            np.testing.assert_allclose(hits[a, b, x], want, rtol=0, atol=2e-15)
+        sums = _subset_sums(u.tolist(), v.tolist())
+        for a, b in product(range(n_max + 1), range(n_max + 1)):
+            hits = _hit_set_probabilities(sums, a, b)
+            for x in range(len(u)):
+                want = np.zeros(16)
+                for k, p in output_photon_distribution(a, b, pol_a[x], pol_b[x]).items():
+                    want[sum(1 << j for j in range(4) if k[j])] += p
+                np.testing.assert_allclose(hits[x], want, rtol=0, atol=2e-15)
 
     def test_hong_ou_mandel_bunching(self):
         # identical photons in each arm never exit on opposite sides
@@ -182,7 +187,7 @@ class TestClickDistribution:
     def test_identical_photons_never_type1(self):
         for clicks_of in (lossless_clicks, array_clicks):
             clicks = clicks_of(1, 1, phi_state(0), phi_state(0), 0.0)
-            assert clicks @ _PATTERN_TYPES[:, 0] < 1e-12
+            assert clicks @ np.array(_PATTERN_TYPES)[:, 0] < 1e-12
 
     def test_photon_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -205,14 +210,16 @@ class TestSignalPairs:
         for x, (i, ip, k) in enumerate(product((0, 1), (0, 1), range(4))):
             for pol, j in ((pol_a[x], i), (pol_b[x], ip)):
                 want = (rotation(k) @ phi_state(j)).real
-                sign = np.sign(pol @ want)
+                sign = np.sign(np.array(pol) @ want)
                 np.testing.assert_allclose(pol, sign * want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("case", PROTOCOL_BASES)
     def test_real_amplitudes(self, case):
+        # every amplitude and every table entry is a real (Python float) number
         pol_a, pol_b, _ = _signal_pairs(*case)
-        assert pol_a.dtype == pol_b.dtype == np.float64
-        assert arrival_table(GYS.dark, *case, N_MAX_CAP).dtype == np.float64
+        assert all(type(c) is float for pol in pol_a + pol_b for c in pol)
+        table = arrival_table(GYS.dark, *case, N_MAX_CAP)
+        assert all(type(c) is float for row in table for cell in row for c in cell)
 
 
 class TestArrivalTable:
@@ -224,12 +231,12 @@ class TestArrivalTable:
     )
     @pin_endpoints
     def test_matches_reference_expansion(self, dark, case, n_max):
-        table = arrival_table(dark, *case, n_max)
+        table = np.array(arrival_table(dark, *case, n_max))
         np.testing.assert_allclose(table, oracle_table(dark, *case, n_max), rtol=0, atol=1e-15)
         yields, errors = table[..., 0::2], table[..., 1::2]
         assert (errors >= 0).all() and (errors <= yields).all() and (yields <= 1).all()
         # each (a, b) entry is independent of the cutoff (the QND cut relies on it)
-        full = arrival_table(dark, *case, N_MAX_CAP)
+        full = np.array(arrival_table(dark, *case, N_MAX_CAP))
         assert np.array_equal(full[: n_max + 1, : n_max + 1], table)
 
     @pytest.mark.parametrize("dark", [0.0, 1e-12, 8.5e-7, 1e-3, 0.3])
@@ -287,7 +294,7 @@ class TestYieldsAndErrors:
         assert abs(e2 - 0.5) < 1e-12
 
     def test_arm_swap_symmetry(self):
-        y = relay_yields(GYS, 0.4, n_max=3)
+        y = np.array(relay_yields(GYS, 0.4, n_max=3))
         np.testing.assert_allclose(y, y.transpose(1, 0, 2), rtol=1e-12, atol=0.0)
 
     def test_loss_composition(self):
@@ -299,7 +306,7 @@ class TestYieldsAndErrors:
     @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     def test_yield_monotone_in_transmittance(self, t_lo, t_hi):
         t_lo, t_hi = sorted((t_lo, t_hi))
-        lo, hi = relay_yields(IDEAL, np.array([t_lo, t_hi]))[:, 1, 1]
+        lo, hi = (relay_yields(IDEAL, t)[1][1] for t in (t_lo, t_hi))
         assert lo[0] <= hi[0] + 1e-12
         assert lo[2] <= hi[2] + 1e-12
 
@@ -318,11 +325,14 @@ class TestMuResponse:
     """The relay's per-(n, m) response table, as `mu-table` prints it."""
 
     def test_table_covers_grid(self):
-        assert relay_yields(GYS, 0.5, n_max=2).shape == (3, 3, 4)
-        assert relay_yields(GYS, np.array([0.5, 0.1]), n_max=2).shape == (2, 3, 3, 4)
+        assert np.shape(relay_yields(GYS, 0.5, n_max=2)) == (3, 3, 4)
+        # one table per transmittance from one arrival table, each the table alone
+        tables = [relay(GYS, n_max=2)(t_arm) for t_arm in (0.5, 0.1)]
+        assert np.shape(tables) == (2, 3, 3, 4)
+        assert tables == [relay_yields(GYS, t_arm, n_max=2) for t_arm in (0.5, 0.1)]
 
     def test_type_yields_sum_below_one(self):
-        y = relay_yields(GYS, 0.5, n_max=2)
+        y = np.array(relay_yields(GYS, 0.5, n_max=2))
         assert (y[..., 0] + y[..., 2] <= 1 + 1e-12).all()
         # error-weighted yields never exceed the yields
         assert (y[..., 1::2] <= y[..., 0::2]).all()

@@ -26,12 +26,13 @@ from tests.rate_oracle import oracle_point
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
-SINGLE = np.array([0.0, 1.0, 0.0])  # emission probabilities of a single-photon source
+SINGLE = [0.0, 1.0, 0.0]  # emission probabilities of a single-photon source
+ERROR_RATE = np.vectorize(error_rate)  # elementwise over arrays of the forms' entries
 
 
 def bit_error_rates(y):
-    """ebit[t - 1, ..., n, m] of relay yields y[..., n, m, :]."""
-    return np.stack([error_rate(y[..., 1], y[..., 0]), error_rate(y[..., 3], y[..., 2])])
+    """ebit[t - 1][n][m] of relay yields y[n][m]."""
+    return [[[error_rate(c[2 * t - 1], c[2 * t - 2]) for c in row] for row in y] for t in (1, 2)]
 
 
 def type_gains(p, det, t_arm, qnd=False, n_max=2):
@@ -40,9 +41,11 @@ def type_gains(p, det, t_arm, qnd=False, n_max=2):
     the bit error rates ebit[n, m] = E_t[n, m] / S_t[n, m], and the totals
     q_tot = pᵀ S_t p and e_tot = pᵀ E_t p / q_tot."""
     forms = key_forms(relay_yields(det, t_arm, n_max=n_max, qnd=qnd))
+    values = form_values(forms, p, p)
+    p, forms = np.asarray(p), np.array(forms)
     s, e = forms[0::3], forms[1::3]
-    q_tot, errors = form_values(forms, p, p).reshape(2, 3)[:, :2].T
-    return list(zip(p[:, None] * p * s, error_rate(e, s), q_tot, error_rate(errors, q_tot)))
+    q_tot, errors = values[0::3], values[1::3]
+    return list(zip(p[:, None] * p * s, ERROR_RATE(e, s), q_tot, map(error_rate, errors, q_tot)))
 
 
 def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="both"):
@@ -51,7 +54,7 @@ def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="
     (Type2) after sifting."""
     y = np.zeros((2, 2, 4))
     y[1, 1] = (0.04, 0.04 * e11_1, 0.04, 0.04 * e11_2)
-    values = form_values(key_forms(y, one_one_only), SINGLE[:2], SINGLE[:2])
+    values = form_values(key_forms(y.tolist(), one_one_only), SINGLE[:2], SINGLE[:2])
     return key_fractions(values, 1.22, INCLUDED_TYPES[type_selection])
 
 
@@ -72,26 +75,26 @@ class TestAssembleGains:
         assert abs(q2[(1, 1)] - SIFT_FACTOR[2] * 0.125) < 1e-12
 
     def test_error_floor_near_quarter(self):
-        src = poisson_probs([0.01], 2)[0]
+        src = poisson_probs(0.01, 2)
         (*_, e_tot1), (*_, e_tot2) = type_gains(src, IDEAL, 1.0)
         assert 0.24 <= e_tot1 <= 0.26
         assert 0.24 <= e_tot2 <= 0.26
 
     def test_two_photon_gain_ratios(self):
-        src = poisson_probs([0.01], 2)[0]
+        src = poisson_probs(0.01, 2)
         for q, *_ in type_gains(src, IDEAL, 1.0):
             assert abs(q[(1, 1)] / 2 / q[(2, 0)] - 1) < 0.1
             assert abs(q[(2, 0)] / q[(0, 2)] - 1) < 1e-9
 
     def test_totals_consistent(self):
-        src = poisson_probs([0.3], 2)[0]
+        src = poisson_probs(0.3, 2)
         for q, ebit, q_tot, e_tot in type_gains(src, GYS, 0.5):
             assert abs(q_tot - sum(q.ravel())) <= 1e-15
             weighted = sum((q * ebit).ravel())
             assert abs(e_tot - weighted / q_tot) <= 1e-12
 
     def test_symmetric_source_symmetric_gains(self):
-        src = poisson_probs([0.2], 2)[0]
+        src = poisson_probs(0.2, 2)
         for q, *_ in type_gains(src, GYS, 0.6):
             for n in range(3):
                 for m in range(3):
@@ -101,7 +104,7 @@ class TestAssembleGains:
     def test_wider_table(self, qnd):
         # N = 4: the (n, m) axes grow, the totals stay row-major sums and the
         # bounded key terms stay the same six
-        src = poisson_probs([0.4], 3)[0]
+        src = poisson_probs(0.4, 3)
         wide = type_gains(src, GYS, 0.5, qnd=qnd, n_max=3)
         for q, ebit, q_tot, e_tot in wide:
             assert q.shape == ebit.shape == (4, 4)
@@ -111,11 +114,11 @@ class TestAssembleGains:
         narrow = type_gains(src[:3], GYS, 0.5, qnd=qnd)
         # the six key terms of both types, as at N = 3, zero-padded to n, m <= 3
         padded = np.zeros((2, 4, 4))
-        padded[:, :3, :3] = privacy_factors(np.stack([ebit for _, ebit, *_ in narrow]))
-        assert privacy_factors(np.stack([ebit for _, ebit, *_ in wide])).tolist() == padded.tolist()
+        padded[:, :3, :3] = privacy_factors([ebit.tolist() for _, ebit, *_ in narrow])
+        assert privacy_factors([ebit.tolist() for _, ebit, *_ in wide]) == padded.tolist()
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
-        src = poisson_probs([0.5], 2)[0]
+        src = poisson_probs(0.5, 2)
         (q1, *_), (q2, *_) = type_gains(src, GYS, 1.0, qnd=True)
         assert q1[(1, 2)] == 0.0
         assert q1[(2, 1)] == 0.0
@@ -124,7 +127,7 @@ class TestAssembleGains:
     def test_qnd_rejects_heralded_source(self):
         # heralded sources meet the bare relay: with no loss, multiphoton
         # arrivals keep the gain the postselection would remove
-        cond = spdc_heralded([0.1], GYS)[1][0]
+        cond = spdc_heralded(0.1, GYS)[1]
         (q1, *_), (q2, *_) = type_gains(cond, GYS, 1.0)
         assert q1[(1, 2)] > 0.0 and q2[(2, 1)] > 0.0
 
@@ -132,12 +135,12 @@ class TestAssembleGains:
         # the SPDC scenario evaluates the bare relay at the conditional
         # emission probabilities and reports the joint heralding probability
         config = ScenarioConfig(scenario="spdc_heralded")
-        p_herald, cond = (v[0] for v in spdc_heralded([0.1], GYS))
-        _, herald, b = rate_at(config, 0.0)(np.array([0.1]))
-        assert abs(herald[0] - p_herald**2) < 1e-15
+        p_herald, cond = spdc_heralded(0.1, GYS)
+        _, herald, b = rate_at(config, 0.0)(0.1)
+        assert abs(herald - p_herald**2) < 1e-15
         values = form_values(key_forms(relay_yields(GYS, 1.0)), cond, cond)
         bare = key_fractions(values, config.ec_inefficiency, INCLUDED_TYPES["both"])
-        assert (b.G1[0], b.G2[0]) == (bare.G1, bare.G2)
+        assert (b.G1, b.G2) == (bare.G1, bare.G2)
 
 
 class TestKeyRate:
@@ -159,7 +162,7 @@ class TestKeyRate:
         assert b.total == 0.0
 
     def test_one_one_only_drops_mixed_terms(self):
-        src = poisson_probs([0.5], 2)[0]
+        src = poisson_probs(0.5, 2)
         y = relay_yields(GYS, 0.5)
         full, only = (key_forms(y, one_one_only) for one_one_only in (False, True))
         b_full, b_only = (
@@ -168,7 +171,7 @@ class TestKeyRate:
         )
         assert b_full.total >= b_only.total - 1e-15
         # the K_t forms (rows 2 and 5) keep the key terms only
-        assert np.argwhere(only[2::3]).tolist() == [[0, 1, 1], [1, 1, 1]]
+        assert np.argwhere(np.array(only)[2::3]).tolist() == [[0, 1, 1], [1, 1, 1]]
         # with every term, K_1 keeps the mixed terms (1,2) and (2,1) too
         assert np.argwhere(full[2]).tolist() == [[1, 1], [1, 2], [2, 1]]
 
@@ -189,51 +192,58 @@ class TestPhaseBounds:
     @pytest.mark.parametrize("scenario, step_km", [("qnd_coherent", 0.5), ("spdc_heralded", 2.0)])
     @pytest.mark.parametrize("one_one_only", [False, True])
     def test_stacked_equals_per_case_calls(self, scenario, step_km, one_one_only):
-        # the (1,2) and (2,1) bounds of a type come from one stacked call,
-        # and K_t is the privacy factors times S_t
+        # at every distance of a sweep, the key terms' factors are their
+        # per-case bounds, and K_t is the privacy factors times S_t
         config = ScenarioConfig(scenario=scenario, distance_step_km=step_km)
-        t_arm = np.array([ChannelParams(config.loss_db_per_km, d).t_arm for d in config.distances()])
-        y = relay_yields(GYS, t_arm, qnd=scenario == "qnd_coherent")
-        ebit = bit_error_rates(y)
-        factors = privacy_factors(ebit, one_one_only)
         cases = [(1, 1)] if one_one_only else [(1, 1), (1, 2), (2, 1)]
-        assert factors.shape == (2, len(t_arm), 3, 3)
-        rest = factors.copy()
-        for t in (1, 2):
-            for nm in cases:
-                term = (t - 1, slice(None)) + nm
-                e_ph = phase_bound(nm, t, ebit[term]).e_ph
-                want = 1.0 - binary_entropy(np.minimum(e_ph, 0.5))
-                assert factors[term].tolist() == want.tolist()
-                rest[term] = 0.0
-        assert not rest.any()
-        forms = key_forms(y, one_one_only)
-        assert forms[2::3].tolist() == (factors * forms[0::3]).tolist()
+        for d in config.distances():
+            t_arm = ChannelParams(config.loss_db_per_km, d).t_arm
+            y = relay_yields(GYS, t_arm, qnd=scenario == "qnd_coherent")
+            ebit = bit_error_rates(y)
+            factors = np.array(privacy_factors(ebit, one_one_only))
+            assert factors.shape == (2, 3, 3)
+            rest = factors.copy()
+            for t in (1, 2):
+                for n, m in cases:
+                    e_ph = phase_bound((n, m), t, ebit[t - 1][n][m]).e_ph
+                    want = 1.0 - binary_entropy(min(e_ph, 0.5))
+                    assert factors[t - 1, n, m] == want
+                    rest[t - 1, n, m] = 0.0
+            assert not rest.any()
+            forms = np.array(key_forms(y, one_one_only))
+            assert forms[2::3].tolist() == (factors * forms[0::3]).tolist()
 
     def test_absent_cases_skipped(self):
         ebit = np.full((2, 2, 2), 0.5)
         ebit[:, 1, 1] = (0.01, 0.02)
         want = np.zeros((2, 2, 2))
-        want[:, 1, 1] = 1.0 - binary_entropy(np.array([0.015, 0.06]))
-        assert privacy_factors(ebit).tolist() == want.tolist()
+        want[:, 1, 1] = [1.0 - binary_entropy(x) for x in (0.015, 0.06)]
+        assert privacy_factors(ebit.tolist()) == want.tolist()
 
 
 class TestFormValues:
     def test_values_sum_row_major_whatever_the_batch(self, rng):
-        # a sweep row equals the same distance evaluated alone, and every
-        # value is the one-at-a-time row-major sum of its (n, m) terms
-        forms = rng.random((6, 5, 1, 3, 3))
-        for p in (rng.random((1, 4, 3)), rng.random((5, 1, 3))):  # shared mu grid, one mu each
-            values = form_values(forms, p, p)
-            for d in range(5):
-                row = p[d % len(p)]
-                alone = form_values(forms[:, d : d + 1], row[None], row[None])
-                assert values[:, d : d + 1].tolist() == alone.tolist()
-                for i, k in itertools.product(range(6), range(len(row))):
+        # a sweep over five distances' forms at a shared mu grid, or at one
+        # mu each, gives every point the value of that point evaluated
+        # alone: the one-at-a-time row-major sum of its (n, m) terms, whether
+        # the sums are written out (N = 3) or looped (N = 2, 4)
+        for size in (2, 3, 4):
+            forms = rng.random((5, 6, size, size)).tolist()
+            for grid in (rng.random((4, size)).tolist(), rng.random((5, size)).tolist()):
+                sweep = [[form_values(forms[d], p, p) for p in grid] for d in range(5)]
+                for d, k, i in itertools.product(range(5), range(len(grid)), range(6)):
+                    p = grid[k]
                     want = 0.0
-                    for n, m in itertools.product(range(3), repeat=2):
-                        want += row[k, n] * row[k, m] * forms[i, d, 0, n, m]
-                    assert values[i, d, k] == want
+                    for n, m in itertools.product(range(size), repeat=2):
+                        want += p[n] * p[m] * forms[d][i][n][m]
+                    assert sweep[d][k][i] == want
+            p_a, p_b = rng.random((2, size)).tolist()
+            values = form_values(forms[0], p_a, p_b)
+            for i in range(6):
+                want = 0.0
+                for n, m in itertools.product(range(size), repeat=2):
+                    want += p_a[n] * p_b[m] * forms[0][i][n][m]
+                assert values[i] == want
 
 
 class TestBb84Baseline:
@@ -244,18 +254,18 @@ class TestBb84Baseline:
         return bb84_baseline_rate(form_values(forms, p, p), 1.22)
 
     def test_ideal_lossless_single_photons(self):
-        y = relay_yields(IDEAL, 1.0, "bb84")[1, 1]
+        y = relay_yields(IDEAL, 1.0, "bb84")[1][1]
         q11 = y[0] + y[2]
         assert abs(self._rate(IDEAL, 1.0, SINGLE).total - q11) < 1e-12
 
     def test_zero_yields_give_zero(self):
-        empty = np.zeros((3, 3, 4))
+        empty = np.zeros((3, 3, 4)).tolist()
         b = bb84_baseline_rate(form_values(bb84_forms(empty, empty), SINGLE, SINGLE), 1.22)
         assert (b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_decreasing_with_distance(self):
-        t_arm = np.array([10 ** (-0.21 * (d_km / 2) / 10) for d_km in (0.0, 20.0, 40.0)])
-        rates = self._rate(GYS, t_arm, poisson_probs([0.3], 2)).total.tolist()
+        t_arm = [10 ** (-0.21 * (d_km / 2) / 10) for d_km in (0.0, 20.0, 40.0)]
+        rates = [self._rate(GYS, t, poisson_probs(0.3, 2)).total for t in t_arm]
         assert rates[0] > rates[1] > rates[2] > 0
 
 
@@ -273,11 +283,13 @@ class TestRateOracle:
         config = ScenarioConfig(
             scenario=scenario, photon_terms=photon_terms, type_selection=type_selection
         )
-        _, _, b = rate_at(config, self.DISTANCES)(np.array([self.MUS]))
-        for (i, d), (k, mu) in itertools.product(enumerate(self.DISTANCES), enumerate(self.MUS)):
-            for field, want in oracle_point(config, d, mu).items():
-                got = getattr(b, field)[i, k]
-                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (field, d, mu)
+        for d in self.DISTANCES:
+            rate = rate_at(config, d)
+            for mu in self.MUS:
+                _, _, b = rate(mu)
+                for field, want in oracle_point(config, d, mu).items():
+                    got = getattr(b, field)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (field, d, mu)
 
 
 class TestRecords:

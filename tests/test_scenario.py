@@ -20,9 +20,9 @@ from tests.rate_oracle import oracle_point
 
 SHORT = ScenarioConfig(distance_stop_km=10.0, distance_step_km=5.0)
 
-# sweeps whose rows leave the lockstep mu search at different iterations:
-# optima inside the mu grid, on its upper or lower edge (a half-width
-# bracket), and zero-rate distances that skip the search
+# sweeps whose rows leave the mu search at different iterations: optima
+# inside the mu grid, on its upper or lower edge (a half-width bracket), and
+# zero-rate distances that skip the search
 LOCKSTEP = {
     "qnd_upper_edge_zero_tail": ScenarioConfig(
         mu_max=1.1, distance_stop_km=300.0, distance_step_km=20.0
@@ -50,7 +50,8 @@ class TestOptimizeMu:
     def test_optimum_beats_random_probes(self):
         point = optimize_mu(SHORT, 10.0)
         rng = np.random.default_rng(7)
-        rates, _, _ = rate_at(SHORT, 10.0)(rng.uniform(SHORT.mu_min, SHORT.mu_max, size=20))
+        rate = rate_at(SHORT, 10.0)
+        rates = np.array([rate(mu)[0] for mu in rng.uniform(SHORT.mu_min, SHORT.mu_max, size=20)])
         assert (point.total_per_pulse >= rates - 1e-12).all()
 
     def test_zero_rate_flag(self):
@@ -96,17 +97,20 @@ class TestOptimizeMu:
 class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_whole_grid_in_one_call_stays_small(self, scenario):
-        # a 0.5 km sweep evaluates its 121 x 40 mu grid in one call: no
-        # array over (n, m) per grid point may appear
+        # a 0.5 km sweep evaluates its 121 x 40 mu grid: no table over
+        # (n, m) per grid point may be kept
         config = ScenarioConfig(scenario=scenario, distance_step_km=0.5)
-        grid = np.array([mu_grid(config)])
+        grid = mu_grid(config)
         tracemalloc.start()
         try:
-            rates = rate_at(config, config.distances())(grid)[0]
+            rates = []
+            for d in config.distances():
+                rate = rate_at(config, d)
+                rates.append([rate(mu)[0] for mu in grid])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rates.shape == (121, 40)
+        assert np.shape(rates) == (121, 40)
         assert peak < 1.5e6, peak
 
 
