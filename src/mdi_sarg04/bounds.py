@@ -122,8 +122,8 @@ def g_type2(s2: float) -> float:
 
 def golden_section_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section search for the minimum of a unimodal function on
-    [a, b], shrinking the bracket until b - a <= tol.  Returns
-    (x_min, fun(x_min))."""
+    [a, b], shrinking the bracket until b - a <= tol.  Returns (x_min,
+    fun(x_min)), and that is the last call to `fun`."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)

@@ -9,10 +9,10 @@ identity (I (x) M)|phi+> = (M^T (x) I)|phi+> holds exactly.  Every ket,
 filter, rotation and Bell state of the protocol is real in this basis, so
 they are float64 arrays; the helpers keep the dtype of their input, so a
 complex state stays complex.  Contractions are unoptimized `einsum`s,
-which never dispatch to BLAS, and `min_eigenvalue` needs no LAPACK: it
-reduces each matrix to tridiagonal form by Householder reflections and
-brackets the smallest eigenvalue by Sturm counts (Barth, Martin &
-Wilkinson, Numer. Math. 9 (1967)), in elementwise numpy.  The import-time
+which never dispatch to BLAS, and `block_min_eigenvalue` needs no LAPACK:
+every matrix whose eigenvalues the package takes reduces to symmetric
+blocks of order at most 3 (see `povm.block_basis`), whose smallest
+eigenvalue has a closed form in elementwise numpy.  The import-time
 constants come from `math`, and the kets from the floats of
 `optics.SIGNAL_STATES` and `optics.BASIS_KETS`: numpy's scalar ufuncs at
 import raised every process's peak memory by up to about 190 KB.
@@ -121,125 +121,70 @@ def is_hermitian(h: Array, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.abs(h - np.swapaxes(h, -1, -2).conj()).max() <= tol)
 
 
-# entries of a stack that `min_eigenvalue` checks and reduces at once: the
-# working copies of one block bound the memory of a solve
-_BLOCK_ENTRIES = 8192
-
-
-def min_eigenvalue(h: Array, tol: float = HERMITIAN_TOL) -> float | np.ndarray:
-    """Smallest eigenvalue of a Hermitian matrix, or of each one of a stack
-    (..., n, n), with no LAPACK call: each matrix, or the real symmetric
-    embedding of a complex one, is reduced to tridiagonal form, whose
-    smallest eigenvalue Sturm counts bracket."""
+def block_min_eigenvalue(h: Array, tol: float = HERMITIAN_TOL) -> float | np.ndarray:
+    """Smallest eigenvalue of a real symmetric matrix of order k <= 3, or of
+    each one of a stack (..., k, k), in closed form: the entry (k = 1), the
+    quadratic formula (k = 2), or O. K. Smith's trigonometric form (CACM
+    4(4):168, 1961) (k = 3).  Each matrix is first scaled exactly by the
+    power of two that takes its largest entry m = f 2^e, f in [1/2, 1), to
+    f, so no square overflows or loses digits to underflow."""
     h = np.asarray(h)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] == 0:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
-    stack = h.reshape((-1,) + h.shape[-2:])
-    b, n = len(stack), h.shape[-1] * (2 if np.iscomplexobj(h) else 1)
-    d, e2, scale = np.empty((n, b)), np.empty((max(n - 1, 0), b)), np.empty(b)
-    step = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, b, step):
-        block = slice(start, start + step)
-        d[:, block], e2[:, block], scale[block] = _tridiagonal(stack[block], tol)
-    low = (_lowest_eigenvalue(d, e2) / scale).reshape(h.shape[:-2])
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or not 1 <= h.shape[-1] <= 3:
+        raise ValueError(f"expected a matrix of order 1 to 3, or a stack of them, got shape {h.shape}")
+    if np.iscomplexobj(h) or not is_hermitian(h, tol):
+        raise ValueError("matrix is not real symmetric within tolerance")
+    m = np.maximum(np.abs(h).max(axis=(-2, -1)), np.finfo(float).tiny)
+    scale = np.frexp(m)[0] / m
+    # the scaled symmetric part, one array per entry: no (..., k, k) temporaries
+    k = h.shape[-1]
+    a = [[0.5 * (h[..., i, j] * scale + h[..., j, i] * scale) for j in range(k)] for i in range(k)]
+    if k == 1:
+        low = a[0][0]
+    elif k == 2:
+        low = 0.5 * (a[0][0] + a[1][1]) - np.hypot(0.5 * (a[0][0] - a[1][1]), a[0][1])
+    else:
+        low = _smallest_of_three(a)
+    low = low / scale
     return float(low) if low.ndim == 0 else low
 
 
-def _tridiagonal(h: Array, tol: float) -> tuple[Array, Array, Array]:
-    """Diagonal d (n, B) and squared off-diagonal e² (n - 1, B) of a
-    tridiagonal matrix similar to each Hermitian h (B, n, n) times its
-    scale (B), by Householder reflections.  A complex h is taken as its real
-    symmetric embedding [[Re h, -Im h], [Im h, Re h]], which has the same
-    eigenvalues, each twice."""
-    if not is_hermitian(h, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if np.iscomplexobj(h):
-        re, im = h.real, h.imag
-        h = np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
-    b, n = h.shape[:2]
-    # the power of two that takes each largest entry m = f 2^e, f in [1/2, 1),
-    # to f: scaling by it is exact, and no square below overflows or loses
-    # digits to underflow
-    m = np.maximum(np.maximum(h.max(axis=(1, 2)), -h.min(axis=(1, 2))), np.finfo(float).tiny)
-    scale = np.frexp(m)[0] / m
-    # the scaled symmetric part, row by row: a whole-stack operation on the
-    # transpose, or one that broadcasts the scale, would allocate a buffer
-    a = np.empty(h.shape)
-    half = 0.5 * scale[:, None]
-    for i in range(n):
-        np.multiply(h[:, i] + h[:, :, i], half, out=a[:, i])
-    e2 = np.empty((max(n - 1, 0), b))
-    for k in range(n - 2):
-        x = a[:, k + 1 :, k]
-        # the reflection maps x to -sign(x_0)|x| e_1, so e_k² = |x|²
-        e2[k] = norm2 = np.einsum("bi,bi->b", x, x)
-        v = x.copy()
-        v[:, 0] += np.where(x[:, 0] < 0, -1.0, 1.0) * np.sqrt(norm2)
-        vv = np.einsum("bi,bi->b", v, v)
-        # unit v, and v = 0 (no reflection) where x is already 0
-        v /= np.sqrt(np.maximum(vv, np.finfo(float).tiny))[:, None]
-        sub = a[:, k + 1 :, k + 1 :]
-        # (I - 2vvᵀ) A (I - 2vvᵀ) = A - v wᵀ - w vᵀ, with p = 2Av and w = p - (vᵀp) v,
-        # row by row; entry (i, j) loses v_i w_j + w_i v_j and (j, i) the
-        # same sum, so A stays symmetric
-        w = 2.0 * np.einsum("bij,bj->bi", sub, v)
-        w -= np.einsum("bi,bi->b", v, w)[:, None] * v
-        for i in range(n - 1 - k):
-            sub[:, i] -= v[:, i, None] * w + w[:, i, None] * v
-    if n > 1:
-        e2[-1] = a[:, -1, -2] ** 2
-    return np.einsum("bii->ib", a), e2, scale
+def _smallest_of_three(a: list[list[Array]]) -> Array:
+    """Smallest eigenvalue of the symmetric 3 x 3 matrices of entries a[i][j].
+    B = (a - qI)/p, q = tr(a)/3, p = |a - qI|_F / sqrt(6), has the
+    eigenvalues 2 cos(phi + 2 pi j/3), phi = acos(det(B)/2)/3 (Smith).  Where
+    det(B) <= 0 the smallest, j = 1, is isolated; where det(B) > 0 it may be
+    double, and acos near 1 loses half the digits, so the isolated largest,
+    beta = 2 cos phi, is deflated: with its unit eigenvector v and
+    m = -beta/2, the other two are m -/+ |B - mI - (beta - m) vvᵀ|_F / sqrt(2)."""
+    q = (a[0][0] + a[1][1] + a[2][2]) / 3
+    b = [[x - q if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    p = np.sqrt(sum(x * x for row in b for x in row) / 6)
+    # p = 0 (a = qI) leaves B = 0, whose eigenvalue times p adds 0
+    nonzero_p = np.where(p > 0, p, 1.0)
+    b = [[x / nonzero_p for x in row] for row in b]
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b
+    det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
+    r = np.clip(0.5 * det, -1.0, 1.0)
+    phi = np.arccos(r) / 3
+    beta = 2 * np.cos(phi)
+    # v: the longest cross product of two rows of B - beta I, of rank 2
+    rows = [[x - beta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(b)]
+    crosses = [_cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    norm2 = [sum(c * c for c in cross) for cross in crosses]
+    longest = np.argmax(norm2, axis=0)
+    norm = np.sqrt(np.maximum(np.choose(longest, norm2), np.finfo(float).tiny))
+    v = [np.choose(longest, [cross[c] for cross in crosses]) / norm for c in range(3)]
+    mid = -0.5 * beta
+    rest = [
+        [x - (beta - mid) * v[i] * v[j] - (mid if i == j else 0.0) for j, x in enumerate(row)]
+        for i, row in enumerate(b)
+    ]
+    deflated = mid - np.sqrt(0.5 * sum(x * x for row in rest for x in row))
+    return q + p * np.where(r > 0, deflated, 2 * np.cos(phi + 2 * math.pi / 3))
 
 
-# interior points of each multisection step: the bracket shrinks 8-fold
-_SHIFTS = np.array([[j / 8] for j in range(1, 8)])
-
-
-def _lowest_eigenvalue(d: Array, e2: Array) -> Array:
-    """Smallest eigenvalue of each symmetric tridiagonal (d, e²), d (n, B)
-    and e² (n - 1, B), to about one ulp of the matrix's scale (of order 1
-    here), by Sturm-count multisection.  A zero e² is raised to the smallest
-    normal float, so a zero pivot gives an infinite next pivot, which keeps
-    the count right, and never 0/0.  A converged matrix leaves the active
-    set, so each result is that of the matrix alone, bit for bit."""
-    e2 = np.maximum(e2, np.finfo(float).tiny)
-    # Gershgorin below, the smallest diagonal entry above
-    e = np.sqrt(e2)
-    lo = d.copy()
-    lo[1:] -= e
-    lo[:-1] -= e
-    lo, hi = lo.min(axis=0), d.min(axis=0)
-    tol = np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    low = np.empty(d.shape[1])
-    active = np.arange(d.shape[1])
-    with np.errstate(divide="ignore", over="ignore"):
-        while True:
-            done = hi - lo <= tol
-            if done.any():
-                low[active[done]] = 0.5 * (lo[done] + hi[done])
-                keep = ~done
-                active, lo, hi, tol, d, e2 = active[keep], lo[keep], hi[keep], tol[keep], d[:, keep], e2[:, keep]
-            if not active.size:
-                return low
-            lo, hi = _multisection_step(d, e2, lo, hi)
-
-
-def _multisection_step(d: Array, e2: Array, lo: Array, hi: Array) -> tuple[Array, Array]:
-    """The bracket [lo, hi] narrowed to the step between the last shift x in
-    it with no eigenvalue below it and the first with one.  T - xI has as
-    many negative pivots q_i = d_i - x - e²_(i-1) / q_(i-1) as T has
-    eigenvalues below x."""
-    x = lo + (hi - lo) * _SHIFTS
-    q = d[0] - x
-    below = np.signbit(q)
-    for i in range(1, len(d)):
-        np.divide(e2[i - 1], q, out=q)
-        np.subtract(d[i] - x, q, out=q)
-        below |= np.signbit(q)
-    j = _SHIFTS.size - below.sum(axis=0)
-    edges = np.concatenate([lo[None], x, hi[None]])
-    rows = np.arange(len(lo))
-    return edges[j, rows], edges[j + 1, rows]
+def _cross(u: list[Array], w: list[Array]) -> tuple[Array, Array, Array]:
+    return u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
 
 
 def permute_qubits(v: Array, order: list) -> Array:

@@ -3,7 +3,8 @@
 Constructs the (filter, bit-error, phase-error) POVM elements for the
 photon-number cases (1,1), (1,2), (2,1) and (2,2) in both announcement
 types, evaluates error rates of adversarial states, and builds the
-explicit four-photon attack states for the (2,2) case.
+explicit four-photon attack states for the (2,2) case.  The operators of
+(1,1), (1,2) and (2,1) reduce to blocks of order at most 3 (`block_basis`).
 
 Canonical qubit order is Alice's primed modes ascending, then Bob's
 primed modes ascending; e.g. the (2,2) operators act on A1' A3' B1' B3'.
@@ -173,8 +174,48 @@ def project_attack_from_bell_pairs(announcement_type: int, which: int) -> Array:
     return linalg.permute_qubits(res, ["A1", "B1", "A3", "B3"])
 
 
+@lru_cache(maxsize=None)
+def block_basis(case: Case) -> tuple[Array, Array]:
+    """The orthonormal rows Q (2, k, dim) of the even and odd blocks, by
+    Hamming-weight parity, of a case's operators, and the kernel (K, dim)
+    they annihilate.  In (1,2) and (2,1) the two photons of one party span
+    |0x0x>, |1x1x> and |psi+> (k = 3), and the kernel is their singlet
+    |psi-> times the other photon's |0x> and |1x>.  The (1,1) blocks (k = 2)
+    are those of any two-qubit operator.  The (2,2) case raises ValueError."""
+    x0, x1 = basis_ket("0x"), basis_ket("1x")
+    if case == (1, 1):
+        return np.array([[kron(x0, x0), kron(x1, x1)], [kron(x0, x1), kron(x1, x0)]]), np.zeros((0, 4))
+    if case not in ((1, 2), (2, 1)):
+        raise ValueError(f"no blocks of order 3 or less for case {case}")
+    # the one photon's ket and the two photons' ket, in canonical order
+    join = kron if case == (1, 2) else (lambda one, two: kron(two, one))
+    zz, oo, plus, minus = kron(x0, x0), kron(x1, x1), bell_state("psi_plus"), bell_state("psi_minus")
+    q = [[join(x0, zz), join(x0, oo), join(x1, plus)], [join(x1, zz), join(x1, oo), join(x0, plus)]]
+    return np.array(q), np.array([join(x0, minus), join(x1, minus)])
+
+
+def to_blocks(case: Case, op: Array) -> Array:
+    """The blocks QᵀMQ (..., 2, k, k) of an operator M of a case, or of a
+    stack of them (..., dim, dim) (see `block_basis`)."""
+    q = block_basis(case)[0]
+    return np.einsum("bki,...ij,blj->...bkl", q, op, q)
+
+
+def block_residual(case: Case, ops: Array) -> float:
+    """The largest part of the operators ops (n, dim, dim) of a case that
+    `to_blocks` drops: the entries of QᵀMQ between the two blocks, and the
+    norm of M times each kernel vector.  The smallest eigenvalue of M is at
+    least min(0, its blocks' smallest) minus dim times this residual."""
+    q, kernel = block_basis(case)
+    images = np.einsum("nij,vj->nvi", ops, kernel)
+    parts = [np.abs(np.einsum("ki,nij,lj->nkl", q[b], ops, q[1 - b])) for b in (0, 1)]
+    parts.append(np.sqrt(np.einsum("nvi,nvi->nv", images, images)))
+    return float(max(part.max(initial=0.0) for part in parts))
+
+
 def verify_bound_certificate(case: Case, announcement_type: int, s: float, t: float) -> float:
-    """Minimum eigenvalue of s*bit + t*fil - ph; >= -tol certifies the
-    phase-error bound e_ph <= s*e_bit + t."""
+    """Minimum eigenvalue of s*bit + t*fil - ph on the case's blocks, the
+    physical (symmetric) subspace; >= -tol certifies the phase-error bound
+    e_ph <= s*e_bit + t.  The (2,2) case raises ValueError."""
     p = build_povm(case, announcement_type)
-    return linalg.min_eigenvalue(s * p.bit + t * p.fil - p.ph)
+    return float(linalg.block_min_eigenvalue(to_blocks(case, s * p.bit + t * p.fil - p.ph)).min())

@@ -131,7 +131,8 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     search refines log mu to 1e-4 within one grid step either side of the
     best grid point: a bracket at a grid edge is half as wide, and a
     distance whose best grid rate is 0 keeps that point without a search.
-    Both senders share the same mu.
+    Both senders share the same mu.  Each row reuses an evaluation: the
+    grid's own, or the search's last one, at the point the search returns.
     """
     (emission, rates_at), grid = _rates(config), mu_grid(config)
     grid_emission = [emission(mu) for mu in grid]
@@ -139,18 +140,22 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     points = []
     for distance in distances:
         rate = rates_at(distance)
-        rates = [rate(p, herald)[0] for p, herald in grid_emission]
-        best_rate = max(rates)
-        best = rates.index(best_rate)
-        mu_opt = grid[best]
-        if best_rate > 0.0:
+        results = [rate(p, herald) for p, herald in grid_emission]
+        best = max(range(len(grid)), key=lambda j: results[j][0])
+        mu_opt, row = grid[best], results[best]
+        if row[0] > 0.0:
+            searched = None
+
+            def negative_rate(log_mu: float) -> float:
+                nonlocal searched
+                searched = rate(*emission(math.exp(log_mu)))
+                return -searched[0]
+
             lo, hi = log_grid[max(best - 1, 0)], log_grid[min(best + 1, len(grid) - 1)]
-            log_mu, neg = golden_section_minimize(
-                lambda x: -rate(*emission(math.exp(x)))[0], lo, hi, MU_REL_TOL
-            )
-            if -neg >= best_rate:
-                mu_opt = math.exp(log_mu)
-        points.append(_point(distance, mu_opt, rate(*emission(mu_opt))))
+            log_mu, neg = golden_section_minimize(negative_rate, lo, hi, MU_REL_TOL)
+            if -neg >= row[0]:
+                mu_opt, row = math.exp(log_mu), searched
+        points.append(_point(distance, mu_opt, row))
     return points
 
 

@@ -17,13 +17,16 @@ from .bounds import S_MAX, cubic_value, f_type1, g_type2
 from .povm import (
     PovmSet,
     attack_state_22,
+    block_residual,
     build_povm,
     build_povm_perturbed,
     error_rates,
     project_attack_from_bell_pairs,
+    to_blocks,
 )
 
 FRONTIER_GRID = np.round(np.arange(0.0, S_MAX + 1e-9, 0.25), 10)
+MIXED_LABELS = {f"{n}{m}_type{atype}": ((n, m), atype) for n, m in ((1, 2), (2, 1)) for atype in (1, 2)}
 
 
 class CheckResult(NamedTuple):
@@ -42,47 +45,46 @@ def _check(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _frontier_stacks(angle_offset) -> tuple[list[str], np.ndarray]:
-    """The case and type labels, and the matrices s*bit + t(s)*fil - ph over
-    FRONTIER_GRID at the raised and lowered intercepts t*(1+1e-6) and
-    t*(1-1e-2) of each, as one stack (label, side, slope, n, n)."""
-    s = FRONTIER_GRID[:, None, None]
-    intercepts = {
-        t: np.array([intercept(x) for x in FRONTIER_GRID.tolist()])[:, None, None]
-        for t, intercept in ((1, f_type1), (2, g_type2))
-    }
-    povms = {
-        f"{case[0]}{case[1]}_type{atype}": (_povm(case, atype, angle_offset), intercepts[atype])
-        for case in ((1, 2), (2, 1))
-        for atype in (1, 2)
-    }
-    dim = povms["12_type1"][0].dim
-    stack = np.empty((len(povms), 2, FRONTIER_GRID.size, dim, dim))
-    for (p, t), sides in zip(povms.values(), stack):
-        for factor, side in zip((1 + 1e-6, 1 - 1e-2), sides):
-            np.subtract(s * p.bit + t * factor * p.fil, p.ph, out=side)
-    return list(povms), stack
+def _contraction(f: np.ndarray) -> np.ndarray:
+    """I - FᵀF of a filter success operator F."""
+    return np.eye(f.shape[0]) - np.einsum("ki,kj->ij", f, f)
+
+
+def _reduction_check(angle_offset) -> CheckResult:
+    """Every operator whose eigenvalues the battery takes on blocks is zero
+    on the kernel and between the parity blocks (see `povm.block_residual`):
+    `filter2`'s contraction, the (1,1) Type2 bit and phase operators, and
+    every (1,2) and (2,1) triple."""
+    p11t2 = _povm((1, 1), 2, angle_offset)
+    reduced = [((1, 1), [_contraction(linalg.filter2()), p11t2.bit, p11t2.ph])]
+    for case, atype in MIXED_LABELS.values():
+        p = _povm(case, atype, angle_offset)
+        reduced.append((case, [p.bit, p.fil, p.ph]))
+    worst = max(block_residual(case, np.stack(ops)) for case, ops in reduced)
+    return _check("block_reduction", worst <= 1e-15, f"max residual {worst:.3e} off the blocks")
 
 
 def _frontier_checks(angle_offset) -> list[CheckResult]:
-    """Every frontier is PSD at the raised intercept, and tight at every
-    slope: each 1 %-reduced intercept must fail.  One eigenvalue call."""
-    labels, stack = _frontier_stacks(angle_offset)
+    """Every frontier s*bit + t(s)*fil - ph over FRONTIER_GRID is PSD on the
+    blocks at the raised intercept t*(1+1e-6), and tight at every slope:
+    each 1 %-reduced intercept t*(1-1e-2) must fail.  One eigenvalue call
+    per label takes its 3 x 3 blocks (side, slope, block, 3, 3)."""
+    s = FRONTIER_GRID[:, None, None, None]
+    intercepts = {
+        t: np.array([intercept(x) for x in FRONTIER_GRID.tolist()])[:, None, None, None]
+        for t, intercept in ((1, f_type1), (2, g_type2))
+    }
     checks = []
-    for label, (valid, invalid) in zip(labels, linalg.min_eigenvalue(stack)):
+    for label, (case, atype) in MIXED_LABELS.items():
+        p, t = _povm(case, atype, angle_offset), intercepts[atype]
+        bit, fil, ph = to_blocks(case, np.stack([p.bit, p.fil, p.ph]))
+        sides = np.array([s * bit + t * factor * fil - ph for factor in (1 + 1e-6, 1 - 1e-2)])
+        valid, invalid = linalg.block_min_eigenvalue(sides).min(axis=-1)
         worst_valid, worst_invalid = valid.min(), invalid.max()
-        checks += [
-            _check(
-                f"frontier_{label}_valid_side",
-                worst_valid >= -1e-9,
-                f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)",
-            ),
-            _check(
-                f"frontier_{label}_tightness",
-                worst_invalid <= -1e-8,
-                f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)",
-            ),
-        ]
+        valid_detail = f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)"
+        invalid_detail = f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)"
+        checks.append(_check(f"frontier_{label}_valid_side", worst_valid >= -1e-9, valid_detail))
+        checks.append(_check(f"frontier_{label}_tightness", worst_invalid <= -1e-8, invalid_detail))
     return checks
 
 
@@ -104,8 +106,12 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     checks.append(_check("rotation_cycles_signal_states", worst <= 1e-12, f"max deviation {worst:.3e}"))
 
     # filters are contractions: F'F <= identity
-    for name, f in (("filter1", linalg.filter1()), ("filter2", linalg.filter2())):
-        m = linalg.min_eigenvalue(np.eye(f.shape[0]) - np.einsum("ki,kj->ij", f, f))
+    contractions = (
+        ("filter1", _contraction(linalg.filter1())),
+        ("filter2", to_blocks((1, 1), _contraction(linalg.filter2()))),
+    )
+    for name, blocks in contractions:
+        m = np.min(linalg.block_min_eigenvalue(blocks))
         checks.append(_check(f"{name}_contraction", m >= -1e-12, f"min eigenvalue {m:.3e}"))
 
     p11t1 = _povm((1, 1), 1, angle_offset)
@@ -115,12 +121,14 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     )
 
     p11t2 = _povm((1, 1), 2, angle_offset)
-    m3, m29 = linalg.min_eigenvalue(np.stack([s * p11t2.bit - p11t2.ph for s in (3, 2.9)]))
+    blocks = to_blocks((1, 1), np.stack([s * p11t2.bit - p11t2.ph for s in (3, 2.9)]))
+    m3, m29 = linalg.block_min_eigenvalue(blocks).min(axis=-1)
     checks.append(_check("povm_11_type2_s3_psd", m3 >= -1e-10, f"min eigenvalue {m3:.3e}"))
     checks.append(
         _check("povm_11_type2_s2p9_fails", m29 <= -1e-6, f"min eigenvalue {m29:.3e}")
     )
 
+    checks.append(_reduction_check(angle_offset))
     checks.extend(_frontier_checks(angle_offset))
 
     # cubic root quality for the Type2 intercept

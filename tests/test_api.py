@@ -110,7 +110,7 @@ def test_cli_process_imports_no_dataclasses(argv):
     assert run.returncode == 0, run.stderr
     assert ast.literal_eval(run.stdout.splitlines()[-1]) == (0, False)
     if argv == ["verify"]:
-        assert run.stdout.splitlines()[-2] == "22/22 checks passed"
+        assert run.stdout.splitlines()[-2] == "23/23 checks passed"
 
 
 def test_lazy_names_resolve_once_and_are_listed():

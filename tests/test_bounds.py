@@ -187,6 +187,16 @@ class TestGoldenSection:
         assert abs(x - 1.3) < 1e-6
         assert abs(fx - 2.0) < 1e-12
 
+    def test_last_call_is_at_returned_point(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return (x - 1.3) ** 2
+
+        x, _ = golden_section_minimize(fun, 0.0, 4.0, 1e-6)
+        assert calls[-1] == x
+
 
 class TestPhaseBound:
     def test_one_one_closed_forms(self):

@@ -10,10 +10,10 @@ from mdi_sarg04 import linalg
 from mdi_sarg04.linalg import (
     basis_ket,
     bell_state,
+    block_min_eigenvalue,
     filter1,
     filter2,
     kron,
-    min_eigenvalue,
     partial_project,
     permute_qubits,
     phi_state,
@@ -116,7 +116,7 @@ class TestFilters:
 
     def test_contractions(self):
         for f in (filter1(), filter2()):
-            m = min_eigenvalue(np.eye(f.shape[0]) - f.conj().T @ f)
+            m = np.linalg.eigvalsh(np.eye(f.shape[0]) - f.conj().T @ f)[0]
             assert m >= -1e-12
 
 
@@ -156,88 +156,128 @@ class TestKron:
 
 
 class TestMinEigenvalue:
+    """`block_min_eigenvalue`, the closed forms of order 1 to 3."""
+
     def test_identity(self):
-        assert abs(min_eigenvalue(np.eye(4)) - 1) < 1e-12
+        for k in (1, 2, 3):
+            assert abs(block_min_eigenvalue(np.eye(k)) - 1) < 1e-12
 
     def test_diagonal(self):
-        assert abs(min_eigenvalue(np.diag([2.0, -3.0]).astype(complex)) + 3) < 1e-12
+        assert abs(block_min_eigenvalue(np.diag([2.0, -3.0])) + 3) < 1e-12
+        assert abs(block_min_eigenvalue(np.diag([2.0, 5.0, -3.0])) + 3) < 1e-12
 
     def test_rank_one_projector(self):
-        assert abs(min_eigenvalue(projector(bell_state("psi_minus")))) < 1e-12
+        assert abs(block_min_eigenvalue(projector(basis_ket("0z")))) < 1e-12
+        assert abs(block_min_eigenvalue(projector(np.array([1.0, -2.0, 2.0]) / 3))) < 1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            block_min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_complex_rejected(self):
+        with pytest.raises(ValueError):
+            block_min_eigenvalue(np.eye(2) + 0j)
+
+    def test_order_above_three_rejected(self):
+        assert block_min_eigenvalue(np.eye(3)) == 1.0
+        with pytest.raises(ValueError):
+            block_min_eigenvalue(np.eye(4))
 
     def test_stack_equals_per_matrix(self, rng):
-        a = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
-        stack = a + a.conj().swapaxes(-1, -2)
-        got = min_eigenvalue(stack)
+        a = rng.normal(size=(3, 5, 3, 3))
+        stack = a + a.swapaxes(-1, -2)
+        got = block_min_eigenvalue(stack)
         assert got.shape == (3, 5)
         for idx in np.ndindex(3, 5):
-            assert got[idx] == min_eigenvalue(stack[idx])
+            assert got[idx] == block_min_eigenvalue(stack[idx])
 
-    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("dtype", [float, np.float32])
     def test_random_stacks_match_eigvalsh(self, rng, dtype):
-        # np.linalg.eigvalsh is the oracle here; the package makes no LAPACK call
-        for n in range(1, 17):
-            a = rng.normal(size=(20, n, n))
-            if dtype is complex:
-                a = a + 1j * rng.normal(size=(20, n, n))
-            stack = a + a.conj().swapaxes(-1, -2)
-            want = np.linalg.eigvalsh(stack)
-            err = np.abs(min_eigenvalue(stack) - want[:, 0])
+        # np.linalg.eigvalsh is the oracle here; the package makes no LAPACK
+        # call; a float32 stack is taken in float64
+        for n in (1, 2, 3):
+            a = rng.normal(size=(2000, n, n))
+            stack = (a + a.swapaxes(-1, -2)).astype(dtype)
+            want = np.linalg.eigvalsh(stack.astype(float))
+            err = np.abs(block_min_eigenvalue(stack) - want[:, 0])
             assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), (n, err.max())
 
+    def test_repeated_eigenvalue_matches_eigvalsh(self, rng):
+        # a double smallest eigenvalue, where acos in Smith's form alone
+        # would lose half the digits, and a double largest one
+        q = np.stack([np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(500)])
+        lam = rng.normal(size=(500, 1)) + np.array([0.0, 0.0, 1.0]) * rng.uniform(0.5, 2.0, size=(500, 1))
+        for spectrum in (lam, -lam):
+            stack = np.einsum("bij,bj,bkj->bik", q, spectrum, q)
+            stack = 0.5 * (stack + stack.swapaxes(-1, -2))
+            want = np.linalg.eigvalsh(stack)
+            err = np.abs(block_min_eigenvalue(stack) - want[:, 0])
+            assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), err.max()
+
     def test_special_matrices(self):
-        v = np.arange(1.0, 6.0)
-        assert min_eigenvalue(np.array([[-2.5]])) == -2.5
-        assert min_eigenvalue(np.zeros((5, 5))) == 0.0
-        assert min_eigenvalue(np.eye(5)) == 1.0
+        v = np.array([1.0, 2.0, 3.0])
+        assert block_min_eigenvalue(np.array([[-2.5]])) == -2.5
+        assert block_min_eigenvalue(np.zeros((3, 3))) == 0.0
+        assert block_min_eigenvalue(np.zeros((2, 2))) == 0.0
+        assert block_min_eigenvalue(np.eye(3)) == 1.0
+        assert block_min_eigenvalue(-7.0 * np.eye(3)) == -7.0
         cases = {
             "rank one": (np.outer(v, v), 0.0),
             "rank one, negative": (-np.outer(v, v), -v @ v),
-            "repeated": (np.diag([3.0, -1.0, 2.0, -1.0, -1.0]), -1.0),
+            "repeated": (np.diag([3.0, -1.0, -1.0]), -1.0),
+            "repeated, largest": (np.diag([3.0, -1.0, 3.0]), -1.0),
+            "repeated, order 2": (np.array([[2.0, 0.0], [0.0, 2.0]]), 2.0),
+            "rank one, order 2": (np.ones((2, 2)), 0.0),
         }
         for name, (h, want) in cases.items():
-            assert abs(min_eigenvalue(h) - want) <= 1e-14 * max(1.0, abs(want)), name
+            assert abs(block_min_eigenvalue(h) - want) <= 1e-14 * max(1.0, abs(want)), name
 
     @pytest.mark.parametrize("power", [500, -500])
     def test_extreme_scales(self, rng, power):
-        # scaling by a power of two commutes exactly with the solve, and no
-        # squared off-diagonal overflows or underflows on the way
-        a = rng.normal(size=(6, 16, 16))
-        stack = a + a.swapaxes(-1, -2)
+        # scaling by a power of two commutes exactly with the closed forms,
+        # and no square overflows or underflows on the way
         factor = 2.0**power
-        got = min_eigenvalue(factor * stack)
-        assert np.isfinite(got).all()
-        assert np.array_equal(got, factor * min_eigenvalue(stack))
-        want = np.linalg.eigvalsh(stack)
-        assert (np.abs(got / factor - want[:, 0]) <= 1e-14 * np.abs(want).max(axis=1)).all()
+        for n in (1, 2, 3):
+            a = rng.normal(size=(50, n, n))
+            stack = a + a.swapaxes(-1, -2)
+            got = block_min_eigenvalue(factor * stack)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, factor * block_min_eigenvalue(stack))
+            want = np.linalg.eigvalsh(stack)
+            assert (np.abs(got / factor - want[:, 0]) <= 1e-14 * np.abs(want).max(axis=1)).all()
 
     def test_no_floating_point_warning(self, rng):
-        a = rng.normal(size=(50, 6, 6)).round(1)
+        a = rng.normal(size=(50, 3, 3)).round(1)
         stacks = [
             a + a.swapaxes(-1, -2),
-            np.stack([np.diag(rng.integers(-2, 3, size=6).astype(float)) for _ in range(20)]),
-            np.kron(np.eye(3), np.ones((2, 2)))[None].repeat(3, axis=0),
+            np.stack([np.diag(rng.integers(-2, 3, size=3).astype(float)) for _ in range(20)]),
+            np.ones((3, 3))[None].repeat(3, axis=0),
+            np.zeros((4, 3, 3)),
+            np.zeros((4, 2, 2)),
         ]
+        extreme = np.array([[[np.finfo(float).tiny, 0.0], [0.0, -np.finfo(float).max]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for stack in stacks:
-                got = min_eigenvalue(stack)
+                got = block_min_eigenvalue(stack)
                 want = np.linalg.eigvalsh(stack)[:, 0]
                 assert np.abs(got - want).max() <= 1e-13
+            # entries at both ends of the float range: relative to the largest
+            got = block_min_eigenvalue(extreme)
+            want = np.linalg.eigvalsh(extreme)[:, 0]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_non_hermitian_in_stack_rejected(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
-        assert min_eigenvalue(stack[:2]).tolist() == [1.0, -2.0]
+        assert block_min_eigenvalue(stack[:2]).tolist() == [1.0, -2.0]
         with pytest.raises(ValueError):
-            min_eigenvalue(stack)
+            block_min_eigenvalue(stack)
         with pytest.raises(ValueError):
-            min_eigenvalue(np.zeros((2, 3, 4)))
+            block_min_eigenvalue(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
-            min_eigenvalue(np.zeros((2, 0, 0)))
+            block_min_eigenvalue(np.zeros((2, 0, 0)))
+        with pytest.raises(ValueError):
+            block_min_eigenvalue(np.zeros(3))
 
 
 class TestPartialProject:

@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from mdi_sarg04 import linalg
 from mdi_sarg04.bounds import f_type1, g_type2
+from mdi_sarg04.linalg import filter2
 from mdi_sarg04.povm import (
     CASES,
     FilteredOutError,
     attack_state_22,
+    block_basis,
+    block_residual,
     build_povm,
+    build_povm_perturbed,
     error_rates,
     project_attack_from_bell_pairs,
+    to_blocks,
     verify_bound_certificate,
 )
+from mdi_sarg04.verify import FRONTIER_GRID, MIXED_LABELS, _contraction
 from tests.conftest import random_density
 
 ALL_TRIPLES = [(case, t) for case in CASES for t in (1, 2)]
@@ -28,16 +34,18 @@ class TestConstruction:
         assert p.fil.shape == p.bit.shape == p.ph.shape == (p.dim, p.dim)
         assert p.dim == 2 ** sum(case)
 
+    # np.linalg.eigvalsh is the oracle here, on the full space; the package
+    # makes no LAPACK call
     def test_hermitian_psd(self, case, atype):
         p = build_povm(case, atype)
         for op in (p.fil, p.bit, p.ph):
             assert linalg.is_hermitian(op, 1e-12)
-            assert linalg.min_eigenvalue(op) >= -1e-10
+            assert np.linalg.eigvalsh(op)[0] >= -1e-10
 
     def test_errors_dominated_by_filter(self, case, atype):
         p = build_povm(case, atype)
-        assert linalg.min_eigenvalue(p.fil - p.bit) >= -1e-10
-        assert linalg.min_eigenvalue(p.fil - p.ph) >= -1e-10
+        assert np.linalg.eigvalsh(p.fil - p.bit)[0] >= -1e-10
+        assert np.linalg.eigvalsh(p.fil - p.ph)[0] >= -1e-10
 
 
 class TestInvalidInput:
@@ -89,6 +97,65 @@ class TestMixedCaseFrontiers:
         m = verify_bound_certificate((1, 2), 1, 1.0, f_type1(1.0))
         assert -1e-9 <= m <= 0.05
         assert verify_bound_certificate((1, 2), 1, 1.0, f_type1(1.0) - 0.01) < 0
+
+
+class TestBlocks:
+    """The reduction to blocks of order <= 3 keeps every eigenvalue, with
+    np.linalg.eigvalsh as the oracle on the full space."""
+
+    @staticmethod
+    def _union(blocks: np.ndarray, zeros: int) -> np.ndarray:
+        """The sorted eigenvalues of the blocks (..., b, k, k) and `zeros` zeros."""
+        eig = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
+        return np.sort(np.concatenate([eig, np.zeros(eig.shape[:-1] + (zeros,))], axis=-1), axis=-1)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    def test_frontier_spectrum_is_blocks_and_kernel(self, offset):
+        s = FRONTIER_GRID[:, None, None]
+        intercepts = {1: f_type1, 2: g_type2}
+        for label, (case, atype) in MIXED_LABELS.items():
+            p = build_povm_perturbed(case, atype, np.pi / 8 + offset)
+            t = np.array([intercepts[atype](x) for x in FRONTIER_GRID.tolist()])[:, None, None]
+            for factor in (1 + 1e-6, 1 - 1e-2):
+                full = s * p.bit + t * factor * p.fil - p.ph
+                assert full.shape == (41, 8, 8)
+                got = self._union(to_blocks(case, full), zeros=2)
+                err = np.abs(got - np.linalg.eigvalsh(full)).max()
+                assert err <= 1e-14, (label, factor, err)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    def test_two_qubit_spectrum_is_parity_blocks(self, offset):
+        ops = [_contraction(filter2(np.pi / 8 + offset))]
+        for atype in (1, 2):
+            p = build_povm_perturbed((1, 1), atype, np.pi / 8 + offset)
+            ops += [p.bit, p.fil, p.ph] + [s * p.bit - p.ph for s in FRONTIER_GRID]
+        ops = np.stack(ops)
+        got = self._union(to_blocks((1, 1), ops), zeros=0)
+        assert np.abs(got - np.linalg.eigvalsh(ops)).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", [(1, 1), (1, 2), (2, 1)])
+    def test_basis_is_orthonormal(self, case):
+        q, kernel = block_basis(case)
+        rows = np.concatenate([q.reshape(-1, q.shape[-1]), kernel])
+        assert rows.shape == (2 ** sum(case),) * 2
+        assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", [(1, 1), (1, 2), (2, 1)])
+    def test_residual_sees_a_dropped_entry(self, case):
+        p = build_povm(case, 1)
+        assert block_residual(case, np.stack([p.bit, p.fil, p.ph])) <= 1e-15
+        q, kernel = block_basis(case)
+        leak = np.outer(q[0, 0], q[1, 0])
+        assert abs(block_residual(case, (p.fil + 1e-3 * (leak + leak.T))[None]) - 1e-3) <= 1e-15
+        if len(kernel):
+            kept = p.fil + 1e-3 * np.outer(kernel[0], kernel[0])
+            assert abs(block_residual(case, kept[None]) - 1e-3) <= 1e-15
+
+    def test_two_two_has_no_small_blocks(self):
+        with pytest.raises(ValueError):
+            block_basis((2, 2))
+        with pytest.raises(ValueError):
+            verify_bound_certificate((2, 2), 1, 1.0, 1.0)
 
 
 class TestErrorRates:

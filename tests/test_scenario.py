@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mdi_sarg04 import scenario as scenario_module
 from mdi_sarg04.config import SCENARIOS, ScenarioConfig
 from mdi_sarg04.scenario import (
     MU_COARSE_POINTS,
@@ -87,6 +88,39 @@ class TestOptimizeMu:
         assert point.zero_rate
         assert point.mu_opt == SHORT.mu_min
 
+    def test_no_rate_evaluated_twice(self, monkeypatch):
+        # every row is an evaluation already made: no two rate evaluations
+        # of one optimize_mu call share a mu
+        build = scenario_module._rates
+        emitted, evaluated = {}, []
+
+        def recording(config):
+            emission, rates_at = build(config)
+
+            def recorded_emission(mu):
+                p, herald = emission(mu)
+                emitted[id(p)] = mu, p  # p stays alive, so its id is not reused
+                return p, herald
+
+            def recorded_rates_at(distance):
+                rate = rates_at(distance)
+
+                def recorded_rate(p, herald):
+                    evaluated.append(emitted[id(p)][0])
+                    return rate(p, herald)
+
+                return recorded_rate
+
+            return recorded_emission, recorded_rates_at
+
+        monkeypatch.setattr(scenario_module, "_rates", recording)
+        point = optimize_mu(SHORT, 10.0)
+        assert not point.zero_rate
+        assert len(evaluated) > MU_COARSE_POINTS
+        assert len(set(evaluated)) == len(evaluated)
+        assert point.mu_opt in evaluated
+        assert evaluated[-1] == point.mu_opt
+
     def test_heralded_scenario_runs(self):
         cfg = SHORT._replace(scenario="spdc_heralded")
         point = optimize_mu(cfg, 0.0)
@@ -98,15 +132,17 @@ class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_whole_grid_in_one_call_stays_small(self, scenario):
         # a 0.5 km sweep evaluates its 121 x 40 mu grid: no table over
-        # (n, m) per grid point may be kept
+        # (n, m) per grid point may be kept.  The evaluator is built once,
+        # as a sweep builds it, with its relay table under the trace too
         config = ScenarioConfig(scenario=scenario, distance_step_km=0.5)
         grid = mu_grid(config)
         tracemalloc.start()
         try:
+            emission, rates_at = scenario_module._rates(config)
             rates = []
             for d in config.distances():
-                rate = rate_at(config, d)
-                rates.append([rate(mu)[0] for mu in grid])
+                rate = rates_at(d)
+                rates.append([rate(*emission(mu))[0] for mu in grid])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

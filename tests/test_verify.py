@@ -20,3 +20,10 @@ class TestVerifySuite:
         by_name = {c.name: c for c in checks}
         assert not by_name["povm_11_type1_phase_is_1p5_bit"].passed
         assert not all_passed(checks)
+
+    def test_reduction_holds_at_perturbed_angle(self):
+        # the blocks are exact at any filter angle: the perturbation breaks
+        # the identities, not the reduction
+        for offset in (0.0, 1e-3):
+            by_name = {c.name: c for c in verify_suite(angle_offset=offset)}
+            assert by_name["block_reduction"].passed, by_name["block_reduction"]
