@@ -1,8 +1,8 @@
 """Security-proof verification and key-rate simulation for MDI-SARG04 QKD.
 
-Importing the package loads the rate path only, which is plain Python.
-The security-proof modules `povm` and `verify`, and with them `linalg`
-and numpy, load on first use of one of their names (PEP 562), so a rate
+Every module is plain Python, and importing the package loads the rate
+path only.  The security-proof modules `povm` and `verify`, and with them
+`linalg`, load on first use of one of their names (PEP 562), so a rate
 command never pays for them.
 """
 

@@ -12,13 +12,12 @@ primed modes ascending; e.g. the (2,2) operators act on A1' A3' B1' B3'.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import linalg
-from .linalg import Array, basis_ket, bell_state, filter1, filter2, kron, rotation
+from .linalg import Matrix, basis_ket, bell_state, filter1, filter2, kron, rotation, sum_product
 
 Case = tuple[int, int]
 
@@ -32,17 +31,18 @@ class FilteredOutError(ValueError):
 
 
 class PovmSet(NamedTuple):
-    """Filter / bit-error / phase-error POVM triple for one case and type."""
+    """Filter / bit-error / phase-error POVM triple for one case and type,
+    each a tuple of rows."""
 
     case: Case
     announcement_type: int
-    fil: Array
-    bit: Array
-    ph: Array
+    fil: Matrix
+    bit: Matrix
+    ph: Matrix
 
     @property
     def dim(self) -> int:
-        return self.fil.shape[0]
+        return len(self.fil)
 
 
 class ErrorPair(NamedTuple):
@@ -61,22 +61,27 @@ def _type_terms(announcement_type: int):
     raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
 
-def _party_ops(photons: int, ks: tuple[int, ...], angle: float) -> tuple[Array, Array]:
-    """A party's rotated transposed filters M[k] = R^k F^T, stacked over the
-    rotations ks, and their images M[k] (|i b> (x) tail) of the bit values
-    i in the bases b = z, x, shape (2, K, 2, dim), where the tail is the
-    ancillary ket |0x> of a second photon."""
-    rot = np.array([rotation(k) for k in ks])
+def _party_ops(photons: int, ks: tuple[int, ...], angle: float):
+    """A party's rotated transposed filters M[k] = R^k F^T over the rotations
+    ks, and their images M[k] (|i b> (x) tail) of the bit values i in the
+    bases b = z, x, indexed [b][k][i], where the tail is the ancillary ket
+    |0x> of a second photon."""
     if photons == 1:
-        fil, tail = filter1(angle), np.ones(1)
+        rots, fil, tail = [rotation(k) for k in ks], filter1(angle), [1.0]
     elif photons == 2:
-        rot = np.einsum("kac,kbd->kabcd", rot, rot).reshape(len(ks), 4, 4)
+        rots = [kron(rotation(k), rotation(k)) for k in ks]
         fil, tail = filter2(angle), basis_ket("0x")
     else:
         raise ValueError(f"per-party photon number must be 1 or 2, got {photons}")
-    m = np.einsum("kij,lj->kil", rot, fil)
-    targets = np.array([[kron(basis_ket(f"{i}{b}"), tail) for i in (0, 1)] for b in "zx"])
-    return m, np.einsum("kxy,biy->bkix", m, targets)
+    m = [[[sum_product(r_row, f_row) for f_row in fil] for r_row in rot] for rot in rots]
+    targets = [[kron(basis_ket(f"{i}{b}"), tail) for i in (0, 1)] for b in "zx"]
+    return m, [[[[sum_product(row, t) for row in mk] for t in tb] for mk in m] for tb in targets]
+
+
+def _gram(w: float, vectors: list[list[float]]) -> Matrix:
+    """w sum_v |v><v| over the real vectors, term by term in order."""
+    cols = list(zip(*vectors))
+    return tuple(tuple(w * sum_product(x, y) for y in cols) for x in cols)
 
 
 def _build(case: Case, announcement_type: int, angle: float) -> PovmSet:
@@ -90,21 +95,23 @@ def _build(case: Case, announcement_type: int, angle: float) -> PovmSet:
     ma, va = _party_ops(n, ks, angle)
     mb, vb = _party_ops(m, ks, angle)
     if announcement_type == 2:
-        vb[0] = vb[0][:, [1, 0]]
-    dim = 2 ** (n + m)
-    gram_a = np.einsum("kac,kec->kae", ma, ma)
-    gram_b = np.einsum("kbd,kfd->kbf", mb, mb)
-    fil = w * np.einsum("kae,kbf->abef", gram_a, gram_b).reshape(dim, dim)
-    v = np.einsum("skia,skib->skiab", va, vb).reshape(2, -1, dim)
-    bit, ph = w * np.einsum("skx,sky->sxy", v, v)
+        vb[0] = [[one, zero] for zero, one in vb[0]]
+    grams = [[[[sum_product(r, s) for s in mk] for r in mk] for mk in ops] for ops in (ma, mb)]
+    # each party's Gram entries G[k][a][e] as [a][e], a tuple over k
+    ga, gb = ([list(zip(*rows)) for rows in zip(*g)] for g in grams)
+    fil = tuple(tuple(w * sum_product(x, y) for x in ra for y in rb) for ra in ga for rb in gb)
+    # per basis, the joint images over (k, i)
+    bit, ph = (
+        _gram(w, [kron(a, b) for ka, kb in zip(*images) for a, b in zip(ka, kb)]) for images in zip(va, vb)
+    )
     return PovmSet(case, announcement_type, fil, bit, ph)
 
 
 @lru_cache(maxsize=None)
 def build_povm(case: Case, announcement_type: int) -> PovmSet:
-    """POVM triple for the given case and announcement type (memoized;
-    the returned arrays must be treated as read-only)."""
-    return _build(case, announcement_type, np.pi / 8)
+    """POVM triple for the given case and announcement type (memoized; the
+    operators are tuples of tuples, so no caller can change them)."""
+    return _build(case, announcement_type, math.pi / 8)
 
 
 def build_povm_perturbed(case: Case, announcement_type: int, angle: float) -> PovmSet:
@@ -113,21 +120,29 @@ def build_povm_perturbed(case: Case, announcement_type: int, angle: float) -> Po
     return _build(case, announcement_type, angle)
 
 
-def error_rates(povms: PovmSet, rho: Array) -> ErrorPair:
+def _trace_product(p: Matrix, cols: list) -> float:
+    """Re Tr(P rho), given the columns of rho, term by term in order."""
+    acc = 0.0
+    for row, col in zip(p, cols):
+        for x, y in zip(row, col):
+            acc += x * y
+    return acc.real
+
+
+def error_rates(povms: PovmSet, rho: Matrix) -> ErrorPair:
     """Bit/phase error rates of a (density-operator) state under a triple:
     the real parts of the traces Tr(P rho), for a real or complex rho."""
-    rho = np.asarray(rho)
-    if rho.shape != povms.fil.shape:
-        raise ValueError(
-            f"state dimension {rho.shape} does not match POVM dimension {povms.fil.shape}"
-        )
-    p_fil, e_bit, e_ph = np.einsum("tij,ji->t", (povms.fil, povms.bit, povms.ph), rho).real.tolist()
+    dim = povms.dim
+    if len(rho) != dim or any(len(row) != dim for row in rho):
+        raise ValueError(f"state dimension {len(rho)} does not match POVM dimension {dim}")
+    cols = list(zip(*rho))
+    p_fil, e_bit, e_ph = (_trace_product(op, cols) for op in (povms.fil, povms.bit, povms.ph))
     if p_fil <= FILTER_TOL:
         raise FilteredOutError(f"filter probability {p_fil:g} is numerically zero")
     return ErrorPair(e_bit=e_bit / p_fil, e_ph=e_ph / p_fil, p_fil=p_fil)
 
 
-def attack_state_22(announcement_type: int, which: int) -> Array:
+def attack_state_22(announcement_type: int, which: int) -> list[float]:
     """Eve's four-photon attack states on A1' A3' B1' B3' (canonical order).
 
     Type1 exposes the orthogonal pair mu_1, mu_2 (which = 1, 2); Type2 the
@@ -143,7 +158,8 @@ def attack_state_22(announcement_type: int, which: int) -> Array:
             v = kron(psi_m, x0, x1)
             return linalg.permute_qubits(v, ["A1", "B3", "A3", "B1"])
         if which == 2:
-            return (kron(z0, z0, z1, z0) + kron(z1, z0, z0, z1)) / np.sqrt(2)
+            h = math.sqrt(2)
+            return [(x + y) / h for x, y in zip(kron(z0, z0, z1, z0), kron(z1, z0, z0, z1))]
         raise ValueError(f"Type1 attack index must be 1 or 2, got {which}")
     if announcement_type == 2:
         tails = {1: (x0, x0), 2: (x0, x1), 3: (x1, x0), 4: (x0, x0)}
@@ -155,7 +171,7 @@ def attack_state_22(announcement_type: int, which: int) -> Array:
     raise ValueError(f"announcement type must be 1 or 2, got {announcement_type}")
 
 
-def project_attack_from_bell_pairs(announcement_type: int, which: int) -> Array:
+def project_attack_from_bell_pairs(announcement_type: int, which: int) -> list[float]:
     """Post-measurement state (unnormalized) of the primed modes when Eve
     projects her four ancilla photons onto an attack state.
 
@@ -175,42 +191,69 @@ def project_attack_from_bell_pairs(announcement_type: int, which: int) -> Array:
 
 
 @lru_cache(maxsize=None)
-def block_basis(case: Case) -> tuple[Array, Array]:
-    """The orthonormal rows Q (2, k, dim) of the even and odd blocks, by
-    Hamming-weight parity, of a case's operators, and the kernel (K, dim)
-    they annihilate.  In (1,2) and (2,1) the two photons of one party span
-    |0x0x>, |1x1x> and |psi+> (k = 3), and the kernel is their singlet
-    |psi-> times the other photon's |0x> and |1x>.  The (1,1) blocks (k = 2)
-    are those of any two-qubit operator.  The (2,2) case raises ValueError."""
+def block_basis(case: Case) -> tuple[tuple[Matrix, Matrix], Matrix]:
+    """The orthonormal rows Q_b of the even and odd blocks (b = 0, 1), by
+    Hamming-weight parity, of a case's operators, and the kernel rows they
+    annihilate, as tuples.  In (1,2) and (2,1) the two photons of one party
+    span |0x0x>, |1x1x> and |psi+> (k = 3 rows per block), and the kernel
+    is their singlet |psi-> times the other photon's |0x> and |1x>.  The
+    (1,1) blocks (k = 2) are those of any two-qubit operator, with no
+    kernel.  The (2,2) case raises ValueError."""
     x0, x1 = basis_ket("0x"), basis_ket("1x")
     if case == (1, 1):
-        return np.array([[kron(x0, x0), kron(x1, x1)], [kron(x0, x1), kron(x1, x0)]]), np.zeros((0, 4))
-    if case not in ((1, 2), (2, 1)):
+        q = [[kron(x0, x0), kron(x1, x1)], [kron(x0, x1), kron(x1, x0)]]
+        kernel = []
+    elif case in ((1, 2), (2, 1)):
+        # the one photon's ket and the two photons' ket, in canonical order
+        join = kron if case == (1, 2) else (lambda one, two: kron(two, one))
+        zz, oo, plus, minus = kron(x0, x0), kron(x1, x1), bell_state("psi_plus"), bell_state("psi_minus")
+        q = [[join(x0, zz), join(x0, oo), join(x1, plus)], [join(x1, zz), join(x1, oo), join(x0, plus)]]
+        kernel = [join(x0, minus), join(x1, minus)]
+    else:
         raise ValueError(f"no blocks of order 3 or less for case {case}")
-    # the one photon's ket and the two photons' ket, in canonical order
-    join = kron if case == (1, 2) else (lambda one, two: kron(two, one))
-    zz, oo, plus, minus = kron(x0, x0), kron(x1, x1), bell_state("psi_plus"), bell_state("psi_minus")
-    q = [[join(x0, zz), join(x0, oo), join(x1, plus)], [join(x1, zz), join(x1, oo), join(x0, plus)]]
-    return np.array(q), np.array([join(x0, minus), join(x1, minus)])
+    return tuple(tuple(map(tuple, rows)) for rows in q), tuple(map(tuple, kernel))
 
 
-def to_blocks(case: Case, op: Array) -> Array:
-    """The blocks QᵀMQ (..., 2, k, k) of an operator M of a case, or of a
-    stack of them (..., dim, dim) (see `block_basis`)."""
-    q = block_basis(case)[0]
-    return np.einsum("bki,...ij,blj->...bkl", q, op, q)
+@lru_cache(maxsize=None)
+def _sparse_blocks(case: Case):
+    """The block rows of `block_basis`, each as its nonzero (index, value) pairs."""
+    return tuple(
+        tuple(tuple((i, x) for i, x in enumerate(row) if x) for row in rows)
+        for rows in block_basis(case)[0]
+    )
 
 
-def block_residual(case: Case, ops: Array) -> float:
-    """The largest part of the operators ops (n, dim, dim) of a case that
-    `to_blocks` drops: the entries of QᵀMQ between the two blocks, and the
+def _sandwich(u, op: Matrix, w) -> float:
+    """u M wᵀ for the sparse rows u and w, term by term in order."""
+    acc = 0.0
+    for i, a in u:
+        row = op[i]
+        for j, b in w:
+            acc += a * row[j] * b
+    return acc
+
+
+def to_blocks(case: Case, op: Matrix) -> list[list[list[float]]]:
+    """The two blocks Q_b M Q_bᵀ of order k of an operator M of a case (see
+    `block_basis`)."""
+    return [[[_sandwich(u, op, w) for w in rows] for u in rows] for rows in _sparse_blocks(case)]
+
+
+def block_residual(case: Case, ops: list[Matrix]) -> float:
+    """The largest part of the operators ops of a case that `to_blocks`
+    drops: the entries of Q_b M Q_(1-b)ᵀ between the two blocks, and the
     norm of M times each kernel vector.  The smallest eigenvalue of M is at
     least min(0, its blocks' smallest) minus dim times this residual."""
-    q, kernel = block_basis(case)
-    images = np.einsum("nij,vj->nvi", ops, kernel)
-    parts = [np.abs(np.einsum("ki,nij,lj->nkl", q[b], ops, q[1 - b])) for b in (0, 1)]
-    parts.append(np.sqrt(np.einsum("nvi,nvi->nv", images, images)))
-    return float(max(part.max(initial=0.0) for part in parts))
+    even, odd = _sparse_blocks(case)
+    kernel = block_basis(case)[1]
+    worst = 0.0
+    for op in ops:
+        for rows, others in ((even, odd), (odd, even)):
+            worst = max([worst] + [abs(_sandwich(u, op, w)) for u in rows for w in others])
+        for v in kernel:
+            image = [sum_product(row, v) for row in op]
+            worst = max(worst, math.sqrt(sum_product(image, image)))
+    return worst
 
 
 def verify_bound_certificate(case: Case, announcement_type: int, s: float, t: float) -> float:
@@ -218,4 +261,5 @@ def verify_bound_certificate(case: Case, announcement_type: int, s: float, t: fl
     physical (symmetric) subspace; >= -tol certifies the phase-error bound
     e_ph <= s*e_bit + t.  The (2,2) case raises ValueError."""
     p = build_povm(case, announcement_type)
-    return float(linalg.block_min_eigenvalue(to_blocks(case, s * p.bit + t * p.fil - p.ph)).min())
+    op = [[s * x + t * y - z for x, y, z in zip(*rows)] for rows in zip(p.bit, p.fil, p.ph)]
+    return min(linalg.block_min_eigenvalue(block) for block in to_blocks(case, op))

@@ -8,9 +8,8 @@ failure.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import linalg
 from .bounds import S_MAX, cubic_value, f_type1, g_type2
@@ -25,7 +24,8 @@ from .povm import (
     to_blocks,
 )
 
-FRONTIER_GRID = np.round(np.arange(0.0, S_MAX + 1e-9, 0.25), 10)
+# the slopes 0, 0.25, ..., S_MAX
+FRONTIER_GRID = [0.25 * i for i in range(41)]
 MIXED_LABELS = {f"{n}{m}_type{atype}": ((n, m), atype) for n, m in ((1, 2), (2, 1)) for atype in (1, 2)}
 
 
@@ -37,7 +37,7 @@ class CheckResult(NamedTuple):
 
 def _povm(case, atype, angle_offset: float) -> PovmSet:
     if angle_offset:
-        return build_povm_perturbed(case, atype, np.pi / 8 + angle_offset)
+        return build_povm_perturbed(case, atype, math.pi / 8 + angle_offset)
     return build_povm(case, atype)
 
 
@@ -45,42 +45,61 @@ def _check(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _contraction(f: np.ndarray) -> np.ndarray:
+def _contraction(f: linalg.Matrix) -> list[list[float]]:
     """I - FᵀF of a filter success operator F."""
-    return np.eye(f.shape[0]) - np.einsum("ki,kj->ij", f, f)
+    cols = list(zip(*f))
+    return [
+        [float(i == j) - linalg.sum_product(u, w) for j, w in enumerate(cols)] for i, u in enumerate(cols)
+    ]
 
 
-def _reduction_check(angle_offset) -> CheckResult:
+def _mixture(w: float, a: linalg.Vector, b: linalg.Vector) -> list[list[float]]:
+    """The density operator w |a><a| + (1 - w) |b><b|."""
+    pairs = zip(linalg.projector(a), linalg.projector(b))
+    return [[w * x + (1 - w) * y for x, y in zip(*rows)] for rows in pairs]
+
+
+def _min_eigenvalue(blocks) -> float:
+    return min(linalg.block_min_eigenvalue(block) for block in blocks)
+
+
+def _reduction_check(angle_offset: float) -> CheckResult:
     """Every operator whose eigenvalues the battery takes on blocks is zero
     on the kernel and between the parity blocks (see `povm.block_residual`):
     `filter2`'s contraction, the (1,1) Type2 bit and phase operators, and
     every (1,2) and (2,1) triple."""
     p11t2 = _povm((1, 1), 2, angle_offset)
-    reduced = [((1, 1), [_contraction(linalg.filter2()), p11t2.bit, p11t2.ph])]
+    reduced = [((1, 1), [_contraction(linalg.filter2(math.pi / 8 + angle_offset)), p11t2.bit, p11t2.ph])]
     for case, atype in MIXED_LABELS.values():
         p = _povm(case, atype, angle_offset)
         reduced.append((case, [p.bit, p.fil, p.ph]))
-    worst = max(block_residual(case, np.stack(ops)) for case, ops in reduced)
+    worst = max(block_residual(case, ops) for case, ops in reduced)
     return _check("block_reduction", worst <= 1e-15, f"max residual {worst:.3e} off the blocks")
 
 
 def _frontier_checks(angle_offset) -> list[CheckResult]:
     """Every frontier s*bit + t(s)*fil - ph over FRONTIER_GRID is PSD on the
     blocks at the raised intercept t*(1+1e-6), and tight at every slope:
-    each 1 %-reduced intercept t*(1-1e-2) must fail.  One eigenvalue call
-    per label takes its 3 x 3 blocks (side, slope, block, 3, 3)."""
-    s = FRONTIER_GRID[:, None, None, None]
-    intercepts = {
-        t: np.array([intercept(x) for x in FRONTIER_GRID.tolist()])[:, None, None, None]
-        for t, intercept in ((1, f_type1), (2, g_type2))
-    }
+    each 1 %-reduced intercept t*(1-1e-2) must fail.  Each of a label's
+    3 x 3 blocks is combined from the blocks of its three operators."""
+    intercepts = {t: [intercept(s) for s in FRONTIER_GRID] for t, intercept in ((1, f_type1), (2, g_type2))}
     checks = []
     for label, (case, atype) in MIXED_LABELS.items():
-        p, t = _povm(case, atype, angle_offset), intercepts[atype]
-        bit, fil, ph = to_blocks(case, np.stack([p.bit, p.fil, p.ph]))
-        sides = np.array([s * bit + t * factor * fil - ph for factor in (1 + 1e-6, 1 - 1e-2)])
-        valid, invalid = linalg.block_min_eigenvalue(sides).min(axis=-1)
-        worst_valid, worst_invalid = valid.min(), invalid.max()
+        p = _povm(case, atype, angle_offset)
+        # each block as the rows of its bit, fil and ph blocks side by side
+        blocks = [list(zip(*ops)) for ops in zip(*(to_blocks(case, op) for op in (p.bit, p.fil, p.ph)))]
+        # per side, the smallest block eigenvalue at each slope
+        valid, invalid = (
+            [
+                _min_eigenvalue(
+                    [[s * x + t * factor * y - z for x, y, z in zip(*rows)] for rows in block]
+                    for block in blocks
+                )
+                for s, t in zip(FRONTIER_GRID, intercepts[atype])
+            ]
+            for factor in (1 + 1e-6, 1 - 1e-2)
+        )
+        worst_valid, worst_invalid = min(valid), max(invalid)
         valid_detail = f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)"
         invalid_detail = f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)"
         checks.append(_check(f"frontier_{label}_valid_side", worst_valid >= -1e-9, valid_detail))
@@ -91,38 +110,44 @@ def _frontier_checks(angle_offset) -> list[CheckResult]:
 def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     """Run the full identity/positivity/attack battery.
 
-    `angle_offset` perturbs the filter angle; it exists so the suite's
-    sensitivity can itself be demonstrated (a 1e-3 offset must break the
-    proportionality check).
+    `angle_offset` perturbs the filter angle of every filter and POVM
+    check; it exists so the suite's sensitivity can itself be demonstrated
+    (a 1e-3 offset must break the proportionality check).
     """
     checks: list[CheckResult] = []
+    angle = math.pi / 8 + angle_offset
 
     # rotation cycles the four signal states
     worst = 0.0
     r = linalg.rotation(1)
     for i in range(4):
-        ov = abs(np.einsum("i,ij,j->", linalg.phi_state((i + 1) % 4), r, linalg.phi_state(i)))
+        # <phi_(i+1)| R |phi_i> as one sum over (j, l) of (a_j R_jl) b_l
+        a, b = linalg.phi_state((i + 1) % 4), linalg.phi_state(i)
+        ov = abs(linalg.sum_product([x * y for x, row in zip(a, r) for y in row], b * len(a)))
         worst = max(worst, abs(ov - 1.0))
     checks.append(_check("rotation_cycles_signal_states", worst <= 1e-12, f"max deviation {worst:.3e}"))
 
     # filters are contractions: F'F <= identity
     contractions = (
-        ("filter1", _contraction(linalg.filter1())),
-        ("filter2", to_blocks((1, 1), _contraction(linalg.filter2()))),
+        ("filter1", [_contraction(linalg.filter1(angle))]),
+        ("filter2", to_blocks((1, 1), _contraction(linalg.filter2(angle)))),
     )
     for name, blocks in contractions:
-        m = np.min(linalg.block_min_eigenvalue(blocks))
+        m = _min_eigenvalue(blocks)
         checks.append(_check(f"{name}_contraction", m >= -1e-12, f"min eigenvalue {m:.3e}"))
 
     p11t1 = _povm((1, 1), 1, angle_offset)
-    dev = np.abs(p11t1.ph - 1.5 * p11t1.bit).max()
+    dev = max(abs(z - 1.5 * x) for rows in zip(p11t1.ph, p11t1.bit) for z, x in zip(*rows))
     checks.append(
         _check("povm_11_type1_phase_is_1p5_bit", dev <= 1e-12, f"max-abs deviation {dev:.3e}")
     )
 
     p11t2 = _povm((1, 1), 2, angle_offset)
-    blocks = to_blocks((1, 1), np.stack([s * p11t2.bit - p11t2.ph for s in (3, 2.9)]))
-    m3, m29 = linalg.block_min_eigenvalue(blocks).min(axis=-1)
+    rows = list(zip(p11t2.bit, p11t2.ph))
+    m3, m29 = (
+        _min_eigenvalue(to_blocks((1, 1), [[s * x - z for x, z in zip(*row)] for row in rows]))
+        for s in (3, 2.9)
+    )
     checks.append(_check("povm_11_type2_s3_psd", m3 >= -1e-10, f"min eigenvalue {m3:.3e}"))
     checks.append(
         _check("povm_11_type2_s2p9_fails", m29 <= -1e-6, f"min eigenvalue {m29:.3e}")
@@ -158,15 +183,13 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
             f"(e_bit, e_ph) = ({r2.e_bit:.12f}, {r2.e_ph:.12f})",
         )
     )
-    ortho = abs(np.einsum("i,i->", mu1, mu2))
+    ortho = abs(linalg.sum_product(mu1, mu2))
     checks.append(_check("attack_22_mu_orthogonal", ortho <= 1e-12, f"|<mu1|mu2>| = {ortho:.3e}"))
 
     p22t2 = _povm((2, 2), 2, angle_offset)
     nus = [attack_state_22(2, w) for w in (1, 2, 3, 4)]
-    rho_a = 0.25 * linalg.projector(nus[0]) + 0.75 * linalg.projector(nus[1])
-    rho_b = 0.75 * linalg.projector(nus[2]) + 0.25 * linalg.projector(nus[3])
-    ra = error_rates(p22t2, rho_a)
-    rb = error_rates(p22t2, rho_b)
+    ra = error_rates(p22t2, _mixture(0.25, nus[0], nus[1]))
+    rb = error_rates(p22t2, _mixture(0.75, nus[2], nus[3]))
     checks.append(
         _check(
             "attack_22_type2_mix_a",
@@ -184,7 +207,7 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
 
     # heralding the attack from Bell pairs succeeds with probability 1/16
     proj = project_attack_from_bell_pairs(1, 1)
-    p_succ = float(np.einsum("i,i->", proj, proj))
+    p_succ = linalg.sum_product(proj, proj)
     checks.append(
         _check(
             "attack_projection_probability",

@@ -13,13 +13,13 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from mdi_sarg04.linalg import Array
+from mdi_sarg04.linalg import Vector
 from mdi_sarg04.optics import _ALL_PATTERNS, _PATTERN_TYPES, N_MAX_CAP, _signal_pairs
 
 _PATTERN_CLICKS = np.array(_ALL_PATTERNS)
 
 
-def _mode_amplitudes(pol: Array, arm: str) -> list[complex]:
+def _mode_amplitudes(pol: Vector, arm: str) -> list[complex]:
     """Creation-operator amplitudes of one input photon over the four
     output modes (L0x, L1x, R0x, R1x)."""
     a0, a1 = (complex(a) / sqrt(2) for a in pol)
@@ -34,7 +34,7 @@ def _partitions(total: int):
                 yield (p0, p1, p2, total - p0 - p1 - p2)
 
 
-def _monomials(n: int, pol: Array | None, arm: str) -> list[tuple[tuple[int, ...], complex]]:
+def _monomials(n: int, pol: Vector | None, arm: str) -> list[tuple[tuple[int, ...], complex]]:
     """Expansion of (sum_j u_j a_j^dag)^n: occupation tuple and coefficient."""
     if not n:
         return [((0, 0, 0, 0), 1.0)]
@@ -46,7 +46,7 @@ def _monomials(n: int, pol: Array | None, arm: str) -> list[tuple[tuple[int, ...
 
 
 def output_photon_distribution(
-    n: int, m: int, pol_a: Array | None, pol_b: Array | None
+    n: int, m: int, pol_a: Vector | None, pol_b: Vector | None
 ) -> dict[tuple[int, int, int, int], float]:
     """Exact photon-number distribution over the four output modes for n
     photons in pol_a from Alice's arm and m in pol_b from Bob's."""
@@ -61,7 +61,7 @@ def output_photon_distribution(
 
 
 def lossless_clicks(
-    na: int, mb: int, pol_a: Array | None, pol_b: Array | None, dark: float
+    na: int, mb: int, pol_a: Vector | None, pol_b: Vector | None, dark: float
 ) -> np.ndarray:
     """Probabilities of the 16 click patterns when na and mb photons reach
     the beamsplitter: a detector fires iff a photon hits it or it

@@ -40,7 +40,7 @@ def _report(index: int, label: str, ok: bool, detail: str = "") -> bool:
 def test_criterion_1_phase_povm_proportionality():
     start = time.perf_counter()
     p = build_povm((1, 1), 1)
-    dev = float(np.abs(p.ph - 1.5 * p.bit).max())
+    dev = float(np.abs(np.asarray(p.ph) - 1.5 * np.asarray(p.bit)).max())
     elapsed = time.perf_counter() - start
     ok = dev <= 1e-12 and elapsed < 1.0
     assert _report(
@@ -103,8 +103,9 @@ def test_criterion_4_two_photon_attack():
     r_mu1 = error_rates(p1, linalg.projector(attack_state_22(1, 1)))
     r_mu2 = error_rates(p1, linalg.projector(attack_state_22(1, 2)))
     nus = [attack_state_22(2, w) for w in (1, 2, 3, 4)]
-    r_nua = error_rates(p2, 0.25 * linalg.projector(nus[0]) + 0.75 * linalg.projector(nus[1]))
-    r_nub = error_rates(p2, 0.75 * linalg.projector(nus[2]) + 0.25 * linalg.projector(nus[3]))
+    proj_nu = [np.asarray(linalg.projector(nu)) for nu in nus]
+    r_nua = error_rates(p2, 0.25 * proj_nu[0] + 0.75 * proj_nu[1])
+    r_nub = error_rates(p2, 0.75 * proj_nu[2] + 0.25 * proj_nu[3])
     proj = project_attack_from_bell_pairs(1, 1)
     p_succ = float(np.vdot(proj, proj).real)
     tol = 1e-12

@@ -302,10 +302,11 @@ def test_rate_path_source_calls_no_blas(module):
     assert not found, found
 
 
-@pytest.mark.parametrize("module", NUMPY_FREE_MODULES)
+@pytest.mark.parametrize("module", NUMPY_FREE_MODULES + PROOF_MODULES)
 def test_rate_path_imports_no_numpy(module):
-    """The rate path and the CLI are plain Python: no import of numpy, at
-    module level or inside a function, so that only `verify` loads it."""
+    """The rate path, the CLI and the security-proof modules are plain
+    Python: no import of numpy, at module level or inside a function, so
+    that no process loads it."""
     found = []
     for node in ast.walk(_module_tree(module)):
         if isinstance(node, ast.Import):

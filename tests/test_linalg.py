@@ -1,4 +1,6 @@
-"""State/operator constructors and small-matrix utilities."""
+"""State/operator constructors and small-matrix utilities.
+
+The package works on lists; the tests wrap its results in `np.asarray`."""
 
 import math
 import warnings
@@ -23,6 +25,7 @@ from mdi_sarg04.linalg import (
 
 COS8 = math.cos(math.pi / 8)
 SIN8 = math.sin(math.pi / 8)
+A = np.asarray
 
 
 class TestBasisKets:
@@ -32,10 +35,10 @@ class TestBasisKets:
 
     def test_z_from_x_superposition(self):
         np.testing.assert_allclose(
-            basis_ket("0z"), (basis_ket("0x") + basis_ket("1x")) / math.sqrt(2)
+            basis_ket("0z"), (A(basis_ket("0x")) + basis_ket("1x")) / math.sqrt(2)
         )
         np.testing.assert_allclose(
-            basis_ket("1z"), (basis_ket("0x") - basis_ket("1x")) / math.sqrt(2)
+            basis_ket("1z"), (A(basis_ket("0x")) - basis_ket("1x")) / math.sqrt(2)
         )
 
     def test_orthonormality(self):
@@ -75,22 +78,22 @@ class TestSignalStates:
 class TestRotation:
     def test_cycles_signal_states(self):
         for i in range(4):
-            ov = np.vdot(phi_state((i + 1) % 4), rotation(1) @ phi_state(i))
+            ov = np.vdot(phi_state((i + 1) % 4), A(rotation(1)) @ phi_state(i))
             assert abs(abs(ov) - 1) < 1e-12
 
     def test_sign_convention(self):
-        np.testing.assert_allclose(rotation(1) @ phi_state(0), phi_state(1), atol=1e-15)
+        np.testing.assert_allclose(A(rotation(1)) @ phi_state(0), phi_state(1), atol=1e-15)
 
     def test_power_zero_is_identity(self):
         np.testing.assert_allclose(rotation(0), np.eye(2))
 
     def test_fourth_power_is_minus_identity_ray(self):
-        r4 = rotation(1) @ rotation(3)
+        r4 = A(rotation(1)) @ rotation(3)
         assert min(np.abs(r4 - np.eye(2)).max(), np.abs(r4 + np.eye(2)).max()) < 1e-12
 
     def test_orthogonal(self):
         for k in range(4):
-            rk = rotation(k)
+            rk = A(rotation(k))
             np.testing.assert_allclose(rk @ rk.conj().T, np.eye(2), atol=1e-12)
 
     def test_bad_power_rejected(self):
@@ -100,22 +103,22 @@ class TestRotation:
 
 class TestFilters:
     def test_filter1_diagonal_action(self):
-        np.testing.assert_allclose(filter1() @ basis_ket("0x"), COS8 * basis_ket("0x"))
-        np.testing.assert_allclose(filter1() @ basis_ket("1x"), SIN8 * basis_ket("1x"))
+        np.testing.assert_allclose(A(filter1()) @ basis_ket("0x"), COS8 * A(basis_ket("0x")))
+        np.testing.assert_allclose(A(filter1()) @ basis_ket("1x"), SIN8 * A(basis_ket("1x")))
 
     def test_filter2_on_psi_plus(self):
-        out = filter2() @ bell_state("psi_plus")
+        out = A(filter2()) @ bell_state("psi_plus")
         assert abs(np.linalg.norm(out) - 0.5) < 1e-15
 
     def test_filter2_on_1x0x(self):
         # third term's bra has overlap <psi+|1x0x> = 1/sqrt(2), so the
         # image is cos(pi/8) sin(pi/8) |1x0x>
-        out = filter2() @ kron(basis_ket("1x"), basis_ket("0x"))
-        expect = COS8 * SIN8 * kron(basis_ket("1x"), basis_ket("0x"))
+        out = A(filter2()) @ kron(basis_ket("1x"), basis_ket("0x"))
+        expect = COS8 * SIN8 * A(kron(basis_ket("1x"), basis_ket("0x")))
         np.testing.assert_allclose(out, expect, atol=1e-15)
 
     def test_contractions(self):
-        for f in (filter1(), filter2()):
+        for f in map(A, (filter1(), filter2())):
             m = np.linalg.eigvalsh(np.eye(f.shape[0]) - f.conj().T @ f)[0]
             assert m >= -1e-12
 
@@ -125,13 +128,13 @@ class TestBellStates:
         assert abs(np.vdot(bell_state("psi_minus"), bell_state("psi_plus"))) < 1e-15
 
     def test_psi_plus_invariant_under_half_turn(self):
-        r2 = kron(rotation(2), rotation(2))
+        r2 = A(kron(rotation(2), rotation(2)))
         ov = np.vdot(bell_state("psi_plus"), r2 @ bell_state("psi_plus"))
         assert abs(abs(ov) - 1) < 1e-12
 
     def test_psi_minus_invariant_under_all_rotations(self):
         for k in range(4):
-            rk = kron(rotation(k), rotation(k))
+            rk = A(kron(rotation(k), rotation(k)))
             ov = np.vdot(bell_state("psi_minus"), rk @ bell_state("psi_minus"))
             assert abs(abs(ov) - 1) < 1e-12
 
@@ -142,7 +145,7 @@ class TestBellStates:
 
 class TestKron:
     def test_identity_factors(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_allclose(kron(np.eye(2).tolist(), np.eye(2).tolist()), np.eye(4))
 
     def test_vector_layout_matches_indexing(self):
         v = kron(basis_ket("0x"), basis_ket("1x"))
@@ -156,15 +159,16 @@ class TestKron:
 
 
 class TestMinEigenvalue:
-    """`block_min_eigenvalue`, the closed forms of order 1 to 3."""
+    """`block_min_eigenvalue`, the closed forms of order 1 to 3, one matrix
+    (a list of rows) at a time."""
 
     def test_identity(self):
         for k in (1, 2, 3):
-            assert abs(block_min_eigenvalue(np.eye(k)) - 1) < 1e-12
+            assert abs(block_min_eigenvalue(np.eye(k).tolist()) - 1) < 1e-12
 
     def test_diagonal(self):
-        assert abs(block_min_eigenvalue(np.diag([2.0, -3.0])) + 3) < 1e-12
-        assert abs(block_min_eigenvalue(np.diag([2.0, 5.0, -3.0])) + 3) < 1e-12
+        assert abs(block_min_eigenvalue(np.diag([2.0, -3.0]).tolist()) + 3) < 1e-12
+        assert abs(block_min_eigenvalue(np.diag([2.0, 5.0, -3.0]).tolist()) + 3) < 1e-12
 
     def test_rank_one_projector(self):
         assert abs(block_min_eigenvalue(projector(basis_ket("0z")))) < 1e-12
@@ -172,34 +176,31 @@ class TestMinEigenvalue:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            block_min_eigenvalue([[0.0, 1.0], [0.0, 0.0]])
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.eye(2) + 0j)
+            block_min_eigenvalue((np.eye(2) + 0j).tolist())
 
     def test_order_above_three_rejected(self):
-        assert block_min_eigenvalue(np.eye(3)) == 1.0
+        assert block_min_eigenvalue(np.eye(3).tolist()) == 1.0
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.eye(4))
+            block_min_eigenvalue(np.eye(4).tolist())
 
-    def test_stack_equals_per_matrix(self, rng):
-        a = rng.normal(size=(3, 5, 3, 3))
-        stack = a + a.swapaxes(-1, -2)
-        got = block_min_eigenvalue(stack)
-        assert got.shape == (3, 5)
-        for idx in np.ndindex(3, 5):
-            assert got[idx] == block_min_eigenvalue(stack[idx])
+    @staticmethod
+    def _each(stack) -> np.ndarray:
+        """The smallest eigenvalue of each matrix of a stack (n, k, k)."""
+        return np.array([block_min_eigenvalue(h) for h in stack.tolist()])
 
     @pytest.mark.parametrize("dtype", [float, np.float32])
     def test_random_stacks_match_eigvalsh(self, rng, dtype):
         # np.linalg.eigvalsh is the oracle here; the package makes no LAPACK
-        # call; a float32 stack is taken in float64
+        # call; float32 entries are taken as floats
         for n in (1, 2, 3):
             a = rng.normal(size=(2000, n, n))
             stack = (a + a.swapaxes(-1, -2)).astype(dtype)
             want = np.linalg.eigvalsh(stack.astype(float))
-            err = np.abs(block_min_eigenvalue(stack) - want[:, 0])
+            err = np.abs(self._each(stack) - want[:, 0])
             assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), (n, err.max())
 
     def test_repeated_eigenvalue_matches_eigvalsh(self, rng):
@@ -211,16 +212,16 @@ class TestMinEigenvalue:
             stack = np.einsum("bij,bj,bkj->bik", q, spectrum, q)
             stack = 0.5 * (stack + stack.swapaxes(-1, -2))
             want = np.linalg.eigvalsh(stack)
-            err = np.abs(block_min_eigenvalue(stack) - want[:, 0])
+            err = np.abs(self._each(stack) - want[:, 0])
             assert (err <= 1e-14 * np.abs(want).max(axis=1)).all(), err.max()
 
     def test_special_matrices(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert block_min_eigenvalue(np.array([[-2.5]])) == -2.5
-        assert block_min_eigenvalue(np.zeros((3, 3))) == 0.0
-        assert block_min_eigenvalue(np.zeros((2, 2))) == 0.0
-        assert block_min_eigenvalue(np.eye(3)) == 1.0
-        assert block_min_eigenvalue(-7.0 * np.eye(3)) == -7.0
+        assert block_min_eigenvalue([[-2.5]]) == -2.5
+        assert block_min_eigenvalue(np.zeros((3, 3)).tolist()) == 0.0
+        assert block_min_eigenvalue(np.zeros((2, 2)).tolist()) == 0.0
+        assert block_min_eigenvalue(np.eye(3).tolist()) == 1.0
+        assert block_min_eigenvalue((-7.0 * np.eye(3)).tolist()) == -7.0
         cases = {
             "rank one": (np.outer(v, v), 0.0),
             "rank one, negative": (-np.outer(v, v), -v @ v),
@@ -230,7 +231,7 @@ class TestMinEigenvalue:
             "rank one, order 2": (np.ones((2, 2)), 0.0),
         }
         for name, (h, want) in cases.items():
-            assert abs(block_min_eigenvalue(h) - want) <= 1e-14 * max(1.0, abs(want)), name
+            assert abs(block_min_eigenvalue(h.tolist()) - want) <= 1e-14 * max(1.0, abs(want)), name
 
     @pytest.mark.parametrize("power", [500, -500])
     def test_extreme_scales(self, rng, power):
@@ -240,9 +241,9 @@ class TestMinEigenvalue:
         for n in (1, 2, 3):
             a = rng.normal(size=(50, n, n))
             stack = a + a.swapaxes(-1, -2)
-            got = block_min_eigenvalue(factor * stack)
+            got = self._each(factor * stack)
             assert np.isfinite(got).all()
-            assert np.array_equal(got, factor * block_min_eigenvalue(stack))
+            assert np.array_equal(got, factor * self._each(stack))
             want = np.linalg.eigvalsh(stack)
             assert (np.abs(got / factor - want[:, 0]) <= 1e-14 * np.abs(want).max(axis=1)).all()
 
@@ -259,25 +260,26 @@ class TestMinEigenvalue:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for stack in stacks:
-                got = block_min_eigenvalue(stack)
+                got = self._each(stack)
                 want = np.linalg.eigvalsh(stack)[:, 0]
                 assert np.abs(got - want).max() <= 1e-13
             # entries at both ends of the float range: relative to the largest
-            got = block_min_eigenvalue(extreme)
+            got = self._each(extreme)
             want = np.linalg.eigvalsh(extreme)[:, 0]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_non_hermitian_in_stack_rejected(self):
-        stack = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
-        assert block_min_eigenvalue(stack[:2]).tolist() == [1.0, -2.0]
+        # each matrix is checked on its own; malformed input is rejected
+        stack = [np.eye(2), np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])]
+        assert [block_min_eigenvalue(h.tolist()) for h in stack[:2]] == [1.0, -2.0]
         with pytest.raises(ValueError):
-            block_min_eigenvalue(stack)
+            block_min_eigenvalue(stack[2].tolist())
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.zeros((2, 3, 4)))
+            block_min_eigenvalue(np.zeros((2, 3, 4)).tolist())
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.zeros((2, 0, 0)))
+            block_min_eigenvalue(np.zeros((2, 0, 0)).tolist())
         with pytest.raises(ValueError):
-            block_min_eigenvalue(np.zeros(3))
+            block_min_eigenvalue(np.zeros(3).tolist())
 
 
 class TestPartialProject:
@@ -306,7 +308,7 @@ class TestPermuteQubits:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            permute_qubits(np.zeros(4), ["a", "b", "c"])
+            permute_qubits([0.0] * 4, ["a", "b", "c"])
 
 
 class TestDeterminism:

@@ -209,7 +209,7 @@ class TestSignalPairs:
         pol_a, pol_b, _ = _signal_pairs("sarg04", "key")
         for x, (i, ip, k) in enumerate(product((0, 1), (0, 1), range(4))):
             for pol, j in ((pol_a[x], i), (pol_b[x], ip)):
-                want = (rotation(k) @ phi_state(j)).real
+                want = (np.asarray(rotation(k)) @ phi_state(j)).real
                 sign = np.sign(np.array(pol) @ want)
                 np.testing.assert_allclose(pol, sign * want, rtol=0, atol=1e-15)
 

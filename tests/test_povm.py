@@ -1,4 +1,7 @@
-"""POVM triples, adversarial states and bound certificates."""
+"""POVM triples, adversarial states and bound certificates.
+
+The package works on lists and tuples; the tests wrap its results in
+`np.asarray`."""
 
 import numpy as np
 import pytest
@@ -25,27 +28,51 @@ from mdi_sarg04.verify import FRONTIER_GRID, MIXED_LABELS, _contraction
 from tests.conftest import random_density
 
 ALL_TRIPLES = [(case, t) for case in CASES for t in (1, 2)]
+A = np.asarray
 
 
 @pytest.mark.parametrize("case,atype", ALL_TRIPLES)
 class TestConstruction:
     def test_dimensions(self, case, atype):
         p = build_povm(case, atype)
-        assert p.fil.shape == p.bit.shape == p.ph.shape == (p.dim, p.dim)
+        assert A(p.fil).shape == A(p.bit).shape == A(p.ph).shape == (p.dim, p.dim)
         assert p.dim == 2 ** sum(case)
 
     # np.linalg.eigvalsh is the oracle here, on the full space; the package
     # makes no LAPACK call
     def test_hermitian_psd(self, case, atype):
         p = build_povm(case, atype)
-        for op in (p.fil, p.bit, p.ph):
-            assert linalg.is_hermitian(op, 1e-12)
+        for op in map(A, (p.fil, p.bit, p.ph)):
+            assert np.abs(op - op.T).max() <= 1e-12
             assert np.linalg.eigvalsh(op)[0] >= -1e-10
 
     def test_errors_dominated_by_filter(self, case, atype):
         p = build_povm(case, atype)
-        assert np.linalg.eigvalsh(p.fil - p.bit)[0] >= -1e-10
-        assert np.linalg.eigvalsh(p.fil - p.ph)[0] >= -1e-10
+        assert np.linalg.eigvalsh(A(p.fil) - p.bit)[0] >= -1e-10
+        assert np.linalg.eigvalsh(A(p.fil) - p.ph)[0] >= -1e-10
+
+
+class TestMemoized:
+    """`build_povm` and `block_basis` hand every caller the same object, so
+    it must not be writable: one write would change every later result."""
+
+    def test_povm_is_read_only(self):
+        p = build_povm((1, 2), 1)
+        assert build_povm((1, 2), 1) is p
+        for op in (p.fil, p.bit, p.ph):
+            with pytest.raises(TypeError):
+                op[0][0] = 1.0
+            with pytest.raises(TypeError):
+                op[0] = (1.0,) * p.dim
+
+    def test_block_basis_is_read_only(self):
+        q, kernel = block_basis((2, 1))
+        assert block_basis((2, 1)) == (q, kernel)
+        assert block_basis((2, 1))[0] is q
+        with pytest.raises(TypeError):
+            q[0][0][0] = 1.0
+        with pytest.raises(TypeError):
+            kernel[0] = q[0][0]
 
 
 class TestInvalidInput:
@@ -61,7 +88,7 @@ class TestInvalidInput:
 class TestOneOneIdentities:
     def test_type1_phase_is_three_halves_bit(self):
         p = build_povm((1, 1), 1)
-        assert np.abs(p.ph - 1.5 * p.bit).max() <= 1e-12
+        assert np.abs(A(p.ph) - 1.5 * A(p.bit)).max() <= 1e-12
 
     def test_type2_slope_three_certificate(self):
         assert verify_bound_certificate((1, 1), 2, 3.0, 0.0) >= -1e-10
@@ -104,6 +131,11 @@ class TestBlocks:
     np.linalg.eigvalsh as the oracle on the full space."""
 
     @staticmethod
+    def _blocks(case, stack: np.ndarray) -> np.ndarray:
+        """`to_blocks` of each operator of a stack (n, dim, dim), shape (n, 2, k, k)."""
+        return np.array([to_blocks(case, op) for op in stack.tolist()])
+
+    @staticmethod
     def _union(blocks: np.ndarray, zeros: int) -> np.ndarray:
         """The sorted eigenvalues of the blocks (..., b, k, k) and `zeros` zeros."""
         eig = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
@@ -111,15 +143,15 @@ class TestBlocks:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-3])
     def test_frontier_spectrum_is_blocks_and_kernel(self, offset):
-        s = FRONTIER_GRID[:, None, None]
+        s = A(FRONTIER_GRID)[:, None, None]
         intercepts = {1: f_type1, 2: g_type2}
         for label, (case, atype) in MIXED_LABELS.items():
             p = build_povm_perturbed(case, atype, np.pi / 8 + offset)
-            t = np.array([intercepts[atype](x) for x in FRONTIER_GRID.tolist()])[:, None, None]
+            t = np.array([intercepts[atype](x) for x in FRONTIER_GRID])[:, None, None]
             for factor in (1 + 1e-6, 1 - 1e-2):
-                full = s * p.bit + t * factor * p.fil - p.ph
+                full = s * A(p.bit) + t * factor * A(p.fil) - A(p.ph)
                 assert full.shape == (41, 8, 8)
-                got = self._union(to_blocks(case, full), zeros=2)
+                got = self._union(self._blocks(case, full), zeros=2)
                 err = np.abs(got - np.linalg.eigvalsh(full)).max()
                 assert err <= 1e-14, (label, factor, err)
 
@@ -128,28 +160,29 @@ class TestBlocks:
         ops = [_contraction(filter2(np.pi / 8 + offset))]
         for atype in (1, 2):
             p = build_povm_perturbed((1, 1), atype, np.pi / 8 + offset)
-            ops += [p.bit, p.fil, p.ph] + [s * p.bit - p.ph for s in FRONTIER_GRID]
+            ops += [p.bit, p.fil, p.ph] + [s * A(p.bit) - p.ph for s in FRONTIER_GRID]
         ops = np.stack(ops)
-        got = self._union(to_blocks((1, 1), ops), zeros=0)
+        got = self._union(self._blocks((1, 1), ops), zeros=0)
         assert np.abs(got - np.linalg.eigvalsh(ops)).max() <= 1e-14
 
     @pytest.mark.parametrize("case", [(1, 1), (1, 2), (2, 1)])
     def test_basis_is_orthonormal(self, case):
         q, kernel = block_basis(case)
-        rows = np.concatenate([q.reshape(-1, q.shape[-1]), kernel])
+        rows = np.array([*q[0], *q[1], *kernel])
         assert rows.shape == (2 ** sum(case),) * 2
         assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-15
 
     @pytest.mark.parametrize("case", [(1, 1), (1, 2), (2, 1)])
     def test_residual_sees_a_dropped_entry(self, case):
         p = build_povm(case, 1)
-        assert block_residual(case, np.stack([p.bit, p.fil, p.ph])) <= 1e-15
+        assert block_residual(case, [p.bit, p.fil, p.ph]) <= 1e-15
         q, kernel = block_basis(case)
-        leak = np.outer(q[0, 0], q[1, 0])
-        assert abs(block_residual(case, (p.fil + 1e-3 * (leak + leak.T))[None]) - 1e-3) <= 1e-15
+        leak = np.outer(q[0][0], q[1][0])
+        leaked = A(p.fil) + 1e-3 * (leak + leak.T)
+        assert abs(block_residual(case, [leaked.tolist()]) - 1e-3) <= 1e-15
         if len(kernel):
-            kept = p.fil + 1e-3 * np.outer(kernel[0], kernel[0])
-            assert abs(block_residual(case, kept[None]) - 1e-3) <= 1e-15
+            kept = A(p.fil) + 1e-3 * np.outer(kernel[0], kernel[0])
+            assert abs(block_residual(case, [kept.tolist()]) - 1e-3) <= 1e-15
 
     def test_two_two_has_no_small_blocks(self):
         with pytest.raises(ValueError):
@@ -184,9 +217,9 @@ class TestErrorRates:
         case, atype = triple
         p = build_povm(case, atype)
         rho = random_density(p.dim, seed)
-        p_fil = np.trace(p.fil @ rho).real
-        assert np.trace(p.bit @ rho).real <= p_fil + 1e-10
-        assert np.trace(p.ph @ rho).real <= p_fil + 1e-10
+        p_fil = np.trace(A(p.fil) @ rho).real
+        assert np.trace(A(p.bit) @ rho).real <= p_fil + 1e-10
+        assert np.trace(A(p.ph) @ rho).real <= p_fil + 1e-10
 
 
 class TestTwoTwoAttack:
@@ -213,8 +246,9 @@ class TestTwoTwoAttack:
     def test_type2_mixture_error_rates(self):
         p = build_povm((2, 2), 2)
         nus = [attack_state_22(2, w) for w in (1, 2, 3, 4)]
-        ra = error_rates(p, 0.25 * linalg.projector(nus[0]) + 0.75 * linalg.projector(nus[1]))
-        rb = error_rates(p, 0.75 * linalg.projector(nus[2]) + 0.25 * linalg.projector(nus[3]))
+        proj = [A(linalg.projector(nu)) for nu in nus]
+        ra = error_rates(p, 0.25 * proj[0] + 0.75 * proj[1])
+        rb = error_rates(p, 0.75 * proj[2] + 0.25 * proj[3])
         assert abs(ra.e_bit) <= 1e-12 and abs(ra.e_ph - 0.5) <= 1e-12
         assert abs(rb.e_bit - 0.5) <= 1e-12 and abs(rb.e_ph - 0.5) <= 1e-12
 
@@ -224,7 +258,7 @@ class TestTwoTwoAttack:
         p_succ = float(np.vdot(proj, proj).real)
         assert abs(p_succ - 1 / 16) <= 1e-12
         # the heralded state is the attack state itself, scaled by 1/4
-        target = attack_state_22(atype, which) / 4
+        target = A(attack_state_22(atype, which)) / 4
         assert np.abs(proj - target).max() <= 1e-12
 
     def test_bad_indices(self):

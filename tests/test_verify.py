@@ -1,5 +1,7 @@
 """Self-verification battery: completeness and sensitivity."""
 
+import math
+
 from mdi_sarg04.verify import all_passed, verify_suite
 
 
@@ -27,3 +29,12 @@ class TestVerifySuite:
         for offset in (0.0, 1e-3):
             by_name = {c.name: c for c in verify_suite(angle_offset=offset)}
             assert by_name["block_reduction"].passed, by_name["block_reduction"]
+
+    def test_angle_offset_reaches_the_filter_checks(self):
+        # I - F1ᵀF1 = diag(sin², cos²) of the perturbed angle, whose smallest
+        # entry is sin² below pi/4
+        angle = math.pi / 8 + 0.3
+        by_name = {c.name: c for c in verify_suite(angle_offset=0.3)}
+        assert by_name["filter1_contraction"].detail == f"min eigenvalue {math.sin(angle) ** 2:.3e}"
+        assert by_name["filter2_contraction"].passed
+        assert verify_suite(angle_offset=0.0) == verify_suite()
