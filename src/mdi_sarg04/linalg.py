@@ -14,7 +14,8 @@ in a fixed order.  `block_min_eigenvalue` is the one eigenvalue routine:
 every matrix whose eigenvalues the package takes reduces to symmetric
 blocks of order at most 3 (see `povm.block_basis`), whose smallest
 eigenvalue has a closed form.  The kets come from the floats of
-`optics.SIGNAL_STATES` and `optics.BASIS_KETS`.
+`optics.SIGNAL_STATES` and `optics.BASIS_KETS`, and the dot product
+`sum_product` from `optics`, which sums the relay's thinnings with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from collections.abc import Sequence
 from sys import float_info
 
-from .optics import BASIS_KETS, SIGNAL_STATES
+from .optics import BASIS_KETS, SIGNAL_STATES, sum_product
 
 Vector = Sequence[float]
 # a list of rows, or a tuple of tuples where the matrix is memoized
@@ -113,15 +114,7 @@ def projector(v: Vector) -> list[list[float]]:
     return [[x * y for y in conj] for x in v]
 
 
-def sum_product(u: Vector, w: Vector) -> float:
-    """Sum of u_i w_i, term by term in order (no conjugation)."""
-    acc = 0.0
-    for x, y in zip(u, w):
-        acc += x * y
-    return acc
-
-
-def block_min_eigenvalue(h: Matrix, tol: float = HERMITIAN_TOL) -> float:
+def block_min_eigenvalue(h: Matrix) -> float:
     """Smallest eigenvalue of a real symmetric matrix of order k <= 3 (rows
     of real numbers, taken as floats), in closed form: the entry (k = 1),
     the quadratic formula (k = 2), or O. K. Smith's trigonometric form
@@ -137,7 +130,7 @@ def block_min_eigenvalue(h: Matrix, tol: float = HERMITIAN_TOL) -> float:
     if not 1 <= k <= 3 or any(len(row) != k for row in h):
         raise ValueError(f"expected a square matrix of order 1 to 3, got {k} rows")
     flat_t = [x for j in range(k) for x in flat[j::k]]
-    if not all(abs(x - y) <= tol for x, y in zip(flat, flat_t)):
+    if not all(abs(x - y) <= HERMITIAN_TOL for x, y in zip(flat, flat_t)):
         raise ValueError("matrix is not real symmetric within tolerance")
     if k == 1:
         return flat[0]

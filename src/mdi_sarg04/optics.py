@@ -38,6 +38,7 @@ per arm acts between channel and detectors, so it only cuts the columns
 of the channel thinning: B = B(t_arm)[:, :2] B(eta).  Each photon-number
 sector is independent (phase-randomized sources).  `relay` builds the
 table once and thins it at each transmittance it is called with.
+`sum_product` is the package's one term-by-term dot product.
 
 Tables are nested lists: A[a][b] and Y[n][m] are lists of four floats.
 """
@@ -315,7 +316,7 @@ def relay(
     def yields(t_arm: float) -> list:
         if qnd:
             channel = [row[: cut + 1] for row in thinning_matrix(t_arm, n_max)]
-            thin = [[_dot(row, column) for column in zip(*detector)] for row in channel]
+            thin = [[sum_product(row, column) for column in zip(*detector)] for row in channel]
         else:
             thin = thinning_matrix(t_arm * det.eta, n_max)
         return [
@@ -333,11 +334,12 @@ def relay(
     return yields
 
 
-def _dot(x, y) -> float:
-    total = 0.0
-    for a, b in zip(x, y):
-        total += a * b
-    return total
+def sum_product(u, w) -> float:
+    """Sum of u_i w_i, term by term in order (no conjugation)."""
+    acc = 0.0
+    for x, y in zip(u, w):
+        acc += x * y
+    return acc
 
 
 def relay_yields(

@@ -84,10 +84,14 @@ def _gram(w: float, vectors: list[list[float]]) -> Matrix:
     return tuple(tuple(w * sum_product(x, y) for y in cols) for x in cols)
 
 
-def _build(case: Case, announcement_type: int, angle: float) -> PovmSet:
-    """fil = w sum_k M_k M_k^T with M_k = M_A[k] (x) M_B[k], and bit (ph) =
-    w sum_(k, i) |v><v| over the joint images v of Alice's and Bob's bit
-    values i in the z (x) basis, where Bob's z bit is flipped for Type2."""
+@lru_cache(maxsize=None)
+def build_povm(case: Case, announcement_type: int, angle: float = math.pi / 8) -> PovmSet:
+    """POVM triple for the given case and announcement type at the filter
+    angle (memoized per angle; the operators are tuples of tuples, so no
+    caller can change them).  fil = w sum_k M_k M_k^T with M_k = M_A[k] (x)
+    M_B[k], and bit (ph) = w sum_(k, i) |v><v| over the joint images v of
+    Alice's and Bob's bit values i in the z (x) basis, where Bob's z bit is
+    flipped for Type2."""
     if case not in CASES:
         raise ValueError(f"unsupported photon-number case {case}")
     n, m = case
@@ -105,19 +109,6 @@ def _build(case: Case, announcement_type: int, angle: float) -> PovmSet:
         _gram(w, [kron(a, b) for ka, kb in zip(*images) for a, b in zip(ka, kb)]) for images in zip(va, vb)
     )
     return PovmSet(case, announcement_type, fil, bit, ph)
-
-
-@lru_cache(maxsize=None)
-def build_povm(case: Case, announcement_type: int) -> PovmSet:
-    """POVM triple for the given case and announcement type (memoized; the
-    operators are tuples of tuples, so no caller can change them)."""
-    return _build(case, announcement_type, math.pi / 8)
-
-
-def build_povm_perturbed(case: Case, announcement_type: int, angle: float) -> PovmSet:
-    """Debug hook: POVM triple with a perturbed filter angle.  Used by the
-    verification suite to confirm the identity checks are sensitive."""
-    return _build(case, announcement_type, angle)
 
 
 def _trace_product(p: Matrix, cols: list) -> float:
@@ -256,10 +247,22 @@ def block_residual(case: Case, ops: list[Matrix]) -> float:
     return worst
 
 
-def verify_bound_certificate(case: Case, announcement_type: int, s: float, t: float) -> float:
+@lru_cache(maxsize=None)
+def _triple_blocks(case: Case, announcement_type: int, angle: float):
+    """Per block of a case's triple, the rows of its bit, fil and ph blocks
+    side by side, as tuples."""
+    p = build_povm(case, announcement_type, angle)
+    return tuple(tuple(zip(*ops)) for ops in zip(*(to_blocks(case, op) for op in (p.bit, p.fil, p.ph))))
+
+
+def verify_bound_certificate(
+    case: Case, announcement_type: int, s: float, t: float, angle: float = math.pi / 8
+) -> float:
     """Minimum eigenvalue of s*bit + t*fil - ph on the case's blocks, the
-    physical (symmetric) subspace; >= -tol certifies the phase-error bound
-    e_ph <= s*e_bit + t.  The (2,2) case raises ValueError."""
-    p = build_povm(case, announcement_type)
-    op = [[s * x + t * y - z for x, y, z in zip(*rows)] for rows in zip(p.bit, p.fil, p.ph)]
-    return min(linalg.block_min_eigenvalue(block) for block in to_blocks(case, op))
+    physical (symmetric) subspace, at the filter angle; >= -tol certifies
+    the phase-error bound e_ph <= s*e_bit + t.  The (2,2) case raises
+    ValueError."""
+    return min(
+        linalg.block_min_eigenvalue([[s * x + t * y - z for x, y, z in zip(*rows)] for rows in block])
+        for block in _triple_blocks(case, announcement_type, angle)
+    )

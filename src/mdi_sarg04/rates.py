@@ -52,7 +52,7 @@ class KeyRateBreakdown(NamedTuple):
 
 
 def _sifted_yields(y: list, protocol: str = "sarg04") -> list:
-    """S_t and E_t of the relay yields y[n][m] of optics.relay_yields, as
+    """S_t and E_t of the relay yields y[n][m] of an optics.relay, as
     [[S_1, E_1], [S_2, E_2]]."""
     # the sift factors are powers of two, so (p p' sift) Y == p p' (sift Y) exactly
     sifted = []

@@ -100,20 +100,6 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
     return emission, rates_at
 
 
-def rate_at(config: ScenarioConfig, distance_km: float) -> Callable[[float], tuple]:
-    """mu -> (key rate per pump pulse, joint heralding probability,
-    KeyRateBreakdown) at one distance, for every scenario.
-
-    The six matrices of the rate's quadratic forms depend on the distance
-    only and are built here once: the relay yields, and the phase-error
-    bounds of their key terms.  A call evaluates them at the emission
-    probabilities of one mean photon number.
-    """
-    emission, rates_at = _rates(config)
-    rate = rates_at(distance_km)
-    return lambda mu: rate(*emission(mu))
-
-
 def mu_grid(config: ScenarioConfig) -> list[float]:
     """The coarse logarithmic mu grid of `optimize_mu`, MU_COARSE_POINTS
     points from mu_min to mu_max, both ends exactly as configured."""
@@ -174,7 +160,8 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
 
 
 def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
-    """The row of a `rate_at` result at one distance and mu."""
+    """The row of a rate result (rate, herald, breakdown) of `_rates` at one
+    distance and mu."""
     rate, herald, b = result
     return RateCurvePoint(
         distance_km, mu, b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2, herald, zero_rate=rate <= 0.0

@@ -4,7 +4,7 @@ Covers the phase-randomized coherent (Poisson) source and the heralded
 SPDC source with thermal or Poisson pair statistics and a threshold herald
 detector, as emission probabilities p[n] over photon numbers n, one mean
 photon number at a time.  Loss and the relay's photon-number postselection
-act on these inside `optics.relay_yields`.
+act on these inside the relay of `optics.relay`.
 """
 
 from __future__ import annotations

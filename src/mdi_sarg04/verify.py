@@ -14,14 +14,13 @@ from typing import NamedTuple
 from . import linalg
 from .bounds import S_MAX, cubic_value, f_type1, g_type2
 from .povm import (
-    PovmSet,
     attack_state_22,
     block_residual,
     build_povm,
-    build_povm_perturbed,
     error_rates,
     project_attack_from_bell_pairs,
     to_blocks,
+    verify_bound_certificate,
 )
 
 # the slopes 0, 0.25, ..., S_MAX
@@ -33,12 +32,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
-
-
-def _povm(case, atype, angle_offset: float) -> PovmSet:
-    if angle_offset:
-        return build_povm_perturbed(case, atype, math.pi / 8 + angle_offset)
-    return build_povm(case, atype)
 
 
 def _check(name, passed, detail) -> CheckResult:
@@ -63,38 +56,31 @@ def _min_eigenvalue(blocks) -> float:
     return min(linalg.block_min_eigenvalue(block) for block in blocks)
 
 
-def _reduction_check(angle_offset: float) -> CheckResult:
+def _reduction_check(angle: float) -> CheckResult:
     """Every operator whose eigenvalues the battery takes on blocks is zero
     on the kernel and between the parity blocks (see `povm.block_residual`):
     `filter2`'s contraction, the (1,1) Type2 bit and phase operators, and
     every (1,2) and (2,1) triple."""
-    p11t2 = _povm((1, 1), 2, angle_offset)
-    reduced = [((1, 1), [_contraction(linalg.filter2(math.pi / 8 + angle_offset)), p11t2.bit, p11t2.ph])]
+    p11t2 = build_povm((1, 1), 2, angle)
+    reduced = [((1, 1), [_contraction(linalg.filter2(angle)), p11t2.bit, p11t2.ph])]
     for case, atype in MIXED_LABELS.values():
-        p = _povm(case, atype, angle_offset)
+        p = build_povm(case, atype, angle)
         reduced.append((case, [p.bit, p.fil, p.ph]))
     worst = max(block_residual(case, ops) for case, ops in reduced)
     return _check("block_reduction", worst <= 1e-15, f"max residual {worst:.3e} off the blocks")
 
 
-def _frontier_checks(angle_offset) -> list[CheckResult]:
+def _frontier_checks(angle: float) -> list[CheckResult]:
     """Every frontier s*bit + t(s)*fil - ph over FRONTIER_GRID is PSD on the
     blocks at the raised intercept t*(1+1e-6), and tight at every slope:
-    each 1 %-reduced intercept t*(1-1e-2) must fail.  Each of a label's
-    3 x 3 blocks is combined from the blocks of its three operators."""
+    each 1 %-reduced intercept t*(1-1e-2) must fail."""
     intercepts = {t: [intercept(s) for s in FRONTIER_GRID] for t, intercept in ((1, f_type1), (2, g_type2))}
     checks = []
     for label, (case, atype) in MIXED_LABELS.items():
-        p = _povm(case, atype, angle_offset)
-        # each block as the rows of its bit, fil and ph blocks side by side
-        blocks = [list(zip(*ops)) for ops in zip(*(to_blocks(case, op) for op in (p.bit, p.fil, p.ph)))]
         # per side, the smallest block eigenvalue at each slope
         valid, invalid = (
             [
-                _min_eigenvalue(
-                    [[s * x + t * factor * y - z for x, y, z in zip(*rows)] for rows in block]
-                    for block in blocks
-                )
+                verify_bound_certificate(case, atype, s, t * factor, angle)
                 for s, t in zip(FRONTIER_GRID, intercepts[atype])
             ]
             for factor in (1 + 1e-6, 1 - 1e-2)
@@ -136,25 +122,20 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
         m = _min_eigenvalue(blocks)
         checks.append(_check(f"{name}_contraction", m >= -1e-12, f"min eigenvalue {m:.3e}"))
 
-    p11t1 = _povm((1, 1), 1, angle_offset)
+    p11t1 = build_povm((1, 1), 1, angle)
     dev = max(abs(z - 1.5 * x) for rows in zip(p11t1.ph, p11t1.bit) for z, x in zip(*rows))
     checks.append(
         _check("povm_11_type1_phase_is_1p5_bit", dev <= 1e-12, f"max-abs deviation {dev:.3e}")
     )
 
-    p11t2 = _povm((1, 1), 2, angle_offset)
-    rows = list(zip(p11t2.bit, p11t2.ph))
-    m3, m29 = (
-        _min_eigenvalue(to_blocks((1, 1), [[s * x - z for x, z in zip(*row)] for row in rows]))
-        for s in (3, 2.9)
-    )
+    m3, m29 = (verify_bound_certificate((1, 1), 2, s, 0.0, angle) for s in (3.0, 2.9))
     checks.append(_check("povm_11_type2_s3_psd", m3 >= -1e-10, f"min eigenvalue {m3:.3e}"))
     checks.append(
         _check("povm_11_type2_s2p9_fails", m29 <= -1e-6, f"min eigenvalue {m29:.3e}")
     )
 
-    checks.append(_reduction_check(angle_offset))
-    checks.extend(_frontier_checks(angle_offset))
+    checks.append(_reduction_check(angle))
+    checks.extend(_frontier_checks(angle))
 
     # cubic root quality for the Type2 intercept
     g = {s: g_type2(s) for s in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, S_MAX)}
@@ -163,47 +144,23 @@ def verify_suite(angle_offset: float = 0.0) -> list[CheckResult]:
     g0 = g[0.0]
     checks.append(_check("g_at_zero_is_one", abs(g0 - 1.0) <= 1e-10, f"g(0) = {g0!r}"))
 
-    # (2,2) attack states reach phase error 0.5
-    p22t1 = _povm((2, 2), 1, angle_offset)
-    mu1 = attack_state_22(1, 1)
-    mu2 = attack_state_22(1, 2)
-    r1 = error_rates(p22t1, linalg.projector(mu1))
-    r2 = error_rates(p22t1, linalg.projector(mu2))
-    checks.append(
-        _check(
-            "attack_22_type1_mu1",
-            abs(r1.e_bit) <= 1e-12 and abs(r1.e_ph - 0.5) <= 1e-12,
-            f"(e_bit, e_ph) = ({r1.e_bit:.3e}, {r1.e_ph:.12f})",
-        )
-    )
-    checks.append(
-        _check(
-            "attack_22_type1_mu2",
-            abs(r2.e_bit - 0.5) <= 1e-12 and abs(r2.e_ph - 0.5) <= 1e-12,
-            f"(e_bit, e_ph) = ({r2.e_bit:.12f}, {r2.e_ph:.12f})",
-        )
-    )
-    ortho = abs(linalg.sum_product(mu1, mu2))
-    checks.append(_check("attack_22_mu_orthogonal", ortho <= 1e-12, f"|<mu1|mu2>| = {ortho:.3e}"))
-
-    p22t2 = _povm((2, 2), 2, angle_offset)
+    # (2,2) attack states reach phase error 0.5, with bit error 0 or 0.5
+    mu1, mu2 = attack_state_22(1, 1), attack_state_22(1, 2)
     nus = [attack_state_22(2, w) for w in (1, 2, 3, 4)]
-    ra = error_rates(p22t2, _mixture(0.25, nus[0], nus[1]))
-    rb = error_rates(p22t2, _mixture(0.75, nus[2], nus[3]))
-    checks.append(
-        _check(
-            "attack_22_type2_mix_a",
-            abs(ra.e_bit) <= 1e-12 and abs(ra.e_ph - 0.5) <= 1e-12,
-            f"(e_bit, e_ph) = ({ra.e_bit:.3e}, {ra.e_ph:.12f})",
-        )
+    attacks = (
+        ("attack_22_type1_mu1", 1, linalg.projector(mu1), 0.0),
+        ("attack_22_type1_mu2", 1, linalg.projector(mu2), 0.5),
+        ("attack_22_type2_mix_a", 2, _mixture(0.25, nus[0], nus[1]), 0.0),
+        ("attack_22_type2_mix_b", 2, _mixture(0.75, nus[2], nus[3]), 0.5),
     )
-    checks.append(
-        _check(
-            "attack_22_type2_mix_b",
-            abs(rb.e_bit - 0.5) <= 1e-12 and abs(rb.e_ph - 0.5) <= 1e-12,
-            f"(e_bit, e_ph) = ({rb.e_bit:.12f}, {rb.e_ph:.12f})",
-        )
-    )
+    for name, atype, rho, e_bit in attacks:
+        r = error_rates(build_povm((2, 2), atype, angle), rho)
+        passed = abs(r.e_bit - e_bit) <= 1e-12 and abs(r.e_ph - 0.5) <= 1e-12
+        form = ".12f" if e_bit else ".3e"
+        checks.append(_check(name, passed, f"(e_bit, e_ph) = ({r.e_bit:{form}}, {r.e_ph:.12f})"))
+    # between the Type1 and the Type2 attack lines
+    ortho = abs(linalg.sum_product(mu1, mu2))
+    checks.insert(-2, _check("attack_22_mu_orthogonal", ortho <= 1e-12, f"|<mu1|mu2>| = {ortho:.3e}"))
 
     # heralding the attack from Bell pairs succeeds with probability 1/16
     proj = project_attack_from_bell_pairs(1, 1)

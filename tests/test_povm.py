@@ -18,7 +18,6 @@ from mdi_sarg04.povm import (
     block_basis,
     block_residual,
     build_povm,
-    build_povm_perturbed,
     error_rates,
     project_attack_from_bell_pairs,
     to_blocks,
@@ -64,6 +63,11 @@ class TestMemoized:
                 op[0][0] = 1.0
             with pytest.raises(TypeError):
                 op[0] = (1.0,) * p.dim
+
+    def test_angle_is_part_of_the_key(self):
+        p = build_povm((1, 2), 1)
+        assert build_povm((1, 2), 1, np.pi / 8 + 0.0) == p
+        assert build_povm((1, 2), 1, np.pi / 8 + 1e-3) != p
 
     def test_block_basis_is_read_only(self):
         q, kernel = block_basis((2, 1))
@@ -146,7 +150,7 @@ class TestBlocks:
         s = A(FRONTIER_GRID)[:, None, None]
         intercepts = {1: f_type1, 2: g_type2}
         for label, (case, atype) in MIXED_LABELS.items():
-            p = build_povm_perturbed(case, atype, np.pi / 8 + offset)
+            p = build_povm(case, atype, np.pi / 8 + offset)
             t = np.array([intercepts[atype](x) for x in FRONTIER_GRID])[:, None, None]
             for factor in (1 + 1e-6, 1 - 1e-2):
                 full = s * A(p.bit) + t * factor * A(p.fil) - A(p.ph)
@@ -159,7 +163,7 @@ class TestBlocks:
     def test_two_qubit_spectrum_is_parity_blocks(self, offset):
         ops = [_contraction(filter2(np.pi / 8 + offset))]
         for atype in (1, 2):
-            p = build_povm_perturbed((1, 1), atype, np.pi / 8 + offset)
+            p = build_povm((1, 1), atype, np.pi / 8 + offset)
             ops += [p.bit, p.fil, p.ph] + [s * A(p.bit) - p.ph for s in FRONTIER_GRID]
         ops = np.stack(ops)
         got = self._union(self._blocks((1, 1), ops), zeros=0)
@@ -189,6 +193,27 @@ class TestBlocks:
             block_basis((2, 2))
         with pytest.raises(ValueError):
             verify_bound_certificate((2, 2), 1, 1.0, 1.0)
+
+
+class TestCertificateAtAngle:
+    """`verify_bound_certificate` at a filter angle against np.linalg.eigvalsh
+    on the blocks Q_b M Q_bᵀ of the full operator M = s*bit + t*fil - ph: at
+    t = 0 for (1,1) Type2, and at both frontier sides for (1,2) and (2,1)."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3])
+    @pytest.mark.parametrize("case,atype", [((1, 1), 2), ((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)])
+    def test_matches_blocks_of_full_operator(self, case, atype, offset):
+        angle = np.pi / 8 + offset
+        p = build_povm(case, atype, angle)
+        q = [A(rows) for rows in block_basis(case)[0]]
+        intercept = f_type1 if atype == 1 else g_type2
+        for s in FRONTIER_GRID:
+            ts = [0.0] if case == (1, 1) else [intercept(s) * f for f in (1 + 1e-6, 1 - 1e-2)]
+            for t in ts:
+                full = s * A(p.bit) + t * A(p.fil) - A(p.ph)
+                want = min(np.linalg.eigvalsh(qb @ full @ qb.T)[0] for qb in q)
+                got = verify_bound_certificate(case, atype, s, t, angle)
+                assert abs(got - want) <= 1e-14, (s, t, got - want)
 
 
 class TestErrorRates:

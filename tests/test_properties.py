@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mdi_sarg04.cli import main
 from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
-from mdi_sarg04.scenario import mu_grid, optimize_mu, points_at, rate_at
+from mdi_sarg04.scenario import _rates, mu_grid, optimize_mu, points_at
 
 DEFAULT = ScenarioConfig()
 
@@ -49,11 +49,12 @@ def test_point_is_physical_and_falls_with_distance(config, d1, d2, mu):
 @settings(max_examples=15, deadline=None)
 @given(valid_configs, st.floats(0.0, 100.0))
 def test_grid_rows_match_points_and_bound_the_optimum(config, d):
-    grid = mu_grid(config)
-    rate = rate_at(config, d)
+    # each grid row as optimize_distances evaluates it, against points_at
+    emission, rates_at = _rates(config)
+    rate = rates_at(d)
     rates = []
-    for mu in grid:
-        r, herald, b = rate(mu)
+    for mu in mu_grid(config):
+        r, herald, b = rate(*emission(mu))
         rates.append(r)
         p = points_at(config, [d], mu)[0]
         row = [r, b.e_tot_1, b.e_tot_2, herald, b.G1, b.G2, b.total]

@@ -20,7 +20,7 @@ from mdi_sarg04.rates import (
     key_fractions,
     privacy_factors,
 )
-from mdi_sarg04.scenario import rate_at
+from mdi_sarg04.scenario import points_at
 from mdi_sarg04.sources import poisson_probs, spdc_heralded
 from tests.rate_oracle import oracle_point
 
@@ -136,11 +136,11 @@ class TestAssembleGains:
         # emission probabilities and reports the joint heralding probability
         config = ScenarioConfig(scenario="spdc_heralded")
         p_herald, cond = spdc_heralded(0.1, GYS)
-        _, herald, b = rate_at(config, 0.0)(0.1)
-        assert abs(herald - p_herald**2) < 1e-15
+        point = points_at(config, [0.0], 0.1)[0]
+        assert abs(point.p_herald - p_herald**2) < 1e-15
         values = form_values(key_forms(relay_yields(GYS, 1.0)), cond, cond)
         bare = key_fractions(values, config.ec_inefficiency, INCLUDED_TYPES["both"])
-        assert (b.G1, b.G2) == (bare.G1, bare.G2)
+        assert (point.G1, point.G2) == (bare.G1, bare.G2)
 
 
 class TestKeyRate:
@@ -283,12 +283,11 @@ class TestRateOracle:
         config = ScenarioConfig(
             scenario=scenario, photon_terms=photon_terms, type_selection=type_selection
         )
-        for d in self.DISTANCES:
-            rate = rate_at(config, d)
-            for mu in self.MUS:
-                _, _, b = rate(mu)
+        for mu in self.MUS:
+            for point in points_at(config, self.DISTANCES, mu):
+                d = point.distance_km
                 for field, want in oracle_point(config, d, mu).items():
-                    got = getattr(b, field)
+                    got = getattr(point, field)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), (field, d, mu)
 
 
