@@ -72,7 +72,7 @@ def _load_config(args) -> ScenarioConfig:
     else:
         config = ScenarioConfig()
     overrides = {}
-    if getattr(args, "scenario", None):
+    if getattr(args, "scenario", None) is not None:
         overrides["scenario"] = args.scenario
     if getattr(args, "distance", None) is not None:
         overrides["distance_start_km"] = args.distance

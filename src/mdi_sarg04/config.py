@@ -53,6 +53,11 @@ class ScenarioConfig(_ScenarioConfig):
             # JSON true/false would pass as 1/0, and null or a string fails a comparison
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            # a JSON integer may lie beyond the float range the model computes in
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is beyond the float range") from None
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.type_selection not in TYPE_SELECTIONS:
@@ -116,8 +121,10 @@ class ScenarioConfig(_ScenarioConfig):
 
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the digit limit of int()
             raise ConfigError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("invalid JSON: nested too deeply") from None
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
         return cls.from_dict(data)

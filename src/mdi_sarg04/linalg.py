@@ -13,9 +13,9 @@ memoized operator may be a tuple of tuples.  Every sum runs term by term
 in a fixed order.  `block_min_eigenvalue` is the one eigenvalue routine:
 every matrix whose eigenvalues the package takes reduces to symmetric
 blocks of order at most 3 (see `povm.block_basis`), whose smallest
-eigenvalue has a closed form.  The kets come from the floats of
-`optics.SIGNAL_STATES` and `optics.BASIS_KETS`, and the dot product
-`sum_product` from `optics`, which sums the relay's thinnings with it.
+eigenvalue has a closed form.  `sum_product` is the package's one dot
+product.  The kets come from the floats of `optics.SIGNAL_STATES` and
+`optics.BASIS_KETS`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from collections.abc import Sequence
 from sys import float_info
 
-from .optics import BASIS_KETS, SIGNAL_STATES, sum_product
+from .optics import BASIS_KETS, SIGNAL_STATES
 
 Vector = Sequence[float]
 # a list of rows, or a tuple of tuples where the matrix is memoized
@@ -106,6 +106,14 @@ def kron(*factors: Sequence) -> list:
         else:
             out = [x * y for x in out for y in f]
     return out
+
+
+def sum_product(u: Vector, w: Vector) -> float:
+    """Sum of u_i w_i, term by term in order (no conjugation)."""
+    acc = 0.0
+    for x, y in zip(u, w):
+        acc += x * y
+    return acc
 
 
 def projector(v: Vector) -> list[list[float]]:

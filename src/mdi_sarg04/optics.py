@@ -30,15 +30,16 @@ through passive linear optics, so the response factors exactly in two:
   in plain Python floats, one (a, b) cell at a time, and each sum runs in
   a fixed order;
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
-  photon number at survival s = t_arm * eta.
+  photon number at survival s.
 
-The response to an (n, m) emission is Y[n, m] = sum_ab B[n, a] B[m, b]
-A[a, b].  The relay's nondemolition postselection of <= 1 arriving photon
-per arm acts between channel and detectors, so it only cuts the columns
-of the channel thinning: B = B(t_arm)[:, :2] B(eta).  Each photon-number
-sector is independent (phase-randomized sources).  `relay` builds the
-table once and thins it at each transmittance it is called with.
-`sum_product` is the package's one term-by-term dot product.
+Thinning composes, B(t eta) = B(t) B(eta), so `relay` thins the table by
+the detectors once, A_eta = B(eta) A B(eta)^T, and the response to an
+(n, m) emission is one channel thinning Y[n, m] = sum_ab B[n, a] B[m, b]
+A_eta[a, b] with B = B(t_arm).  The relay's nondemolition postselection
+of <= 1 arriving photon per arm acts between channel and detectors, so
+the QND A_eta stops at a, b = 1 and the sum drops the columns of B(t_arm)
+past it.  Each photon-number sector is independent (phase-randomized
+sources).
 
 Tables are nested lists: A[a][b] and Y[n][m] are lists of four floats.
 """
@@ -307,39 +308,27 @@ def relay(
     qnd: bool = False,
 ) -> Callable[[float], list]:
     """t_arm -> relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd):
-    the arrival table is built here, once, and each call thins it at one
-    transmittance."""
+    A_eta = B(eta) A B(eta)^T is built here, once, up to the relay's cut
+    (1 with `qnd`), and each call is B(t_arm) A_eta B(t_arm)^T."""
     cut = min(n_max, 1) if qnd else n_max
-    table = arrival_table(det.dark, protocol, bb84_basis, cut)
-    detector = thinning_matrix(det.eta, cut)
+    table = _thin(arrival_table(det.dark, protocol, bb84_basis, cut), thinning_matrix(det.eta, cut))
+    return lambda t_arm: _thin(table, thinning_matrix(t_arm, n_max))
 
-    def yields(t_arm: float) -> list:
-        if qnd:
-            channel = [row[: cut + 1] for row in thinning_matrix(t_arm, n_max)]
-            thin = [[sum_product(row, column) for column in zip(*detector)] for row in channel]
-        else:
-            thin = thinning_matrix(t_arm * det.eta, n_max)
-        return [
-            [
-                _combine(
-                    (ta * tb, cell)
-                    for ta, table_a in zip(thin_n, table)
-                    for tb, cell in zip(thin_m, table_a)
-                )
-                for thin_m in thin
-            ]
-            for thin_n in thin
+
+def _thin(table: list, thin: list[list[float]]) -> list:
+    """B A B^T, Y[n][m] = sum_ab B[n][a] B[m][b] A[a][b]; the columns a of B
+    past the table's last row drop out, which is the QND relay's cut."""
+    return [
+        [
+            _combine(
+                (ta * tb, cell)
+                for ta, table_a in zip(thin_n, table)
+                for tb, cell in zip(thin_m, table_a)
+            )
+            for thin_m in thin
         ]
-
-    return yields
-
-
-def sum_product(u, w) -> float:
-    """Sum of u_i w_i, term by term in order (no conjugation)."""
-    acc = 0.0
-    for x, y in zip(u, w):
-        acc += x * y
-    return acc
+        for thin_n in thin
+    ]
 
 
 def relay_yields(
@@ -351,8 +340,8 @@ def relay_yields(
     qnd: bool = False,
 ) -> list:
     """Y[n][m] = [yield_1, error_1, yield_2, error_2] of the relay for every
-    emission n, m <= n_max: the arrival table thinned by each arm's loss
-    at the one-arm transmittance t_arm.
+    emission n, m <= n_max: the arrival table thinned by the detectors and
+    by each arm's loss at the one-arm transmittance t_arm.
 
     With `qnd` the relay accepts at most one arriving photon per arm, so
     only arrivals {0, 1} of the channel thinning reach the detectors.

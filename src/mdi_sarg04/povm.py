@@ -84,14 +84,18 @@ def _gram(w: float, vectors: list[list[float]]) -> Matrix:
     return tuple(tuple(w * sum_product(x, y) for y in cols) for x in cols)
 
 
-@lru_cache(maxsize=None)
 def build_povm(case: Case, announcement_type: int, angle: float = math.pi / 8) -> PovmSet:
     """POVM triple for the given case and announcement type at the filter
-    angle (memoized per angle; the operators are tuples of tuples, so no
-    caller can change them).  fil = w sum_k M_k M_k^T with M_k = M_A[k] (x)
-    M_B[k], and bit (ph) = w sum_(k, i) |v><v| over the joint images v of
-    Alice's and Bob's bit values i in the z (x) basis, where Bob's z bit is
-    flipped for Type2."""
+    angle (memoized per (case, type, angle), however the angle is passed;
+    the operators are tuples of tuples, so no caller can change them).
+    fil = w sum_k M_k M_k^T with M_k = M_A[k] (x) M_B[k], and bit (ph) =
+    w sum_(k, i) |v><v| over the joint images v of Alice's and Bob's bit
+    values i in the z (x) basis, where Bob's z bit is flipped for Type2."""
+    return _build_povm(case, announcement_type, float(angle))
+
+
+@lru_cache(maxsize=None)
+def _build_povm(case: Case, announcement_type: int, angle: float) -> PovmSet:
     if case not in CASES:
         raise ValueError(f"unsupported photon-number case {case}")
     n, m = case

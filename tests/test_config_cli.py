@@ -58,6 +58,12 @@ class TestConfig:
             {"distance_stop_km": "60"},
             # an empty output path is no path, not standard output
             {"output_path": ""},
+            # JSON integers beyond the float range
+            {"loss_db_per_km": 10**400},
+            {"ec_inefficiency": 10**400},
+            {"mu_max": 10**400},
+            {"distance_step_km": 10**400},
+            {"distance_start_km": -(10**400)},
         ):
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict(bad)
@@ -74,6 +80,12 @@ class TestConfig:
             ScenarioConfig.from_json("not json")
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json("[1, 2]")
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json("[" * 100_000)
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json('{"loss_db_per_km": 1' + "0" * 400 + "}")
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json('{"mu_max": 1' + "0" * 5000 + "}")
 
     def test_readme_schema_lists_every_field(self):
         readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
@@ -373,6 +385,9 @@ class TestCliBadInput:
             ["mu-table", "-o="],
             ["rate-curve", "--distance", "0", "--output="],
             ["rate-curve", "--config="],
+            # an empty scenario is an unknown one, not the configured one
+            ["rate-curve", "--scenario", ""],
+            ["optimize-mu", "--scenario=", "--distance", "0"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )

@@ -321,6 +321,32 @@ class TestYieldsAndErrors:
             relay_yields(IDEAL, 1.0, protocol="b92")
 
 
+class TestFold:
+    """`relay` thins the arrival table by the detectors once and by the
+    channel per call; the unfolded products thin it once per call, with
+    B(t eta) for the bare relay and B(t)[:, :2] B(eta) for the QND one."""
+
+    @pytest.mark.parametrize("qnd", [False, True])
+    @pytest.mark.parametrize("case", PROTOCOL_BASES)
+    def test_matches_unfolded_product(self, case, qnd):
+        for n_max, dark, eta in product(range(N_MAX_CAP + 1), (0.0, 8.5e-7, 0.5), (0.045, 1.0)):
+            det = DetectorParams(eta, dark)
+            cut = min(n_max, 1) if qnd else n_max
+            table = np.array(arrival_table(dark, *case, cut))
+            yields = relay(det, *case, n_max, qnd)
+            for t_arm in (0.0, 0.3, 1.0):
+                if qnd:
+                    channel = np.array(thinning_matrix(t_arm, n_max))[:, : cut + 1]
+                    thin = channel @ np.array(thinning_matrix(eta, cut))
+                else:
+                    thin = np.array(thinning_matrix(t_arm * eta, n_max))
+                want = np.einsum("na,mb,abc->nmc", thin, thin, table)
+                got = np.array(yields(t_arm))
+                where = (case, qnd, n_max, dark, eta, t_arm)
+                assert np.array_equal(got == 0, want == 0), where
+                assert (abs(got - want) <= 1e-14 * abs(want)).all(), where
+
+
 class TestMuResponse:
     """The relay's per-(n, m) response table, as `mu-table` prints it."""
 

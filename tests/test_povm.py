@@ -69,6 +69,11 @@ class TestMemoized:
         assert build_povm((1, 2), 1, np.pi / 8 + 0.0) == p
         assert build_povm((1, 2), 1, np.pi / 8 + 1e-3) != p
 
+    def test_one_entry_per_angle_however_passed(self):
+        p = build_povm((1, 2), 1)
+        assert build_povm((1, 2), 1, np.pi / 8) is p
+        assert build_povm((1, 2), 1, angle=np.pi / 8) is p
+
     def test_block_basis_is_read_only(self):
         q, kernel = block_basis((2, 1))
         assert block_basis((2, 1)) == (q, kernel)
