@@ -94,7 +94,8 @@ def _cmd_optimize_mu(args) -> int:
     import json
 
     config = _load_config(args)
-    point = optimize_mu(config, args.distance)
+    # the grid point rate-curve reports: 9 decimals, and -0.0 becomes 0.0
+    point = optimize_mu(config, config.distances()[0])
     out = {
         "distance_km": point.distance_km,
         "mu_opt": point.mu_opt,

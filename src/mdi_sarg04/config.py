@@ -77,6 +77,10 @@ class ScenarioConfig(_ScenarioConfig):
         grid = (self.distance_start_km, self.distance_stop_km, self.distance_step_km)
         if not all(map(math.isfinite, grid)) or grid[0] < 0 or grid[2] <= 0 or grid[1] < grid[0]:
             raise ConfigError("empty, inverted, negative or non-finite distance grid")
+        # the grid's points are rounded to 9 decimals and its stop has 1e-9 km
+        # of slack: a finer step repeats points and oversteps the stop
+        if grid[2] <= 1e-9:
+            raise ConfigError(f"distance step {grid[2]} km not above the 1e-9 km resolution")
         if (grid[1] + 1e-9 - grid[0]) / grid[2] >= MAX_DISTANCE_POINTS:
             raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
         if not 0 < self.mu_min < self.mu_max < math.inf:

@@ -118,11 +118,18 @@ def bb84_forms(key_y: list, test_y: list) -> list:
     return _stack_forms(_sifted_yields(key_y, "bb84"), factors)
 
 
+def pair_weights(p_a: list[float], p_b: list[float]) -> list[float]:
+    """The products p_a[n] p_b[m] in row-major order: the weights of every
+    `form_values` sum."""
+    return [a * b for a in p_a for b in p_b]
+
+
 def form_values(forms: list, p_a: list[float], p_b: list[float]) -> list[float]:
     """p_aᵀ M p_b of every form M[n][m] at the emission probabilities
     p_a[n] and p_b[m].  Each value sums (p_a[n] p_b[m]) M[n][m] over (n, m)
     in row-major order, one addition at a time.  At N = 3, the emission
-    vector of every rate evaluation, the sums are written out term by term."""
+    vector of every rate evaluation, this is `weighted_values` of the
+    `pair_weights`."""
     if len(p_a) != 3 or len(p_b) != 3:
         values = []
         for form in forms:
@@ -132,11 +139,13 @@ def form_values(forms: list, p_a: list[float], p_b: list[float]) -> list[float]:
                     value += a * b * entry
             values.append(value)
         return values
-    a0, a1, a2 = p_a
-    b0, b1, b2 = p_b
-    w00, w01, w02, w10, w11, w12, w20, w21, w22 = (
-        a0 * b0, a0 * b1, a0 * b2, a1 * b0, a1 * b1, a1 * b2, a2 * b0, a2 * b1, a2 * b2
-    )
+    return weighted_values(forms, pair_weights(p_a, p_b))
+
+
+def weighted_values(forms: list, weights: list[float]) -> list[float]:
+    """`form_values` of 3 × 3 forms from the nine `pair_weights`, with the
+    sums written out term by term."""
+    w00, w01, w02, w10, w11, w12, w20, w21, w22 = weights
     values = []
     for (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) in forms:
         values.append(
@@ -171,6 +180,32 @@ def key_fractions(
     if 2 in include:
         total = total + (0.0 if 0.0 > g2 else g2)
     return KeyRateBreakdown(g1, g2, total, ec1 + ec2, e_tot_1, e_tot_2)
+
+
+def key_terms(forms: list, include: tuple[int, ...]) -> list[tuple[float, float, float]]:
+    """The entries (K_t[1][1], K_t[1][2], K_t[2][1]) of the key forms of the
+    `include`d types t of `key_forms` or `bb84_forms`: the KEY_TERMS, the
+    only entries of K_t that are not zero."""
+    return [tuple(forms[3 * t - 1][n][m] for n, m in KEY_TERMS) for t in include]
+
+
+def key_bound(terms: list[tuple[float, float, float]], weights: list[float]) -> float:
+    """The sum over `key_terms` of max(pᵀ K_t p, 0) at the nine
+    `pair_weights`: never below the `total` that `key_fractions` gives for
+    the same types, nor, with both types, below `bb84_baseline_rate`'s.
+
+    The key terms are K_t's only entries that are not zero, in row-major
+    order, so pᵀ K_t p here is bit for bit the `weighted_values` sum: the
+    other terms add exact zeros.  G_t = pᵀ K_t p - f_EC Q_t h(E_tot,t) with
+    an error-correction cost that is never negative, and rounding is
+    monotone, so the rounded G_t, each clamp and each addition of the total
+    stay at or below their counterparts here."""
+    _, _, _, _, w11, w12, _, w21, _ = weights
+    total = 0.0
+    for k11, k12, k21 in terms:
+        k = w11 * k11 + w12 * k12 + w21 * k21
+        total = total + (0.0 if 0.0 > k else k)
+    return total
 
 
 def bb84_baseline_rate(values: list[float], ec_inefficiency: float) -> KeyRateBreakdown:

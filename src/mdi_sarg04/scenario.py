@@ -11,7 +11,10 @@ optimum is per pump pulse.
 The rate is a set of quadratic forms in the emission vector whose
 matrices depend on the relay alone (see `rates`): a sweep builds the
 relay's arrival table once, then takes one distance at a time, builds its
-forms and evaluates them at each mean photon number of its mu search.
+forms and evaluates them at each mean photon number of its mu search.  The
+key terms alone bound the rate from above (`rates.key_bound`), so the
+search evaluates the rate only at the grid points whose bound reaches the
+best rate found (see `optimize_distances`).
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from .rates import (
     INCLUDED_TYPES,
     bb84_baseline_rate,
     bb84_forms,
-    form_values,
+    key_bound,
     key_forms,
     key_fractions,
+    key_terms,
+    pair_weights,
+    weighted_values,
 )
 from .sources import poisson_probs, spdc_heralded
 
@@ -60,42 +66,53 @@ class RateCurvePoint(NamedTuple):
 
 
 def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
-    """The configured scenario's (emission, rates_at): mu -> (p, joint
-    heralding probability), and distance -> (p, herald) -> (key rate per
-    pump pulse, herald, KeyRateBreakdown).  The relay's arrival table is
-    built here once, and the forms of a distance once per distance; the
-    emission probabilities do not depend on the distance."""
+    """The configured scenario's (emission, rates_at): mu -> (the nine
+    `pair_weights` of the emission vector, joint heralding probability), and
+    distance -> (rate, bound), where rate maps (weights, herald) to (key
+    rate per pump pulse, herald, KeyRateBreakdown) and bound maps them to
+    the `key_bound` times herald, never below that key rate.  The relay's
+    arrival table is built here once, and the forms of a distance once per
+    distance; the emission does not depend on the distance."""
     det = DetectorParams(eta=config.eta, dark=config.dark)
     f_ec, include = config.ec_inefficiency, INCLUDED_TYPES[config.type_selection]
     bb84 = config.scenario == "bb84_baseline"
     if bb84:
         key, test = (relay(det, "bb84", basis) for basis in ("key", "test"))
+        # the comparator's rate merges both types, whatever the selection
+        bounded = INCLUDED_TYPES["both"]
     else:
         yields = relay(det, qnd=config.scenario == "qnd_coherent")
         one_one_only = config.photon_terms == "one_one_only"
+        bounded = include
 
     def emission(mu: float) -> tuple[list[float], float]:
         if config.scenario != "spdc_heralded":
-            return poisson_probs(mu, N_MAX_DEFAULT), 1.0
-        p_herald, p = spdc_heralded(mu, det, N_MAX_DEFAULT, config.spdc_pair_statistics)
-        return p, p_herald * p_herald
+            p, herald = poisson_probs(mu, N_MAX_DEFAULT), 1.0
+        else:
+            p_herald, p = spdc_heralded(mu, det, N_MAX_DEFAULT, config.spdc_pair_statistics)
+            herald = p_herald * p_herald
+        return pair_weights(p, p), herald
 
-    def rates_at(distance_km: float) -> Callable[[list[float], float], tuple]:
+    def rates_at(distance_km: float) -> tuple[Callable, Callable]:
         t_arm = ChannelParams(config.loss_db_per_km, distance_km).t_arm
         if bb84:
             forms = bb84_forms(key(t_arm), test(t_arm))
         else:
             forms = key_forms(yields(t_arm), one_one_only)
+        terms = key_terms(forms, bounded)
 
-        def rate(p: list[float], herald: float) -> tuple:
-            values = form_values(forms, p, p)
+        def rate(weights: list[float], herald: float) -> tuple:
+            values = weighted_values(forms, weights)
             if bb84:
                 breakdown = bb84_baseline_rate(values, f_ec)
             else:
                 breakdown = key_fractions(values, f_ec, include)
             return breakdown.total * herald, herald, breakdown
 
-        return rate
+        def bound(weights: list[float], herald: float) -> float:
+            return key_bound(terms, weights) * herald
+
+        return rate, bound
 
     return emission, rates_at
 
@@ -113,22 +130,35 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     """Maximize the per-pulse key rate over the mean photon number at every
     distance, one distance at a time.
 
-    The whole coarse logarithmic grid is evaluated, then golden-section
-    search refines log mu to 1e-4 within one grid step either side of the
-    best grid point: a bracket at a grid edge is half as wide, and a
-    distance whose best grid rate is 0 keeps that point without a search.
-    Both senders share the same mu.  Each row reuses an evaluation: the
-    grid's own, or the search's last one, at the point the search returns.
+    The best point of the coarse logarithmic grid is found by branch and
+    bound: the grid's emission weights are computed once per sweep, every
+    grid point's `key_bound` (the key terms without the error-correction
+    cost) at each distance, and the rate in order of falling bound, until a
+    bound falls strictly below the best rate found.  No point left out can
+    reach that rate, since the bound is never below the rate, even after
+    rounding, so the choice is the full grid's: its largest rate, the
+    lowest grid index among equal ones.  Golden-section search then refines
+    log mu to 1e-4 within one grid step either side of the best grid point:
+    a bracket at a grid edge is half as wide, and a distance whose best grid
+    rate is 0 keeps that point without a search.  Both senders share the
+    same mu.  Each row reuses an evaluation: the grid's own, or the
+    search's last one, at the point the search returns.
     """
     (emission, rates_at), grid = _rates(config), mu_grid(config)
     grid_emission = [emission(mu) for mu in grid]
     log_grid = [math.log(m) for m in grid]
     points = []
     for distance in distances:
-        rate = rates_at(distance)
-        results = [rate(p, herald) for p, herald in grid_emission]
-        best = max(range(len(grid)), key=lambda j: results[j][0])
-        mu_opt, row = grid[best], results[best]
+        rate, bound = rates_at(distance)
+        bounds = [bound(*e) for e in grid_emission]
+        evaluated, top = {}, -math.inf
+        for j in sorted(range(len(grid)), key=bounds.__getitem__, reverse=True):
+            if bounds[j] < top:
+                break
+            evaluated[j] = rate(*grid_emission[j])
+            top = max(top, evaluated[j][0])
+        best = max(sorted(evaluated), key=lambda j: evaluated[j][0])
+        mu_opt, row = grid[best], evaluated[best]
         if row[0] > 0.0:
             searched = None
 
@@ -155,8 +185,8 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
     """Rate-curve rows of the configured scenario at a fixed mu, one per
     distance."""
     emission, rates_at = _rates(config)
-    p, herald = emission(mu)
-    return [_point(d, mu, rates_at(d)(p, herald)) for d in distances]
+    weights, herald = emission(mu)
+    return [_point(d, mu, rates_at(d)[0](weights, herald)) for d in distances]
 
 
 def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:

@@ -47,6 +47,9 @@ class TestConfig:
             # a step below the float spacing of the start: 1.0 + 1e-20 == 1.0
             {"distance_start_km": 1.0, "distance_stop_km": 2.0, "distance_step_km": 1e-20},
             {"distance_stop_km": 1e6, "distance_step_km": 1e-3},
+            # steps at or below the 1e-9 km resolution of the rounded points
+            {"distance_stop_km": 1e-8, "distance_step_km": 1e-10},
+            {"distance_stop_km": 1e-8, "distance_step_km": 1e-9},
             {"type_selection": "all"},
             {"photon_terms": "everything"},
             # JSON true and false are not numbers, nor null and strings
@@ -243,6 +246,15 @@ class TestCliOptimizeMu:
         assert data["total"] > 0
         assert not data["zero_rate"]
 
+    def test_negative_zero_distance_reported_as_rate_curve_reports_it(self, capsys):
+        assert main(["optimize-mu", "--distance", "-0.0"]) == 0
+        negative = capsys.readouterr().out
+        assert '"distance_km": 0.0,' in negative
+        assert main(["optimize-mu", "--distance", "0"]) == 0
+        assert capsys.readouterr().out == negative
+        assert main(["rate-curve", "--distance", "-0.0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0,")
+
 
 class TestRatePathWithoutEigensolver:
     """The rate path, the bound and relay tables and the proof checks run
@@ -397,6 +409,16 @@ class TestCliBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["rate-curve"], ["optimize-mu", "--distance", "0"]])
+    def test_step_below_resolution_exits_two(self, command, tmp_path, capsys):
+        # a 1e-10 km step to 1e-8 km once printed 111 rows of 12 distances
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"distance_stop_km": 1e-8, "distance_step_km": 1e-10}')
+        assert main([*command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: distance step 1e-10 km not above the 1e-9 km resolution\n"
 
 
 class TestCliSpellings:

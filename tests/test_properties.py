@@ -51,7 +51,7 @@ def test_point_is_physical_and_falls_with_distance(config, d1, d2, mu):
 def test_grid_rows_match_points_and_bound_the_optimum(config, d):
     # each grid row as optimize_distances evaluates it, against points_at
     emission, rates_at = _rates(config)
-    rate = rates_at(d)
+    rate, _ = rates_at(d)
     rates = []
     for mu in mu_grid(config):
         r, herald, b = rate(*emission(mu))
@@ -61,6 +61,19 @@ def test_grid_rows_match_points_and_bound_the_optimum(config, d):
         want = [p.total_per_pulse, p.e_tot_1, p.e_tot_2, p.p_herald, p.G1, p.G2, p.total]
         assert row == pytest.approx(want, rel=1e-12, abs=0.0), mu
     assert optimize_mu(config, d).total_per_pulse >= max(rates)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_configs, st.sampled_from(("thermal", "poisson")), st.floats(0.0, 400.0))
+def test_key_bound_never_below_the_rate(config, pair_statistics, d):
+    # optimize_distances leaves out every grid point whose bound is below
+    # the best rate found, so a bound under its own rate would change a row
+    config = config._replace(spdc_pair_statistics=pair_statistics)
+    emission, rates_at = _rates(config)
+    rate, bound = rates_at(d)
+    for mu in mu_grid(config):
+        weights, herald = emission(mu)
+        assert bound(weights, herald) >= rate(weights, herald)[0], mu
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -16,8 +16,11 @@ from mdi_sarg04.rates import (
     bb84_baseline_rate,
     bb84_forms,
     form_values,
+    key_bound,
     key_forms,
     key_fractions,
+    key_terms,
+    pair_weights,
     privacy_factors,
 )
 from mdi_sarg04.scenario import points_at
@@ -244,6 +247,20 @@ class TestFormValues:
                 for n, m in itertools.product(range(size), repeat=2):
                     want += p_a[n] * p_b[m] * forms[0][i][n][m]
                 assert values[i] == want
+
+    def test_key_bound_sums_are_the_form_sums(self, rng):
+        # the bound's key term of each type is bit for bit the form_values
+        # sum of K_t, clamped at zero; with both types it is their clamped sum
+        for t_arm in (1.0, 0.3, 1e-3, 1e-7):
+            sarg = [key_forms(relay_yields(GYS, t_arm, qnd=qnd)) for qnd in (False, True)]
+            bb84 = bb84_forms(*(relay_yields(GYS, t_arm, "bb84", b) for b in ("key", "test")))
+            for forms, p in itertools.product(sarg + [bb84], rng.dirichlet([1, 1, 1], 4).tolist()):
+                values = form_values(forms, p, p)
+                weights = pair_weights(p, p)
+                clamped = [max(values[3 * t - 1], 0.0) for t in (1, 2)]
+                for t in (1, 2):
+                    assert key_bound(key_terms(forms, (t,)), weights) == clamped[t - 1]
+                assert key_bound(key_terms(forms, (1, 2)), weights) == clamped[0] + clamped[1]
 
 
 class TestBb84Baseline:

@@ -1,14 +1,17 @@
 """Scenario sweeps, mean-photon-number optimization, CSV emission."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdi_sarg04 import scenario as scenario_module
-from mdi_sarg04.config import SCENARIOS, ScenarioConfig
+from mdi_sarg04.bounds import golden_section_minimize
+from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
 from mdi_sarg04.scenario import (
     MU_COARSE_POINTS,
+    MU_REL_TOL,
     csv_lines,
     mu_grid,
     optimize_mu,
@@ -89,33 +92,36 @@ class TestOptimizeMu:
 
     def test_no_rate_evaluated_twice(self, monkeypatch):
         # every row is an evaluation already made: no two rate evaluations
-        # of one optimize_mu call share a mu
+        # of one optimize_mu call share a mu, and the grid points left out
+        # are those whose key-term bound is below the optimum
         build = scenario_module._rates
-        emitted, evaluated = {}, []
+        emitted, evaluated, bounds = {}, [], []
 
         def recording(config):
             emission, rates_at = build(config)
 
             def recorded_emission(mu):
-                p, herald = emission(mu)
-                emitted[id(p)] = mu, p  # p stays alive, so its id is not reused
-                return p, herald
+                weights, herald = emission(mu)
+                emitted[id(weights)] = mu, weights  # kept alive, so its id is not reused
+                return weights, herald
 
             def recorded_rates_at(distance):
-                rate = rates_at(distance)
+                rate, bound = rates_at(distance)
+                bounds.extend(bound(*emission(mu)) for mu in mu_grid(config))
 
-                def recorded_rate(p, herald):
-                    evaluated.append(emitted[id(p)][0])
-                    return rate(p, herald)
+                def recorded_rate(weights, herald):
+                    evaluated.append(emitted[id(weights)][0])
+                    return rate(weights, herald)
 
-                return recorded_rate
+                return recorded_rate, bound
 
             return recorded_emission, recorded_rates_at
 
         monkeypatch.setattr(scenario_module, "_rates", recording)
         point = optimize_mu(SHORT, 10.0)
         assert not point.zero_rate
-        assert len(evaluated) > MU_COARSE_POINTS
+        left_out = [b for mu, b in zip(mu_grid(SHORT), bounds) if mu not in evaluated]
+        assert left_out and all(b < point.total_per_pulse for b in left_out)
         assert len(set(evaluated)) == len(evaluated)
         assert point.mu_opt in evaluated
         assert evaluated[-1] == point.mu_opt
@@ -127,10 +133,73 @@ class TestOptimizeMu:
         assert 0 < point.p_herald < 1
 
 
+def _full_grid_optimum(config, distance):
+    """The grid index and row of the optimum with every grid rate evaluated,
+    ties going to the first grid point, refined as optimize_distances
+    refines it."""
+    emission, rates_at = scenario_module._rates(config)
+    rate, _ = rates_at(distance)
+    grid = mu_grid(config)
+    results = [rate(*emission(mu)) for mu in grid]
+    best = max(range(len(grid)), key=lambda j: results[j][0])
+    mu_opt, row = grid[best], results[best]
+    if row[0] > 0.0:
+        lo = math.log(grid[max(best - 1, 0)])
+        hi = math.log(grid[min(best + 1, len(grid) - 1)])
+        searched = []
+
+        def negative_rate(log_mu):
+            searched.append(rate(*emission(math.exp(log_mu))))
+            return -searched[-1][0]
+
+        log_mu, neg = golden_section_minimize(negative_rate, lo, hi, MU_REL_TOL)
+        if -neg >= row[0]:
+            mu_opt, row = math.exp(log_mu), searched[-1]
+    return best, scenario_module._point(distance, mu_opt, row)
+
+
+PRUNING_CONFIGS = {
+    f"{sc}-{ts}-{pt}": ScenarioConfig(scenario=sc, type_selection=ts, photon_terms=pt)
+    for sc in SCENARIOS
+    for ts in TYPE_SELECTIONS
+    for pt in PHOTON_TERMS
+}
+PRUNING_CONFIGS["spdc_heralded-poisson"] = ScenarioConfig(
+    scenario="spdc_heralded", spdc_pair_statistics="poisson"
+)
+
+
+class TestPrunedGrid:
+    @pytest.mark.parametrize("config", PRUNING_CONFIGS.values(), ids=PRUNING_CONFIGS)
+    def test_pruned_choice_equals_full_grid(self, config, monkeypatch):
+        # 300 km has no key, though its key terms are positive: every grid
+        # bound reaches the zero rate, and the first grid point is the choice
+        search = scenario_module.golden_section_minimize
+        brackets = []
+
+        def recording(f, lo, hi, rel_tol):
+            brackets.append((lo, hi))
+            return search(f, lo, hi, rel_tol)
+
+        monkeypatch.setattr(scenario_module, "golden_section_minimize", recording)
+        log_grid = [math.log(mu) for mu in mu_grid(config)]
+        for distance in (0.0, 45.0, 200.0, 300.0):
+            best, want = _full_grid_optimum(config, distance)
+            brackets.clear()
+            got = optimize_mu(config, distance)
+            assert repr(got) == repr(want), distance
+            if want.zero_rate:
+                assert not brackets and got.mu_opt == mu_grid(config)[best]
+            else:
+                low, high = max(best - 1, 0), min(best + 1, len(log_grid) - 1)
+                assert brackets == [(log_grid[low], log_grid[high])], distance
+            assert want.zero_rate == (distance == 300.0)
+
+
 class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_whole_grid_in_one_call_stays_small(self, scenario):
-        # a 0.5 km sweep evaluates its 121 x 40 mu grid: no table over
+        # a 0.5 km sweep may evaluate all of its 121 x 40 mu grid: no table over
         # (n, m) per grid point may be kept.  The evaluator is built once,
         # as a sweep builds it, with its relay table under the trace too
         config = ScenarioConfig(scenario=scenario, distance_step_km=0.5)
@@ -140,7 +209,7 @@ class TestGridMemory:
             emission, rates_at = scenario_module._rates(config)
             rates = []
             for d in config.distances():
-                rate = rates_at(d)
+                rate, _ = rates_at(d)
                 rates.append([rate(*emission(mu))[0] for mu in grid])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
