@@ -1,4 +1,4 @@
-"""Closed-form phase-error bounds and the golden-section search.
+"""Closed-form phase-error bounds.
 
 Implements the binary entropy, the Type1 bound intercept f(s1), the Type2
 intercept g(s2) defined as the maximal real root of a cubic, and the mixed
@@ -26,8 +26,6 @@ S_MAX = 10.0
 # Newton steps to the Type2 slope: 6 leave |x - g(s)| <= 2.1e-15, 4 leave 3.5e-8
 _NEWTON_STEPS = 6
 _CUBIC_RESIDUAL_REL_TOL = 1e-14
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CubicRootError(RuntimeError):
@@ -120,26 +118,6 @@ def g_type2(s2: float) -> float:
     return root
 
 
-def golden_section_minimize(fun, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for the minimum of a unimodal function on
-    [a, b], shrinking the bracket until b - a <= tol.  Returns (x_min,
-    fun(x_min)), and that is the last call to `fun`."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2
-    return x, fun(x)
-
-
 def _cubic_partials(s: float, x: float) -> tuple:
     """P, P_s, P_x, P_ss, P_sx, P_xx of the cubic P(s, x) whose largest root is g(s)."""
     a3, a2, a1, a0 = _cubic_coeffs(s)
@@ -161,17 +139,19 @@ def _type1_slope(e: float) -> float:
     return min(max(s, 0.0), S_MAX)
 
 
-def _edge_slopes() -> tuple[float, float]:
-    """The bit error rates at which the Type2 objective's slope e + g' is
-    zero at S_MAX and at 0."""
-    slopes = []
+def _edge_slopes() -> tuple[dict[float, float], float, float]:
+    """The certified intercepts g(S_MAX) and g(0) of the window edges, and
+    the bit error rates at which the Type2 objective's slope e + g' is zero
+    at S_MAX and at 0."""
+    intercepts, slopes = {}, []
     for s in (S_MAX, 0.0):
-        _, p_s, p_x, *_ = _cubic_partials(s, g_type2(s))
+        intercepts[s] = g_type2(s)
+        _, p_s, p_x, *_ = _cubic_partials(s, intercepts[s])
         slopes.append(p_s / p_x)
-    return slopes[0], slopes[1]
+    return intercepts, slopes[0], slopes[1]
 
 
-_TYPE2_TOP, _TYPE2_BOTTOM = _edge_slopes()
+_TYPE2_EDGES, _TYPE2_TOP, _TYPE2_BOTTOM = _edge_slopes()
 
 
 def _type2_slope(e: float) -> float:
@@ -211,7 +191,12 @@ def phase_bound(case: tuple[int, int], announcement_type: int, e_bit: float) -> 
         s_star, intercept = (1.5 if type1 else 3.0), 0.0
     elif case in ((1, 2), (2, 1)):
         s_star = _type1_slope(e) if type1 else _type2_slope(e)
-        intercept = f_type1(s_star) if type1 else g_type2(s_star)
+        if type1:
+            intercept = f_type1(s_star)
+        elif s_star in _TYPE2_EDGES:  # a window edge: the intercept certified at import
+            intercept = _TYPE2_EDGES[s_star]
+        else:
+            intercept = g_type2(s_star)
     else:
         raise ValueError(f"no phase-error bound for case {case}")
     return BoundResult(min(max(s_star * e + intercept, 0.0), 1.0), s_star)

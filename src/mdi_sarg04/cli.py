@@ -75,8 +75,10 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "scenario", None) is not None:
         overrides["scenario"] = args.scenario
     if getattr(args, "distance", None) is not None:
-        overrides["distance_start_km"] = args.distance
-        overrides["distance_stop_km"] = args.distance
+        # the grid's 9 decimals, so the one point is the distance itself
+        distance = round(args.distance, 9)
+        overrides["distance_start_km"] = distance
+        overrides["distance_stop_km"] = distance
     return config._replace(**overrides)
 
 

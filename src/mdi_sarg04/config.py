@@ -83,6 +83,7 @@ class ScenarioConfig(_ScenarioConfig):
             raise ConfigError(f"distance step {grid[2]} km not above the 1e-9 km resolution")
         if (grid[1] + 1e-9 - grid[0]) / grid[2] >= MAX_DISTANCE_POINTS:
             raise ConfigError(f"distance grid of more than {MAX_DISTANCE_POINTS} points")
+        self.distances()  # a grid whose rounded points overstep the stop or repeat raises
         if not 0 < self.mu_min < self.mu_max < math.inf:
             raise ConfigError("invalid mean-photon-number bounds")
         # an empty path would silently mean standard output
@@ -99,10 +100,24 @@ class ScenarioConfig(_ScenarioConfig):
         return cls(*iterable)
 
     def distances(self) -> list[float]:
-        """Points start + i*step up to stop (with 1e-9 km slack), rounded to 9 decimals."""
-        start, step = self.distance_start_km, self.distance_step_km
-        count = math.floor((self.distance_stop_km + 1e-9 - start) / step) + 1
-        return [round(start + i * step, 9) for i in range(count)]
+        """Points start + i*step up to stop (with 1e-9 km slack), rounded to 9
+        decimals, so the first is the start rounded.  A ConfigError if a
+        rounded point falls past the stop or the points do not increase
+        strictly, as where the float spacing of the distances is near the
+        step."""
+        start, stop, step = self.distance_start_km, self.distance_stop_km, self.distance_step_km
+        count = math.floor((stop + 1e-9 - start) / step) + 1
+        points = [round(start + i * step, 9) for i in range(count)]
+        if points[-1] > stop:
+            raise ConfigError(
+                f"distance grid point {points[-1]} km past the stop {stop} km"
+                " after rounding to 9 decimals"
+            )
+        if any(a >= b for a, b in zip(points, points[1:])):
+            raise ConfigError(
+                f"distance step {step} km repeats grid points after rounding to 9 decimals"
+            )
+        return points
 
     def to_json(self) -> str:
         import json

@@ -32,10 +32,12 @@ through passive linear optics, so the response factors exactly in two:
 * binomial thinning B(s)[n, a] = C(n, a) s^a (1-s)^(n-a) of each arm's
   photon number at survival s.
 
-Thinning composes, B(t eta) = B(t) B(eta), so `relay` thins the table by
-the detectors once, A_eta = B(eta) A B(eta)^T, and the response to an
-(n, m) emission is one channel thinning Y[n, m] = sum_ab B[n, a] B[m, b]
-A_eta[a, b] with B = B(t_arm).  The relay's nondemolition postselection
+Thinning composes, B(t eta) = B(t) B(eta), so `detector_table` thins the
+table by the detectors once, A_eta = B(eta) A B(eta)^T, and the response
+to an (n, m) emission is one channel thinning Y[n, m] = sum_ab B[n, a]
+B[m, b] A_eta[a, b] with B = B(t_arm): `relay_yields` gives every cell,
+and `thinned_cell` one.  A sweep sums its rates over the arriving photons
+against A_eta itself (see `rates`).  The relay's nondemolition postselection
 of <= 1 arriving photon per arm acts between channel and detectors, so
 the QND A_eta stops at a, b = 1 and the sum drops the columns of B(t_arm)
 past it.  Each photon-number sector is independent (phase-randomized
@@ -46,7 +48,6 @@ Tables are nested lists: A[a][b] and Y[n][m] are lists of four floats.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from itertools import product
 from math import comb, cos, inf, pi, sin, sqrt
 from typing import NamedTuple
@@ -300,35 +301,31 @@ def _combine(terms) -> list[float]:
     return [y1, e1, y2, e2]
 
 
-def relay(
+def detector_table(
     det: DetectorParams,
     protocol: str = "sarg04",
     bb84_basis: str = "key",
     n_max: int = N_MAX_DEFAULT,
     qnd: bool = False,
-) -> Callable[[float], list]:
-    """t_arm -> relay_yields(det, t_arm, protocol, bb84_basis, n_max, qnd):
-    A_eta = B(eta) A B(eta)^T is built here, once, up to the relay's cut
-    (1 with `qnd`), and each call is B(t_arm) A_eta B(t_arm)^T."""
+) -> list:
+    """A_eta = B(eta) A B(eta)^T: the arrival table thinned by the detectors,
+    up to the relay's cut (1 with `qnd`, else n_max)."""
     cut = min(n_max, 1) if qnd else n_max
-    table = _thin(arrival_table(det.dark, protocol, bb84_basis, cut), thinning_matrix(det.eta, cut))
-    return lambda t_arm: _thin(table, thinning_matrix(t_arm, n_max))
+    return _thin(arrival_table(det.dark, protocol, bb84_basis, cut), thinning_matrix(det.eta, cut))
+
+
+def thinned_cell(table: list, thin_n: list[float], thin_m: list[float]) -> list[float]:
+    """Y[n][m] = sum_ab B[n][a] B[m][b] A[a][b] of B A B^T from the rows
+    B[n] and B[m]; the columns a of B past the table's last row drop out,
+    which is the QND relay's cut."""
+    return _combine(
+        (ta * tb, cell) for ta, table_a in zip(thin_n, table) for tb, cell in zip(thin_m, table_a)
+    )
 
 
 def _thin(table: list, thin: list[list[float]]) -> list:
-    """B A B^T, Y[n][m] = sum_ab B[n][a] B[m][b] A[a][b]; the columns a of B
-    past the table's last row drop out, which is the QND relay's cut."""
-    return [
-        [
-            _combine(
-                (ta * tb, cell)
-                for ta, table_a in zip(thin_n, table)
-                for tb, cell in zip(thin_m, table_a)
-            )
-            for thin_m in thin
-        ]
-        for thin_n in thin
-    ]
+    """B A B^T, every `thinned_cell`."""
+    return [[thinned_cell(table, thin_n, thin_m) for thin_m in thin] for thin_n in thin]
 
 
 def relay_yields(
@@ -346,7 +343,7 @@ def relay_yields(
     With `qnd` the relay accepts at most one arriving photon per arm, so
     only arrivals {0, 1} of the channel thinning reach the detectors.
     """
-    return relay(det, protocol, bb84_basis, n_max, qnd)(t_arm)
+    return _thin(detector_table(det, protocol, bb84_basis, n_max, qnd), thinning_matrix(t_arm, n_max))
 
 
 def error_rate(errors: float, detections: float) -> float:

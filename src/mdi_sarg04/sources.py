@@ -3,8 +3,10 @@
 Covers the phase-randomized coherent (Poisson) source and the heralded
 SPDC source with thermal or Poisson pair statistics and a threshold herald
 detector, as emission probabilities p[n] over photon numbers n, one mean
-photon number at a time.  Loss and the relay's photon-number postselection
-act on these inside the relay of `optics.relay`.
+photon number at a time, with their log-derivatives d log p[n] / d log mu
+(`poisson_log_slopes`, `spdc_log_slopes`) for the mu optimizer.  Loss and
+the relay's photon-number postselection act on these in `rates`, through
+the channel thinning and arrival table of `optics`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,23 @@ def poisson_probs(mu: float, n_max: int) -> list[float]:
     return p
 
 
+def poisson_log_slopes(mu: float, n_max: int) -> list[float]:
+    """d log p[n] / d log mu = n - mu of `poisson_probs`, n <= n_max."""
+    return [n - mu for n in range(n_max + 1)]
+
+
+def _herald_click(x: float, dark: float, pair_statistics: str) -> tuple[float, float]:
+    """The herald click probability p_herald, summed over all pair numbers,
+    and its derivative in x = mu eta: (d + x) / (1 + x) and
+    (1-d) / (1 + x)^2 for thermal pairs, d - (1-d) expm1(-x) and
+    (1-d) exp(-x) for Poisson pairs."""
+    if pair_statistics == "thermal":
+        return (dark + x) / (1 + x), (1 - dark) / ((1 + x) * (1 + x))
+    if pair_statistics == "poisson":
+        return dark - (1 - dark) * expm1(-x), (1 - dark) * exp(-x)
+    raise ValueError(f"unknown pair statistics {pair_statistics!r}")
+
+
 def spdc_heralded(
     mu: float,
     herald: DetectorParams,
@@ -56,16 +75,40 @@ def spdc_heralded(
     """
     mu = _checked(mu, "mean pair number")
     d, eta = herald.dark, herald.eta
+    p_herald, _ = _herald_click(mu * eta, d, pair_statistics)
     if pair_statistics == "thermal":
         ratio = mu / (1 + mu)
         pairs = [ratio**n / (1 + mu) for n in range(n_max + 1)]
-        p_herald = (d + mu * eta) / (1 + mu * eta)
-    elif pair_statistics == "poisson":
-        pairs = poisson_probs(mu, n_max)
-        p_herald = d - (1 - d) * expm1(-mu * eta)
     else:
-        raise ValueError(f"unknown pair statistics {pair_statistics!r}")
+        pairs = poisson_probs(mu, n_max)
     if p_herald <= 0.0:
         return p_herald, [1.0] + [0.0] * n_max
     click = [d + (1 - d) * (1 - (1 - eta) ** n) for n in range(n_max + 1)]
     return p_herald, [q * c / p_herald for q, c in zip(pairs, click)]
+
+
+def spdc_log_slopes(
+    mu: float,
+    herald: DetectorParams,
+    n_max: int = N_MAX_DEFAULT,
+    pair_statistics: str = "thermal",
+) -> tuple[float, list[float]]:
+    """d log p_herald / d log mu and d log p[n] / d log mu of `spdc_heralded`
+    at the same arguments; zeros where nothing heralds.
+
+    With x = mu eta, d log p_herald / d log mu = x p_herald'(x) / p_herald,
+    which is x / (d + x) - x / (1 + x) for thermal pairs; and
+    p[n] = pairs_n click_n / p_herald gives d log pairs_n / d log mu, which
+    is n - (n+1) mu / (1 + mu) or n - mu, less that of p_herald.
+    """
+    mu = _checked(mu, "mean pair number")
+    x = mu * herald.eta
+    p_herald, slope = _herald_click(x, herald.dark, pair_statistics)
+    if p_herald <= 0.0:
+        return 0.0, [0.0] * (n_max + 1)
+    if pair_statistics == "thermal":
+        pairs = [n - (n + 1) * mu / (1 + mu) for n in range(n_max + 1)]
+    else:
+        pairs = poisson_log_slopes(mu, n_max)
+    herald_slope = x * slope / p_herald
+    return herald_slope, [s - herald_slope for s in pairs]

@@ -18,9 +18,9 @@ from mdi_sarg04.bounds import (
     cubic_value,
     f_type1,
     g_type2,
-    golden_section_minimize,
     phase_bound,
 )
+from tests.golden_search import golden_section_minimize
 
 # independently evaluated at 40 decimal digits
 H_011 = 0.4999159581645279956404996

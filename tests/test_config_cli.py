@@ -104,6 +104,35 @@ class TestConfig:
         assert fine.distances() == [0.1, 0.2, 0.3, 0.4]
         top = ScenarioConfig(distance_stop_km=MAX_DISTANCE_POINTS - 1.0, distance_step_km=1.0)
         assert len(top.distances()) == MAX_DISTANCE_POINTS
+        # a start finer than the grid's 9 decimals is rounded, down or up
+        low = ScenarioConfig(
+            distance_start_km=0.1000000001, distance_stop_km=0.3, distance_step_km=0.1
+        )
+        assert low.distances() == [0.1, 0.2, 0.3]
+        high = low._replace(distance_start_km=0.0999999999)
+        assert high.distances() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # the 1e-9 km slack lets a fourth point round to 0.3, past the stop
+            ((0.0, 0.3 - 5e-10, 0.1), "distance grid point 0.3 km past the stop"),
+            # 500 points below the float spacing at 1e8 km, of only 68 distances
+            ((1e8, 1e8 + 1e-6, 2e-9), "distance step 2e-09 km repeats grid points"),
+        ],
+        ids=["past-the-stop", "repeated-points"],
+    )
+    def test_grid_off_its_rounding_rejected(self, grid, message, tmp_path, capsys):
+        start, stop, step = grid
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(distance_start_km=start, distance_stop_km=stop, distance_step_km=step)
+        cfg = tmp_path / "cfg.json"
+        keys = ("distance_start_km", "distance_stop_km", "distance_step_km")
+        cfg.write_text(json.dumps(dict(zip(keys, grid))))
+        assert main(["rate-curve", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestCliVerify:
@@ -246,6 +275,19 @@ class TestCliOptimizeMu:
         assert data["total"] > 0
         assert not data["zero_rate"]
 
+    @pytest.mark.parametrize(
+        "distance, point",
+        [("30.0000000001", 30.0), ("30.0000000006", 30.000000001), ("1e-10", 0.0)],
+    )
+    def test_distance_finer_than_the_grid_is_rounded(self, distance, point, capsys):
+        # the distance is rounded to the grid's 9 decimals, not rejected as off its grid
+        assert main(["optimize-mu", "--distance", distance]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["distance_km"] == point
+        assert main(["rate-curve", "--distance", distance]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert float(row.split(",")[0]) == point
+
     def test_negative_zero_distance_reported_as_rate_curve_reports_it(self, capsys):
         assert main(["optimize-mu", "--distance", "-0.0"]) == 0
         negative = capsys.readouterr().out
@@ -254,6 +296,17 @@ class TestCliOptimizeMu:
         assert capsys.readouterr().out == negative
         assert main(["rate-curve", "--distance", "-0.0"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("0,")
+
+    @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
+    def test_json_is_the_sweep_row(self, scenario, capsys):
+        # no state crosses distances: a sweep's row is optimize-mu's, to the byte
+        config = ScenarioConfig(scenario=scenario, distance_stop_km=60.0, distance_step_km=15.0)
+        for row in run_sweep(config)[1:]:
+            argv = ["optimize-mu", "--scenario", scenario, "--distance", str(row.distance_km)]
+            assert main(argv) == 0
+            fields = ("distance_km", "mu_opt", "total", "total_per_pulse", "G1", "G2", "zero_rate")
+            want = json.dumps({f: getattr(row, f) for f in fields}, indent=2, sort_keys=True)
+            assert capsys.readouterr().out == want + "\n", row.distance_km
 
 
 class TestRatePathWithoutEigensolver:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdi_sarg04.cli import main
-from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
+from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ConfigError, ScenarioConfig
 from mdi_sarg04.scenario import _rates, mu_grid, optimize_mu, points_at
 
 DEFAULT = ScenarioConfig()
@@ -54,7 +54,7 @@ def test_grid_rows_match_points_and_bound_the_optimum(config, d):
     rate, _ = rates_at(d)
     rates = []
     for mu in mu_grid(config):
-        r, herald, b = rate(*emission(mu))
+        r, _, herald, b = rate(emission(mu))
         rates.append(r)
         p = points_at(config, [d], mu)[0]
         row = [r, b.e_tot_1, b.e_tot_2, herald, b.G1, b.G2, b.total]
@@ -72,8 +72,39 @@ def test_key_bound_never_below_the_rate(config, pair_statistics, d):
     emission, rates_at = _rates(config)
     rate, bound = rates_at(d)
     for mu in mu_grid(config):
-        weights, herald = emission(mu)
-        assert bound(weights, herald) >= rate(weights, herald)[0], mu
+        em = emission(mu)
+        assert bound([em[2]], [em[4]]) >= [rate(em)[0]], mu
+
+
+# a distance grid from start to stop, a step apart, which the config may reject
+distance_grids = st.tuples(
+    st.floats(0.0, 1e9) | st.sampled_from([0.0, 0.1, 1e8]),
+    st.floats(0.0, 1e3) | st.floats(0.0, 1e-5),
+    st.floats(1e-9, 1e3, exclude_min=True) | st.floats(1e-9, 1e-6, exclude_min=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs, distance_grids)
+@example(DEFAULT, (0.0, 0.3 - 5e-10, 0.1))
+@example(DEFAULT, (1e8, 1e-6, 2e-9))
+def test_distances_in_range_and_increasing(config, grid):
+    # every valid grid's rounded points start at the rounded start, lie
+    # within [start, stop] to within that rounding, rise strictly, and are
+    # a step apart to within their rounding
+    start, length, step = grid
+    try:
+        config = config._replace(
+            distance_start_km=start, distance_stop_km=start + length, distance_step_km=step
+        )
+    except ConfigError:
+        return
+    points = config.distances()
+    assert points[0] == round(config.distance_start_km, 9)
+    assert points[-1] <= config.distance_stop_km
+    assert all(a < b for a, b in zip(points, points[1:]))
+    slack = 1e-9 + 4 * math.ulp(config.distance_stop_km)
+    assert all(abs(b - a - step) <= slack for a, b in zip(points, points[1:]))
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

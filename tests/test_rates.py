@@ -2,6 +2,7 @@
 evaluation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,19 +12,24 @@ from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ConfigEr
 from mdi_sarg04.optics import ChannelParams, DetectorParams, error_rate, relay_yields
 from mdi_sarg04.rates import (
     INCLUDED_TYPES,
+    KEY_TERMS,
     KeyRateBreakdown,
     SIFT_FACTOR,
+    arrival_forms,
+    arrival_values,
     bb84_baseline_rate,
     bb84_forms,
+    bb84_key_terms,
+    weighted_emission,
     form_values,
     key_bound,
     key_forms,
     key_fractions,
     key_terms,
-    pair_weights,
     privacy_factors,
 )
-from mdi_sarg04.scenario import points_at
+from mdi_sarg04.optics import detector_table, thinned_cell, thinning_matrix
+from mdi_sarg04.scenario import _rates, points_at
 from mdi_sarg04.sources import poisson_probs, spdc_heralded
 from tests.rate_oracle import oracle_point
 
@@ -250,17 +256,18 @@ class TestFormValues:
 
     def test_key_bound_sums_are_the_form_sums(self, rng):
         # the bound's key term of each type is bit for bit the form_values
-        # sum of K_t, clamped at zero; with both types it is their clamped sum
+        # sum of K_t, never negative; with both types it is their sum
         for t_arm in (1.0, 0.3, 1e-3, 1e-7):
             sarg = [key_forms(relay_yields(GYS, t_arm, qnd=qnd)) for qnd in (False, True)]
             bb84 = bb84_forms(*(relay_yields(GYS, t_arm, "bb84", b) for b in ("key", "test")))
             for forms, p in itertools.product(sarg + [bb84], rng.dirichlet([1, 1, 1], 4).tolist()):
                 values = form_values(forms, p, p)
-                weights = pair_weights(p, p)
-                clamped = [max(values[3 * t - 1], 0.0) for t in (1, 2)]
+                weights = [weighted_emission(p, [0.0] * 3)[2]]
+                terms = [tuple(forms[3 * t - 1][n][m] for n, m in KEY_TERMS) for t in (1, 2)]
                 for t in (1, 2):
-                    assert key_bound(key_terms(forms, (t,)), weights) == clamped[t - 1]
-                assert key_bound(key_terms(forms, (1, 2)), weights) == clamped[0] + clamped[1]
+                    assert key_bound(terms[t - 1 : t], weights) == [values[3 * t - 1]]
+                    assert values[3 * t - 1] >= 0
+                assert key_bound(terms, weights) == [values[2] + values[5]]
 
 
 class TestBb84Baseline:
@@ -316,3 +323,89 @@ class TestRecords:
         assert tuple(b) == (0.1, -0.2, 0.1, 0.3, 0.01, 0.02)
         r = BoundResult(e_ph=0.25, s_star=1.5)
         assert (r.e_ph, r.s_star) == (0.25, 1.5)
+
+
+def _arrival_setup(scenario, distance_km):
+    """The arrival-space values of a scenario at one distance, and its
+    emission-space forms, both from the default detector."""
+    t_arm = ChannelParams(0.21, distance_km).t_arm
+    thin = thinning_matrix(t_arm, 2)
+    if scenario == "bb84_baseline":
+        key, test = (detector_table(GYS, "bb84", basis) for basis in ("key", "test"))
+        terms = bb84_key_terms(*(thinned_cell(y, thin[1], thin[1]) for y in (key, test)))
+        values_at = arrival_values(arrival_forms(key, "bb84"), thin, terms)
+        forms = bb84_forms(*(relay_yields(GYS, t_arm, "bb84", b) for b in ("key", "test")))
+    else:
+        qnd = scenario == "qnd_coherent"
+        table = detector_table(GYS, qnd=qnd)
+        terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in KEY_TERMS])
+        values_at = arrival_values(arrival_forms(table), thin, terms)
+        forms = key_forms(relay_yields(GYS, t_arm, qnd=qnd))
+    return values_at, forms
+
+
+class TestArrivalSpace:
+    """The sums over arriving photons against the emission-space forms."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("distance_km", [0.0, 45.0, 200.0])
+    def test_values_equal_emission_forms(self, scenario, distance_km):
+        # Q_t = qᵀ S_t q with q = Bᵀp is pᵀ (B S_t Bᵀ) p summed in another
+        # order; the key terms are the same sums, bit for bit
+        values_at, forms = _arrival_setup(scenario, distance_km)
+        for mu in (0.01, 0.05, 0.3, 1.0, 1.5):
+            if scenario == "spdc_heralded":
+                p = spdc_heralded(mu, GYS)[1]
+            else:
+                p = poisson_probs(mu, 2)
+            got, _ = values_at(weighted_emission(p, [0.0] * 3))
+            want = form_values(forms, p, p)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), mu
+            assert (got[2], got[5]) == (want[2], want[5]), mu
+
+
+class TestRateDerivative:
+    """The analytic derivative of the rate in log mu against central
+    differences of the independent term-by-term oracle."""
+
+    STEP = 1e-5  # in log mu
+
+    @staticmethod
+    def _oracle(config, distance_km, mu):
+        """The oracle's (rate per pump pulse, G1, G2) at mu."""
+        point = oracle_point(config, distance_km, mu)
+        herald = 1.0
+        if config.scenario == "spdc_heralded":
+            herald = spdc_heralded(mu, GYS, 2, config.spdc_pair_statistics)[0] ** 2
+        return point["total"] * herald, point["G1"], point["G2"]
+
+    @pytest.mark.parametrize(
+        "scenario, pair_statistics, type_selection, photon_terms",
+        list(itertools.product(SCENARIOS, ("thermal", "poisson"), TYPE_SELECTIONS, PHOTON_TERMS)),
+    )
+    def test_slope_matches_central_differences(
+        self, scenario, pair_statistics, type_selection, photon_terms
+    ):
+        config = ScenarioConfig(
+            scenario=scenario,
+            spdc_pair_statistics=pair_statistics,
+            type_selection=type_selection,
+            photon_terms=photon_terms,
+        )
+        emission_at, rates_at = _rates(config)
+        checked = 0
+        for distance_km in (0.0, 45.0, 200.0):
+            rate, _ = rates_at(distance_km)
+            for mu in (0.01, 0.03, 0.05, 0.1, 0.3, 1.0, 1.5):
+                r, terms, _, _ = rate(emission_at(mu))
+                slope = sum(dg for g, dg in terms if g > 0.0)
+                up, down = (
+                    self._oracle(config, distance_km, mu * math.exp(s * self.STEP)) for s in (1, -1)
+                )
+                # a difference across a kink, where some G_t crosses 0, is no derivative
+                if r <= 0.0 or any((u > 0.0) != (d > 0.0) for u, d in zip(up[1:], down[1:])):
+                    continue
+                central = (up[0] - down[0]) / (2 * self.STEP)
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-7 * r), (distance_km, mu)
+                checked += 1
+        assert checked >= 8

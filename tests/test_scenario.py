@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from mdi_sarg04 import scenario as scenario_module
-from mdi_sarg04.bounds import golden_section_minimize
 from mdi_sarg04.config import PHOTON_TERMS, SCENARIOS, TYPE_SELECTIONS, ScenarioConfig
 from mdi_sarg04.scenario import (
     MU_COARSE_POINTS,
-    MU_REL_TOL,
     csv_lines,
     mu_grid,
     optimize_mu,
@@ -19,6 +17,7 @@ from mdi_sarg04.scenario import (
     run_sweep,
     write_csv,
 )
+from tests.golden_search import golden_section_minimize
 from tests.rate_oracle import oracle_point
 
 SHORT = ScenarioConfig(distance_stop_km=10.0, distance_step_km=5.0)
@@ -101,17 +100,18 @@ class TestOptimizeMu:
             emission, rates_at = build(config)
 
             def recorded_emission(mu):
-                weights, herald = emission(mu)
-                emitted[id(weights)] = mu, weights  # kept alive, so its id is not reused
-                return weights, herald
+                em = emission(mu)
+                emitted[id(em)] = mu, em  # kept alive, so its id is not reused
+                return em
 
             def recorded_rates_at(distance):
                 rate, bound = rates_at(distance)
-                bounds.extend(bound(*emission(mu)) for mu in mu_grid(config))
+                grid = [emission(mu) for mu in mu_grid(config)]
+                bounds.extend(bound([em[2] for em in grid], [em[4] for em in grid]))
 
-                def recorded_rate(weights, herald):
-                    evaluated.append(emitted[id(weights)][0])
-                    return rate(weights, herald)
+                def recorded_rate(em):
+                    evaluated.append(emitted[id(em)][0])
+                    return rate(em)
 
                 return recorded_rate, bound
 
@@ -135,12 +135,13 @@ class TestOptimizeMu:
 
 def _full_grid_optimum(config, distance):
     """The grid index and row of the optimum with every grid rate evaluated,
-    ties going to the first grid point, refined as optimize_distances
-    refines it."""
+    ties going to the first grid point, refined by a golden-section search
+    to 1e-13 in log mu within one grid step either side, where it is higher
+    than the grid point."""
     emission, rates_at = scenario_module._rates(config)
     rate, _ = rates_at(distance)
     grid = mu_grid(config)
-    results = [rate(*emission(mu)) for mu in grid]
+    results = [rate(emission(mu)) for mu in grid]
     best = max(range(len(grid)), key=lambda j: results[j][0])
     mu_opt, row = grid[best], results[best]
     if row[0] > 0.0:
@@ -149,10 +150,10 @@ def _full_grid_optimum(config, distance):
         searched = []
 
         def negative_rate(log_mu):
-            searched.append(rate(*emission(math.exp(log_mu))))
+            searched.append(rate(emission(math.exp(log_mu))))
             return -searched[-1][0]
 
-        log_mu, neg = golden_section_minimize(negative_rate, lo, hi, MU_REL_TOL)
+        log_mu, neg = golden_section_minimize(negative_rate, lo, hi, 1e-13)
         if -neg >= row[0]:
             mu_opt, row = math.exp(log_mu), searched[-1]
     return best, scenario_module._point(distance, mu_opt, row)
@@ -174,26 +175,65 @@ class TestPrunedGrid:
     def test_pruned_choice_equals_full_grid(self, config, monkeypatch):
         # 300 km has no key, though its key terms are positive: every grid
         # bound reaches the zero rate, and the first grid point is the choice
-        search = scenario_module.golden_section_minimize
-        brackets = []
+        search = scenario_module._refine
+        starts, evaluated = [], []
 
-        def recording(f, lo, hi, rel_tol):
-            brackets.append((lo, hi))
-            return search(f, lo, hi, rel_tol)
+        def recording(evaluate, slope, start, end):
+            starts.append(start[0])
 
-        monkeypatch.setattr(scenario_module, "golden_section_minimize", recording)
-        log_grid = [math.log(mu) for mu in mu_grid(config)]
+            def recorded(log_mu):
+                evaluated.append(log_mu)
+                return evaluate(log_mu)
+
+            return search(recorded, slope, start, end)
+
+        monkeypatch.setattr(scenario_module, "_refine", recording)
+        grid = mu_grid(config)
+        log_grid = [math.log(mu) for mu in grid]
         for distance in (0.0, 45.0, 200.0, 300.0):
             best, want = _full_grid_optimum(config, distance)
-            brackets.clear()
+            starts.clear()
+            evaluated.clear()
             got = optimize_mu(config, distance)
-            assert repr(got) == repr(want), distance
             if want.zero_rate:
-                assert not brackets and got.mu_opt == mu_grid(config)[best]
+                assert not starts and repr(got) == repr(want), distance
             else:
+                # every search starts from the full grid's choice and stays in its bracket
                 low, high = max(best - 1, 0), min(best + 1, len(log_grid) - 1)
-                assert brackets == [(log_grid[low], log_grid[high])], distance
+                assert all(x == log_grid[best] for x in starts), distance
+                assert starts or got.mu_opt == grid[best], distance
+                assert all(log_grid[low] <= x <= log_grid[high] for x in evaluated), distance
+                assert grid[low] <= got.mu_opt <= grid[high], distance
+                assert got.total_per_pulse >= want.total_per_pulse * (1 - 1e-14), distance
+                assert got.total_per_pulse == pytest.approx(want.total_per_pulse, rel=1e-14, abs=0)
             assert want.zero_rate == (distance == 300.0)
+
+class TestKinks:
+    """Near a kink, where some G_t crosses 0 by the optimum, the rate has
+    a flat zero or two local maxima between the best grid point and its
+    neighbours; the optimum is the highest of them."""
+
+    @pytest.mark.parametrize(
+        "config, distance",
+        [
+            # the lower neighbour has no key: its rate and slope read 0
+            (ScenarioConfig(photon_terms="one_one_only"), 208.8),
+            # a second maximum past the kink where G2 falls to 0, on either side
+            (ScenarioConfig(scenario="spdc_heralded"), 224.0),
+            (ScenarioConfig(scenario="spdc_heralded"), 225.6),
+        ],
+        ids=["qnd-flat-zero", "spdc-second-maximum-ahead", "spdc-second-maximum-behind"],
+    )
+    def test_optimum_is_the_highest_maximum(self, config, distance):
+        emission, rates_at = scenario_module._rates(config)
+        rate, _ = rates_at(distance)
+        grid = mu_grid(config)
+        best = max(range(len(grid)), key=lambda j: rate(emission(grid[j]))[0])
+        lo, hi = math.log(grid[max(best - 1, 0)]), math.log(grid[best + 1])
+        scan = [rate(emission(math.exp(lo + (hi - lo) * i / 2000)))[0] for i in range(2001)]
+        got = optimize_mu(config, distance)
+        assert got.total_per_pulse >= max(scan) * (1 - 1e-12)
+        assert grid[best - 1] <= got.mu_opt <= grid[best + 1]
 
 
 class TestGridMemory:
@@ -210,7 +250,7 @@ class TestGridMemory:
             rates = []
             for d in config.distances():
                 rate, _ = rates_at(d)
-                rates.append([rate(*emission(mu))[0] for mu in grid])
+                rates.append([rate(emission(mu))[0] for mu in grid])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
