@@ -101,14 +101,14 @@ class ScenarioConfig(_ScenarioConfig):
 
     def distances(self) -> list[float]:
         """Points start + i*step up to stop (with 1e-9 km slack), rounded to 9
-        decimals, so the first is the start rounded.  A ConfigError if a
-        rounded point falls past the stop or the points do not increase
-        strictly, as where the float spacing of the distances is near the
-        step."""
+        decimals, so the first is the start rounded, and a lone point is
+        that whatever the stop.  A ConfigError if a later rounded point
+        falls past the stop or the points do not increase strictly, as
+        where the float spacing of the distances is near the step."""
         start, stop, step = self.distance_start_km, self.distance_stop_km, self.distance_step_km
         count = math.floor((stop + 1e-9 - start) / step) + 1
         points = [round(start + i * step, 9) for i in range(count)]
-        if points[-1] > stop:
+        if count > 1 and points[-1] > stop:
             raise ConfigError(
                 f"distance grid point {points[-1]} km past the stop {stop} km"
                 " after rounding to 9 decimals"

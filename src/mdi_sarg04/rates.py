@@ -20,10 +20,7 @@ are three:
 `distance_rate` evaluates all of them at one distance and emission,
 and gives G_t = pᵀ K_t p − f_EC Q_t h(E_tot,t) (`key_fractions`) or the
 simplified MDI-BB84 comparator (`bb84_baseline_rate`), with each
-fraction's derivative in log mu.  `key_forms` and `bb84_forms` keep the
-six forms in emission space, N × N matrices M[n][m] of the relay yields,
-and `form_values` evaluates them: the reference that the tests compare
-the arrival-space sums against.  Infinite decoy states are assumed: every
+fraction's derivative in log mu.  Infinite decoy states are assumed: every
 per-photon-number gain and error rate is known exactly.
 """
 
@@ -87,19 +84,6 @@ def weighted_emission(
     )
 
 
-def _sifted_yields(y: list, protocol: str = "sarg04") -> list:
-    """S_t and E_t of the relay yields y[n][m] of `optics.relay_yields`, as
-    [[S_1, E_1], [S_2, E_2]]."""
-    # the sift factors are powers of two, so (p p' sift) Y == p p' (sift Y) exactly
-    sifted = []
-    for t in (1, 2):
-        sift = SIFT_FACTOR[t] if protocol == "sarg04" else 1.0
-        sifted.append(
-            [[[sift * entry[2 * t - 2 + i] for entry in row] for row in y] for i in (0, 1)]
-        )
-    return sifted
-
-
 def arrival_forms(table: list, protocol: str = "sarg04") -> list[tuple[float, ...]]:
     """[S_1, E_1, S_2, E_2] in arrival space: the sifted yields and
     error-weighted yields of the detector-thinned arrival table A_eta[a][b]
@@ -108,11 +92,13 @@ def arrival_forms(table: list, protocol: str = "sarg04") -> list[tuple[float, ..
     and M[a][b] + M[b][a] off the diagonal, since both senders share q.
     A QND table stops at arrival 1; its entries past that are 0."""
     forms = []
-    for pair in _sifted_yields(table, protocol):
-        for form in pair:
+    for t in (1, 2):
+        # a power of two, so each sifted entry is exact
+        sift = SIFT_FACTOR[t] if protocol == "sarg04" else 1.0
+        for i in (2 * t - 2, 2 * t - 1):
             m = [[0.0] * 3 for _ in range(3)]
-            for a, row in enumerate(form):
-                m[a][: len(row)] = row
+            for a, row in enumerate(table):
+                m[a][: len(row)] = [sift * entry[i] for entry in row]
             forms.append(tuple(m[a][a] if a == b else m[a][b] + m[b][a] for a, b in _PACKED))
     return forms
 
@@ -135,27 +121,12 @@ def key_factors(announcement_type: int, ebits: list[float]) -> list[float]:
     return factors
 
 
-def privacy_factors(ebit: list, one_one_only: bool = False) -> list:
-    """1 - h(e_ph) of the KEY_TERMS with n, m < N at the bit error rates
-    ebit[t - 1][n][m] of both types, zero elsewhere: the mask of the key
-    terms."""
-    factors = []
-    for t, rates in zip((1, 2), ebit):
-        n = len(rates)
-        f = [[0.0] * n for _ in range(n)]
-        terms = [(i, j) for i, j in KEY_TERMS[: 1 if one_one_only else 3] if max(i, j) < n]
-        for (i, j), factor in zip(terms, key_factors(t, [rates[i][j] for i, j in terms])):
-            f[i][j] = factor
-        factors.append(f)
-    return factors
-
-
 def key_terms(cells: list) -> list[tuple[float, float, float]]:
     """(K_t[1][1], K_t[1][2], K_t[2][1]) of both types t of the SARG04 rate
     from the relay yields [yield_1, error_1, yield_2, error_2] at the
     leading KEY_TERMS: the (1,1) cell alone, whose mixed terms are then 0,
-    or all three.  Each is the key form's entry, its privacy factor times
-    its sifted yield."""
+    or all three.  Each is that entry of K_t, its privacy factor times its
+    sifted yield."""
     terms = []
     for t, sift in SIFT_FACTOR.items():
         s = [sift * cell[2 * t - 2] for cell in cells]
@@ -164,73 +135,21 @@ def key_terms(cells: list) -> list[tuple[float, float, float]]:
     return terms
 
 
-def _bb84_factor(test_cell: list[float]) -> float:
-    """The comparator's privacy factor: the phase error of the test basis
-    is its (1,1) error-weighted yields over its (1,1) yields, both
-    announcement types together."""
-    return _privacy_factor(error_rate(test_cell[1] + test_cell[3], test_cell[0] + test_cell[2]))
-
-
 def bb84_key_terms(key_cell: list[float], test_cell: list[float]) -> list[tuple]:
     """The `key_terms` of the MDI-BB84 comparator from the (1,1) cells of
-    the key and test bases: the (1,1) term of each type alone."""
-    factor = _bb84_factor(test_cell)
+    the key and test bases: the (1,1) term of each type alone.  Its phase
+    error is the test basis' (1,1) error-weighted yields over its (1,1)
+    yields, both announcement types together."""
+    factor = _privacy_factor(error_rate(test_cell[1] + test_cell[3], test_cell[0] + test_cell[2]))
     return [(factor * key_cell[0], 0.0, 0.0), (factor * key_cell[2], 0.0, 0.0)]
-
-
-def _stack_forms(sifted: list, factors: list) -> list:
-    """[S_1, E_1, K_1, S_2, E_2, K_2]."""
-    forms = []
-    for (s, e), f in zip(sifted, factors):
-        k = [[a * b for a, b in zip(f_row, s_row)] for f_row, s_row in zip(f, s)]
-        forms += [s, e, k]
-    return forms
-
-
-def key_forms(y: list, one_one_only: bool = False) -> list:
-    """The six matrices [S_1, E_1, K_1, S_2, E_2, K_2], each M[n][m], of the
-    SARG04 rate at the relay yields y[n][m]: the emission-space reference."""
-    sifted = _sifted_yields(y)
-    ebit = [
-        [[error_rate(ei, si) for ei, si in zip(e_row, s_row)] for e_row, s_row in zip(e, s)]
-        for s, e in sifted
-    ]
-    return _stack_forms(sifted, privacy_factors(ebit, one_one_only))
-
-
-def bb84_forms(key_y: list, test_y: list) -> list:
-    """The six matrices of the MDI-BB84 comparator: the key basis gives S_t
-    and E_t, and K_t keeps the (1,1) term with the phase error of the test
-    basis (`bb84_key_terms`)."""
-    factor = _bb84_factor(test_y[1][1])
-    n = len(key_y)
-    factors = [[[0.0] * n for _ in range(n)] for _ in (1, 2)]
-    for f in factors:
-        f[1][1] = factor
-    return _stack_forms(_sifted_yields(key_y, "bb84"), factors)
-
-
-def form_values(forms: list, p_a: list[float], p_b: list[float]) -> list[float]:
-    """p_aᵀ M p_b of every form M[n][m] at the emission probabilities
-    p_a[n] and p_b[m].  Each value sums (p_a[n] p_b[m]) M[n][m] over (n, m)
-    in row-major order, one addition at a time."""
-    values = []
-    for form in forms:
-        value = 0.0
-        for a, row in zip(p_a, form):
-            for b, entry in zip(p_b, row):
-                value += a * b * entry
-        values.append(value)
-    return values
 
 
 def key_sums(terms: list[tuple], weights: list[tuple]) -> list[list[float]]:
     """For each type's `key_terms`, pᵀ K_t p at each of the key weights of a
     `weighted_emission`, or its derivative at the derivative weights: the
     one expression of the key term, for the rate and for `key_bound`.  The
-    key terms are K_t's only entries that are not zero, in row-major order,
-    so this is bit for bit the `form_values` sum of K_t: the other terms
-    add exact zeros."""
+    key terms are K_t's only entries that are not zero, in row-major order:
+    the other terms of the sum over (n, m) would add exact zeros."""
     return [
         [w11 * k11 + w12 * k12 + w21 * k21 for w11, w12, w21 in weights]
         for k11, k12, k21 in terms
@@ -330,7 +249,7 @@ def arrival_values(forms: list[tuple], thin: list[list[float]], terms: list[tupl
     pᵀ K_2 p], their derivatives in log mu) at one distance, from the
     `arrival_forms`, the channel thinning B = B(t_arm) of the emissions
     n <= 2 (`optics.thinning_matrix`) and the distance's `key_terms`: the
-    values that `form_values` gives of `key_forms` or `bb84_forms`.
+    values that `key_fractions` and `bb84_baseline_rate` take.
 
     The arriving photons are q = Bᵀp, so q' = Bᵀp', and a packed form's
     value and derivative weigh q_a q_b and q'_a q_b + q_a q'_b.

@@ -111,6 +111,9 @@ class TestConfig:
         assert low.distances() == [0.1, 0.2, 0.3]
         high = low._replace(distance_start_km=0.0999999999)
         assert high.distances() == [0.1, 0.2, 0.3]
+        # a lone point is the start rounded, even where that is past the stop
+        lone = ScenarioConfig(distance_start_km=30.0000000006, distance_stop_km=30.0000000006)
+        assert lone.distances() == [30.000000001]
 
     @pytest.mark.parametrize(
         "grid, message",

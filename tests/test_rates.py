@@ -1,5 +1,5 @@
-"""Rate assembly as quadratic forms in the emission vector, and key-rate
-evaluation."""
+"""Rate assembly in arrival space against the term-by-term oracle, and
+key-rate evaluation."""
 
 import itertools
 import math
@@ -18,57 +18,82 @@ from mdi_sarg04.rates import (
     arrival_forms,
     arrival_values,
     bb84_baseline_rate,
-    bb84_forms,
     bb84_key_terms,
     weighted_emission,
-    form_values,
     key_bound,
-    key_forms,
     key_fractions,
     key_terms,
-    privacy_factors,
 )
 from mdi_sarg04.optics import detector_table, thinned_cell, thinning_matrix
 from mdi_sarg04.scenario import _rates, points_at
 from mdi_sarg04.sources import poisson_probs, spdc_heralded
-from tests.rate_oracle import oracle_point
+from tests.rate_oracle import oracle_point, oracle_values
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
 GYS = DetectorParams(eta=0.045, dark=8.5e-7)
 SINGLE = [0.0, 1.0, 0.0]  # emission probabilities of a single-photon source
-ERROR_RATE = np.vectorize(error_rate)  # elementwise over arrays of the forms' entries
+ERROR_RATE = np.vectorize(error_rate)  # elementwise over arrays of the yields
+ORACLE_REL = 1e-14  # the arrival-space values against the oracle's, relative
 
 
-def bit_error_rates(y):
-    """ebit[t - 1][n][m] of relay yields y[n][m]."""
-    return [[[error_rate(c[2 * t - 1], c[2 * t - 2]) for c in row] for row in y] for t in (1, 2)]
+def _arrival_setup(det, t_arm, scenario, photon_terms="up_to_two"):
+    """The scenario's arrival-space values at the one-arm transmittance
+    t_arm, as a sweep builds them: `weighted_emission` -> (values, slopes),
+    and the distance's key terms.  The bare relay is the SPDC scenario's."""
+    thin = thinning_matrix(t_arm, 2)
+    if scenario == "bb84_baseline":
+        key, test = (detector_table(det, "bb84", basis) for basis in ("key", "test"))
+        terms = bb84_key_terms(*(thinned_cell(y, thin[1], thin[1]) for y in (key, test)))
+        return arrival_values(arrival_forms(key, "bb84"), thin, terms), terms
+    table = detector_table(det, qnd=scenario == "qnd_coherent")
+    cells = KEY_TERMS[:1] if photon_terms == "one_one_only" else KEY_TERMS
+    terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in cells])
+    return arrival_values(arrival_forms(table), thin, terms), terms
 
 
-def type_gains(p, det, t_arm, qnd=False, n_max=2):
-    """Per announcement type, from the SARG04 key forms at emission
-    probabilities p of both senders: the gains q[n, m] = p_n p_m S_t[n, m],
-    the bit error rates ebit[n, m] = E_t[n, m] / S_t[n, m], and the totals
-    q_tot = pᵀ S_t p and e_tot = pᵀ E_t p / q_tot."""
-    forms = key_forms(relay_yields(det, t_arm, n_max=n_max, qnd=qnd))
-    values = form_values(forms, p, p)
-    p, forms = np.asarray(p), np.array(forms)
-    s, e = forms[0::3], forms[1::3]
-    q_tot, errors = values[0::3], values[1::3]
-    return list(zip(p[:, None] * p * s, ERROR_RATE(e, s), q_tot, map(error_rate, errors, q_tot)))
+def live_values(p, det, t_arm, scenario, photon_terms="up_to_two"):
+    """[Q_1, Q_1 E_tot,1, pᵀ K_1 p, Q_2, Q_2 E_tot,2, pᵀ K_2 p] of the
+    arrival-space rate at the emission probabilities p of both senders,
+    checked against the oracle's term-by-term sums."""
+    values_at, _ = _arrival_setup(det, t_arm, scenario, photon_terms)
+    values, _ = values_at(weighted_emission(p, [0.0] * 3))
+    want = oracle_values(det, t_arm, p, scenario, photon_terms)
+    assert values == pytest.approx(want, rel=ORACLE_REL, abs=0.0)
+    return values
 
 
-def one_one_fractions(e11_1=0.0, e11_2=0.0, one_one_only=False, type_selection="both"):
+def type_gains(p, det, t_arm, qnd=False):
+    """Per announcement type, at emission probabilities p of both senders:
+    the gains q[n, m] = p_n p_m S_t[n, m] and the bit error rates
+    ebit[n, m] = E_t[n, m] / S_t[n, m] of the sifted relay yields, and the
+    totals q_tot = Q_t and e_tot = Q_t E_tot,t / Q_t of the arrival-space
+    rate, of the bare relay or, with `qnd`, the QND relay."""
+    y = np.array(relay_yields(det, t_arm, qnd=qnd))
+    values = live_values(p, det, t_arm, "qnd_coherent" if qnd else "spdc_heralded")
+    p = np.asarray(p)
+    gains = []
+    for t in (1, 2):
+        s, e = (SIFT_FACTOR[t] * y[:, :, i] for i in (2 * t - 2, 2 * t - 1))
+        q_tot, errors = values[3 * t - 3 : 3 * t - 1]
+        gains.append((p[:, None] * p * s, ERROR_RATE(e, s), q_tot, error_rate(errors, q_tot)))
+    return gains
+
+
+def one_one_fractions(e11_1=0.0, e11_2=0.0, type_selection="both"):
     """Key fractions at a single-photon source of a relay whose only yield
     is the (1,1) term, 0.04 for both types: gains 0.01 (Type1) and 0.005
-    (Type2) after sifting."""
-    y = np.zeros((2, 2, 4))
-    y[1, 1] = (0.04, 0.04 * e11_1, 0.04, 0.04 * e11_2)
-    values = form_values(key_forms(y.tolist(), one_one_only), SINGLE[:2], SINGLE[:2])
+    (Type2) after sifting, with bit error rates e11_1 and e11_2."""
+    values = []
+    for t, e_bit in ((1, e11_1), (2, e11_2)):
+        q = SIFT_FACTOR[t] * 0.04
+        e_ph = phase_bound((1, 1), t, e_bit).e_ph
+        values += [q, q * e_bit, q * (1.0 - binary_entropy(min(e_ph, 0.5)))]
     return key_fractions(values, 1.22, INCLUDED_TYPES[type_selection])
 
 
 class TestAssembleGains:
-    """Gains of one pair of emission distributions, read off the key forms."""
+    """Gains of one pair of emission distributions, per (n, m) from the
+    sifted relay yields and in total from the arrival-space rate."""
 
     def test_ideal_single_photons_error_free(self):
         (q1, _, q_tot1, e_tot1), (_, _, _, e_tot2) = type_gains(SINGLE, IDEAL, 1.0)
@@ -111,20 +136,25 @@ class TestAssembleGains:
 
     @pytest.mark.parametrize("qnd", [False, True])
     def test_wider_table(self, qnd):
-        # N = 4: the (n, m) axes grow, the totals stay row-major sums and the
+        # N = 4: the (n, m) axes of the relay yields grow, the cells
+        # n, m <= 2 that the arrival-space rate sums stay those of N = 3, so
+        # its totals are the leading 3 x 3 block of the wider gains, and the
         # bounded key terms stay the same six
         src = poisson_probs(0.4, 3)
-        wide = type_gains(src, GYS, 0.5, qnd=qnd, n_max=3)
-        for q, ebit, q_tot, e_tot in wide:
-            assert q.shape == ebit.shape == (4, 4)
-            assert q_tot == sum(q.ravel().tolist())
-            errors = sum((q * ebit).ravel().tolist())
+        wide = np.array(relay_yields(GYS, 0.5, n_max=3, qnd=qnd))
+        narrow = relay_yields(GYS, 0.5, qnd=qnd)
+        assert wide.shape == (4, 4, 4)
+        assert wide[:3, :3].tolist() == narrow
+        p = np.asarray(src)
+        for t, (q, ebit, q_tot, e_tot) in zip((1, 2), type_gains(src[:3], GYS, 0.5, qnd=qnd)):
+            s, e = (SIFT_FACTOR[t] * wide[:, :, i] for i in (2 * t - 2, 2 * t - 1))
+            q_wide = p[:, None] * p * s
+            assert q_wide[:3, :3].tolist() == q.tolist()
+            assert abs(q_tot - sum(q_wide[:3, :3].ravel().tolist())) <= 1e-15
+            errors = sum((q_wide * ERROR_RATE(e, s))[:3, :3].ravel().tolist())
             assert abs(e_tot - errors / q_tot) <= 1e-13 * e_tot
-        narrow = type_gains(src[:3], GYS, 0.5, qnd=qnd)
-        # the six key terms of both types, as at N = 3, zero-padded to n, m <= 3
-        padded = np.zeros((2, 4, 4))
-        padded[:, :3, :3] = privacy_factors([ebit.tolist() for _, ebit, *_ in narrow])
-        assert privacy_factors([ebit.tolist() for _, ebit, *_ in wide]) == padded.tolist()
+        cells = [[grid[n][m] for n, m in KEY_TERMS] for grid in (wide.tolist(), narrow)]
+        assert key_terms(cells[0]) == key_terms(cells[1])
 
     def test_qnd_zero_loss_kills_multiphoton_arrivals(self):
         src = poisson_probs(0.5, 2)
@@ -147,7 +177,7 @@ class TestAssembleGains:
         p_herald, cond = spdc_heralded(0.1, GYS)
         point = points_at(config, [0.0], 0.1)[0]
         assert abs(point.p_herald - p_herald**2) < 1e-15
-        values = form_values(key_forms(relay_yields(GYS, 1.0)), cond, cond)
+        values = live_values(cond, GYS, 1.0, "spdc_heralded")
         bare = key_fractions(values, config.ec_inefficiency, INCLUDED_TYPES["both"])
         assert (point.G1, point.G2) == (bare.G1, bare.G2)
 
@@ -172,17 +202,17 @@ class TestKeyRate:
 
     def test_one_one_only_drops_mixed_terms(self):
         src = poisson_probs(0.5, 2)
-        y = relay_yields(GYS, 0.5)
-        full, only = (key_forms(y, one_one_only) for one_one_only in (False, True))
+        modes = ("up_to_two", "one_one_only")
         b_full, b_only = (
-            key_fractions(form_values(forms, src, src), 1.22, INCLUDED_TYPES["both"])
-            for forms in (full, only)
+            key_fractions(live_values(src, GYS, 0.5, "spdc_heralded", terms), 1.22, (1, 2))
+            for terms in modes
         )
         assert b_full.total >= b_only.total - 1e-15
-        # the K_t forms (rows 2 and 5) keep the key terms only
-        assert np.argwhere(np.array(only)[2::3]).tolist() == [[0, 1, 1], [1, 1, 1]]
-        # with every term, K_1 keeps the mixed terms (1,2) and (2,1) too
-        assert np.argwhere(full[2]).tolist() == [[1, 1], [1, 2], [2, 1]]
+        (_, full), (_, only) = (_arrival_setup(GYS, 0.5, "spdc_heralded", terms) for terms in modes)
+        # the key terms keep the (1,1) term alone
+        assert only == [(full[0][0], 0.0, 0.0), (full[1][0], 0.0, 0.0)]
+        # with every term, Type1 keeps the mixed terms (1,2) and (2,1) too
+        assert all(k > 0.0 for k in full[0])
 
     def test_type_selection(self):
         b_both = one_one_fractions()
@@ -201,81 +231,80 @@ class TestPhaseBounds:
     @pytest.mark.parametrize("scenario, step_km", [("qnd_coherent", 0.5), ("spdc_heralded", 2.0)])
     @pytest.mark.parametrize("one_one_only", [False, True])
     def test_stacked_equals_per_case_calls(self, scenario, step_km, one_one_only):
-        # at every distance of a sweep, the key terms' factors are their
-        # per-case bounds, and K_t is the privacy factors times S_t
+        # at every distance of a sweep, each key term is its case's privacy
+        # factor from a per-case bound times its sifted yield, and the terms
+        # past the cases are 0
         config = ScenarioConfig(scenario=scenario, distance_step_km=step_km)
-        cases = [(1, 1)] if one_one_only else [(1, 1), (1, 2), (2, 1)]
+        cases = KEY_TERMS[:1] if one_one_only else KEY_TERMS
+        table = detector_table(GYS, qnd=scenario == "qnd_coherent")
         for d in config.distances():
             t_arm = ChannelParams(config.loss_db_per_km, d).t_arm
+            thin = thinning_matrix(t_arm, 2)
+            terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in cases])
             y = relay_yields(GYS, t_arm, qnd=scenario == "qnd_coherent")
-            ebit = bit_error_rates(y)
-            factors = np.array(privacy_factors(ebit, one_one_only))
-            assert factors.shape == (2, 3, 3)
-            rest = factors.copy()
             for t in (1, 2):
-                for n, m in cases:
-                    e_ph = phase_bound((n, m), t, ebit[t - 1][n][m]).e_ph
-                    want = 1.0 - binary_entropy(min(e_ph, 0.5))
-                    assert factors[t - 1, n, m] == want
-                    rest[t - 1, n, m] = 0.0
-            assert not rest.any()
-            forms = np.array(key_forms(y, one_one_only))
-            assert forms[2::3].tolist() == (factors * forms[0::3]).tolist()
+                want = [0.0] * 3
+                for i, (n, m) in enumerate(cases):
+                    yld, errors = y[n][m][2 * t - 2], y[n][m][2 * t - 1]
+                    e_ph = phase_bound((n, m), t, error_rate(errors, yld)).e_ph
+                    want[i] = (1.0 - binary_entropy(min(e_ph, 0.5))) * (SIFT_FACTOR[t] * yld)
+                assert list(terms[t - 1]) == want, (d, t)
 
     def test_absent_cases_skipped(self):
-        ebit = np.full((2, 2, 2), 0.5)
-        ebit[:, 1, 1] = (0.01, 0.02)
-        want = np.zeros((2, 2, 2))
-        want[:, 1, 1] = [1.0 - binary_entropy(x) for x in (0.015, 0.06)]
-        assert privacy_factors(ebit.tolist()) == want.tolist()
+        # key_terms bounds exactly the cells it is given: with the (1,1)
+        # cell alone, whose bit error rates are 0.01 (Type1) and 0.02
+        # (Type2), the mixed terms are 0
+        cell = [0.5, 0.5 * 0.01, 0.5, 0.5 * 0.02]
+        want = [1.0 - binary_entropy(x) for x in (0.015, 0.06)]
+        got = key_terms([cell])
+        assert got == [(w * SIFT_FACTOR[t] * 0.5, 0.0, 0.0) for t, w in zip((1, 2), want)]
 
 
 class TestFormValues:
     def test_values_sum_row_major_whatever_the_batch(self, rng):
-        # a sweep over five distances' forms at a shared mu grid, or at one
-        # mu each, gives every point the value of that point evaluated
-        # alone: the one-at-a-time row-major sum of its (n, m) terms, whether
-        # the sums are written out (N = 3) or looped (N = 2, 4)
-        for size in (2, 3, 4):
-            forms = rng.random((5, 6, size, size)).tolist()
-            for grid in (rng.random((4, size)).tolist(), rng.random((5, size)).tolist()):
-                sweep = [[form_values(forms[d], p, p) for p in grid] for d in range(5)]
-                for d, k, i in itertools.product(range(5), range(len(grid)), range(6)):
-                    p = grid[k]
-                    want = 0.0
-                    for n, m in itertools.product(range(size), repeat=2):
-                        want += p[n] * p[m] * forms[d][i][n][m]
-                    assert sweep[d][k][i] == want
-            p_a, p_b = rng.random((2, size)).tolist()
-            values = form_values(forms[0], p_a, p_b)
-            for i in range(6):
-                want = 0.0
-                for n, m in itertools.product(range(size), repeat=2):
-                    want += p_a[n] * p_b[m] * forms[0][i][n][m]
-                assert values[i] == want
+        # a sweep over five distances at a shared grid of emissions, or at
+        # one emission each, gives every point the values and slopes of that
+        # point evaluated alone, and the values are the oracle's
+        # term-by-term sums
+        t_arms = rng.random(5).tolist()
+        for scenario in SCENARIOS:
+            sweep = [_arrival_setup(GYS, t_arm, scenario)[0] for t_arm in t_arms]
+            for size in (4, 5):
+                grid = rng.dirichlet([1, 1, 1], size).tolist()
+                emissions = [weighted_emission(p, rng.normal(size=3).tolist()) for p in grid]
+                if size == 4:
+                    points = [(d, k) for d in range(5) for k in range(size)]
+                else:
+                    points = [(d, d) for d in range(5)]
+                batch = [sweep[d](emissions[k]) for d, k in points]
+                for (d, k), got in zip(points, batch):
+                    alone = _arrival_setup(GYS, t_arms[d], scenario)[0](emissions[k])
+                    assert got == alone
+                    want = oracle_values(GYS, t_arms[d], grid[k], scenario)
+                    assert got[0] == pytest.approx(want, rel=ORACLE_REL, abs=0.0)
 
     def test_key_bound_sums_are_the_form_sums(self, rng):
-        # the bound's key term of each type is bit for bit the form_values
-        # sum of K_t, never negative; with both types it is their sum
+        # the bound's key term of each type is bit for bit the rate's
+        # pᵀ K_t p, never negative, and the oracle's key term to within
+        # rounding; with both types it is their sum
         for t_arm in (1.0, 0.3, 1e-3, 1e-7):
-            sarg = [key_forms(relay_yields(GYS, t_arm, qnd=qnd)) for qnd in (False, True)]
-            bb84 = bb84_forms(*(relay_yields(GYS, t_arm, "bb84", b) for b in ("key", "test")))
-            for forms, p in itertools.product(sarg + [bb84], rng.dirichlet([1, 1, 1], 4).tolist()):
-                values = form_values(forms, p, p)
-                weights = [weighted_emission(p, [0.0] * 3)[2]]
-                terms = [tuple(forms[3 * t - 1][n][m] for n, m in KEY_TERMS) for t in (1, 2)]
+            for scenario, p in itertools.product(SCENARIOS, rng.dirichlet([1, 1, 1], 4).tolist()):
+                values_at, terms = _arrival_setup(GYS, t_arm, scenario)
+                emission = weighted_emission(p, [0.0] * 3)
+                values, _ = values_at(emission)
+                weights = [emission[2]]
+                want = oracle_values(GYS, t_arm, p, scenario)
                 for t in (1, 2):
                     assert key_bound(terms[t - 1 : t], weights) == [values[3 * t - 1]]
                     assert values[3 * t - 1] >= 0
+                    assert values[3 * t - 1] == pytest.approx(want[3 * t - 1], rel=ORACLE_REL)
                 assert key_bound(terms, weights) == [values[2] + values[5]]
 
 
 class TestBb84Baseline:
     @staticmethod
     def _rate(det, t_arm, p):
-        key_y, test_y = (relay_yields(det, t_arm, "bb84", basis) for basis in ("key", "test"))
-        forms = bb84_forms(key_y, test_y)
-        return bb84_baseline_rate(form_values(forms, p, p), 1.22)
+        return bb84_baseline_rate(live_values(p, det, t_arm, "bb84_baseline"), 1.22)
 
     def test_ideal_lossless_single_photons(self):
         y = relay_yields(IDEAL, 1.0, "bb84")[1][1]
@@ -283,8 +312,7 @@ class TestBb84Baseline:
         assert abs(self._rate(IDEAL, 1.0, SINGLE).total - q11) < 1e-12
 
     def test_zero_yields_give_zero(self):
-        empty = np.zeros((3, 3, 4)).tolist()
-        b = bb84_baseline_rate(form_values(bb84_forms(empty, empty), SINGLE, SINGLE), 1.22)
+        b = bb84_baseline_rate([0.0] * 6, 1.22)
         assert (b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_decreasing_with_distance(self):
@@ -325,43 +353,36 @@ class TestRecords:
         assert (r.e_ph, r.s_star) == (0.25, 1.5)
 
 
-def _arrival_setup(scenario, distance_km):
-    """The arrival-space values of a scenario at one distance, and its
-    emission-space forms, both from the default detector."""
-    t_arm = ChannelParams(0.21, distance_km).t_arm
-    thin = thinning_matrix(t_arm, 2)
-    if scenario == "bb84_baseline":
-        key, test = (detector_table(GYS, "bb84", basis) for basis in ("key", "test"))
-        terms = bb84_key_terms(*(thinned_cell(y, thin[1], thin[1]) for y in (key, test)))
-        values_at = arrival_values(arrival_forms(key, "bb84"), thin, terms)
-        forms = bb84_forms(*(relay_yields(GYS, t_arm, "bb84", b) for b in ("key", "test")))
-    else:
-        qnd = scenario == "qnd_coherent"
-        table = detector_table(GYS, qnd=qnd)
-        terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in KEY_TERMS])
-        values_at = arrival_values(arrival_forms(table), thin, terms)
-        forms = key_forms(relay_yields(GYS, t_arm, qnd=qnd))
-    return values_at, forms
-
-
 class TestArrivalSpace:
-    """The sums over arriving photons against the emission-space forms."""
+    """The sums over arriving photons against the oracle's sums over the
+    emitted photons, and their slopes in log mu against the oracle's."""
+
+    STEP = 1e-5  # in log mu
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("distance_km", [0.0, 45.0, 200.0])
     def test_values_equal_emission_forms(self, scenario, distance_km):
         # Q_t = qᵀ S_t q with q = Bᵀp is pᵀ (B S_t Bᵀ) p summed in another
-        # order; the key terms are the same sums, bit for bit
-        values_at, forms = _arrival_setup(scenario, distance_km)
-        for mu in (0.01, 0.05, 0.3, 1.0, 1.5):
+        # order; each of the six slopes, from q' = Bᵀp', is the central
+        # difference of the oracle's value
+        t_arm = ChannelParams(0.21, distance_km).t_arm
+        values_at, _ = _arrival_setup(GYS, t_arm, scenario)
+        emission_at, _ = _rates(ScenarioConfig(scenario=scenario))
+
+        def oracle_at(mu):
             if scenario == "spdc_heralded":
                 p = spdc_heralded(mu, GYS)[1]
             else:
                 p = poisson_probs(mu, 2)
-            got, _ = values_at(weighted_emission(p, [0.0] * 3))
-            want = form_values(forms, p, p)
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0), mu
-            assert (got[2], got[5]) == (want[2], want[5]), mu
+            return oracle_values(GYS, t_arm, p, scenario)
+
+        for mu in (0.01, 0.05, 0.3, 1.0, 1.5):
+            got, slopes = values_at(emission_at(mu))
+            assert got == pytest.approx(oracle_at(mu), rel=ORACLE_REL, abs=0.0), mu
+            up, down = (oracle_at(mu * math.exp(s * self.STEP)) for s in (1, -1))
+            for i, (slope, value) in enumerate(zip(slopes, got)):
+                central = (up[i] - down[i]) / (2 * self.STEP)
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-7 * value), (mu, i)
 
 
 class TestRateDerivative:
