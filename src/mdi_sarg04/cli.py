@@ -17,7 +17,14 @@ import types
 
 from .bounds import f_type1, g_type2, phase_bound
 from .config import ScenarioConfig
-from .optics import ChannelParams, DetectorParams, error_rate, relay_yields
+from .optics import (
+    N_MAX_CAP,
+    N_MAX_DEFAULT,
+    ChannelParams,
+    DetectorParams,
+    error_rate,
+    relay_yields,
+)
 from .scenario import _fmt, csv_lines, optimize_distances, optimize_mu, points_at, write_csv
 
 EXIT_OK = 0
@@ -149,7 +156,7 @@ COMMANDS = {
             "--loss": (float, _DEFAULTS["loss_db_per_km"], "fiber loss in dB/km"),
             "--distance": (float, 0.0, "total distance in km"),
             "--protocol": (("sarg04", "bb84"), "sarg04", "relay protocol"),
-            "--n-max": (int, 2, "photon-number cutoff, 0 to 3"),
+            "--n-max": (int, N_MAX_DEFAULT, f"photon-number cutoff, 0 to {N_MAX_CAP}"),
             "--output": (path, None, "output CSV path (default stdout)"),
         },
     ),

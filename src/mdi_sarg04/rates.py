@@ -60,16 +60,15 @@ class KeyRateBreakdown(NamedTuple):
     e_tot_2: float
 
 
-def weighted_emission(
-    p: list[float], log_slopes: list[float], herald: float = 1.0, herald_log_slope: float = 0.0
-) -> tuple:
+def weighted_emission(p: list[float], log_slopes: list[float]) -> tuple:
     """Both senders' emission at one mean photon number mu, from the
-    probabilities p[n], n <= 2, their log-derivatives d log p[n] / d log mu,
-    the rate's weight `herald` (the joint heralding probability, 1 for
-    unheralded sources) and its log-derivative: the tuple (p, dp, weights,
-    dweights, herald, dherald) of p, the derivatives dp[n] / d log mu, the
-    key weights (p1 p1, p1 p2, p2 p1) of the KEY_TERMS and their
-    derivatives, herald and its derivative.  A plain tuple: a NamedTuple
+    weights p[n], n <= 2, and their log-derivatives d log p[n] / d log mu:
+    the tuple (p, dp, weights, dweights) of p, the derivatives
+    dp[n] / d log mu, the key weights (p1 p1, p1 p2, p2 p1) of the
+    KEY_TERMS and their derivatives.  Emission probabilities give the rate
+    per pulse pair; an SPDC source's weights per pump pulse
+    (`sources.spdc_emission`) give it per pump pulse, since every value the
+    rate takes is quadratic in the emission.  A plain tuple: a NamedTuple
     class would cost every process a third of a millisecond to build."""
     dp = [pn * s for pn, s in zip(p, log_slopes)]
     _, p1, p2 = p
@@ -79,8 +78,6 @@ def weighted_emission(
         dp,
         (p1 * p1, p1 * p2, p2 * p1),
         (d1 * p1 + p1 * d1, d1 * p2 + p1 * d2, d2 * p1 + p2 * d1),
-        herald,
-        herald * herald_log_slope,
     )
 
 
@@ -184,20 +181,11 @@ def _fraction(q: float, qe: float, k: float, dq: float, dqe: float, dk: float, f
     return k - ec, ec, e, slope
 
 
-def _key_rate(
-    values: list[float],
-    slopes: list[float],
-    f: float,
-    include: tuple,
-    bb84: bool,
-    herald: float = 1.0,
-    dherald: float = 0.0,
-) -> tuple:
+def _key_rate(values: list[float], slopes: list[float], f: float, include: tuple, bb84: bool):
     """(KeyRateBreakdown, its terms) of `key_fractions` or, with `bb84`, of
     `bb84_baseline_rate`, from the values and their derivatives: the terms
-    are (G, d(herald G) / d log mu) of each `include`d type, or of the
-    comparator's one fraction, unclamped, from the herald and its
-    derivative; `total` sums the positive G."""
+    are (G, dG / d log mu) of each `include`d type, or of the comparator's
+    one fraction, unclamped; `total` sums the positive G."""
     q1, e1, k1, q2, e2, k2 = values
     dq1, de1, dk1, dq2, de2, dk2 = slopes
     if bb84:
@@ -205,7 +193,7 @@ def _key_rate(
         g, ec, _, dg = _fraction(q_all, e1 + e2, k1 + k2, dq1 + dq2, de1 + de2, dk1 + dk2, f)
         total = 0.0 if q_all == 0 else max(g, 0.0)
         e_tot_1, e_tot_2 = (e / q if q > 0 else 0.0 for e, q in ((e1, q1), (e2, q2)))
-        terms = ((g, dg * herald + g * dherald),)
+        terms = ((g, dg),)
         return KeyRateBreakdown(0.0, 0.0, total, ec, e_tot_1, e_tot_2), terms
     g1, ec1, e_tot_1, dg1 = _fraction(q1, e1, k1, dq1, de1, dk1, f)
     g2, ec2, e_tot_2, dg2 = _fraction(q2, e2, k2, dq2, de2, dk2, f)
@@ -214,7 +202,7 @@ def _key_rate(
         total = total + (0.0 if 0.0 > g1 else g1)
     if 2 in include:
         total = total + (0.0 if 0.0 > g2 else g2)
-    terms = ((g1, dg1 * herald + g1 * dherald), (g2, dg2 * herald + g2 * dherald))
+    terms = ((g1, dg1), (g2, dg2))
     if len(include) == 1:
         terms = (terms[include[0] - 1],)
     return KeyRateBreakdown(g1, g2, total, ec1 + ec2, e_tot_1, e_tot_2), terms
@@ -257,7 +245,7 @@ def arrival_values(forms: list[tuple], thin: list[list[float]], terms: list[tupl
     (b00, _, _), (b10, b11, _), (b20, b21, b22) = thin
 
     def values(em: tuple) -> tuple[list[float], list[float]]:
-        (p0, p1, p2), (d0, d1, d2), weights, dweights, _, _ = em
+        (p0, p1, p2), (d0, d1, d2), weights, dweights = em
         q0, q1, q2 = p0 * b00 + p1 * b10 + p2 * b20, p1 * b11 + p2 * b21, p2 * b22
         r0, r1, r2 = d0 * b00 + d1 * b10 + d2 * b20, d1 * b11 + d2 * b21, d2 * b22
         u0, u1, u2, u3, u4, u5 = q0 * q0, q0 * q1, q0 * q2, q1 * q1, q1 * q2, q2 * q2
@@ -283,18 +271,16 @@ def distance_rate(
     include: tuple[int, ...],
     bb84: bool = False,
 ):
-    """The rate at one distance: `weighted_emission` -> (key rate per pump
-    pulse, its terms, herald, KeyRateBreakdown) of the `arrival_values`:
-    the SARG04 `key_fractions` of the `include`d types, or with `bb84` the
-    comparator, times herald.  The terms are (G, d(herald G) / d log mu)
-    of each included type, or of the comparator's one fraction, unclamped:
-    the rate is herald times the sum of the positive G."""
+    """The rate at one distance: `weighted_emission` -> (key rate, its
+    terms, KeyRateBreakdown) of the `arrival_values`: the SARG04
+    `key_fractions` of the `include`d types, or with `bb84` the comparator.
+    The terms are (G, dG / d log mu) of each included type, or of the
+    comparator's one fraction, unclamped: the rate is the sum of the
+    positive G."""
     values_at = arrival_values(forms, thin, terms)
 
-    def rate(em: tuple) -> tuple[float, tuple, float, KeyRateBreakdown]:
-        values, slopes = values_at(em)
-        herald = em[4]
-        b, terms = _key_rate(values, slopes, ec_inefficiency, include, bb84, herald, em[5])
-        return b.total * herald, terms, herald, b
+    def rate(em: tuple) -> tuple[float, tuple, KeyRateBreakdown]:
+        b, terms = _key_rate(*values_at(em), ec_inefficiency, include, bb84)
+        return b.total, terms, b
 
     return rate

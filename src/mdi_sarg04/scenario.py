@@ -5,8 +5,9 @@ Scenarios: coherent sources with relay photon-number postselection,
 heralded SPDC sources with the bare relay, and an MDI-BB84 comparator.
 Rates are reported per (heralded) pulse pair; for heralded sources a
 per-pump-pulse column (rate times joint heralding probability) is also
-emitted, and the heralding probability is the optimization weight so the
-optimum is per pump pulse.
+emitted.  The optimum is per pump pulse: a heralded source's rate is
+evaluated at its weights per pump pulse (`sources.spdc_emission`), and
+each row's fractions are divided by the joint heralding probability once.
 
 The rate is a set of quadratic forms in the distribution of photons that
 arrive at the relay's detectors (see `rates`): a sweep builds the relay's
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from operator import mul
+from functools import partial
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -46,7 +47,7 @@ from .rates import (
     key_bound,
     key_terms,
 )
-from .sources import poisson_log_slopes, poisson_probs, spdc_heralded, spdc_log_slopes
+from .sources import poisson_log_slopes, poisson_probs, spdc_emission
 
 MU_COARSE_POINTS = 40
 # the accuracy in log mu, so relative in mu, of the optimum `_refine` returns
@@ -81,11 +82,11 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
     """The configured scenario's (emission, rates_at): mu -> its
     `rates.weighted_emission`, and distance -> (rate, bound), where rate is
     the `rates.distance_rate` there, mapping an emission to (key rate per
-    pump pulse, its terms, herald, KeyRateBreakdown), and bound maps the
-    key weights and heralds of emissions to each one's `key_bound` times
-    herald, never below its key rate.  The relay's arrival forms are built
-    here once, and the key terms of a distance once per distance; the
-    emission does not depend on the distance."""
+    pump pulse, its terms, KeyRateBreakdown), and bound maps the key
+    weights of emissions to each one's `key_bound`, never below its key
+    rate.  The relay's arrival forms are built here once, and the key
+    terms of a distance once per distance; the emission does not depend on
+    the distance."""
     det = DetectorParams(eta=config.eta, dark=config.dark)
     f_ec, include = config.ec_inefficiency, INCLUDED_TYPES[config.type_selection]
     n_max, statistics = N_MAX_DEFAULT, config.spdc_pair_statistics
@@ -103,9 +104,7 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
     def emission(mu: float):
         if config.scenario != "spdc_heralded":
             return weighted_emission(poisson_probs(mu, n_max), poisson_log_slopes(mu, n_max))
-        p_herald, p = spdc_heralded(mu, det, n_max, statistics)
-        herald_slope, slopes = spdc_log_slopes(mu, det, n_max, statistics)
-        return weighted_emission(p, slopes, p_herald * p_herald, 2.0 * herald_slope)
+        return weighted_emission(*spdc_emission(mu, det, n_max, statistics)[1:])
 
     def rates_at(distance_km: float) -> tuple[Callable, Callable]:
         thin = thinning_matrix(ChannelParams(config.loss_db_per_km, distance_km).t_arm, n_max)
@@ -113,11 +112,7 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
             terms = bb84_key_terms(*(thinned_cell(y, thin[1], thin[1]) for y in (table, test)))
         else:
             terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in cells])
-        bounded_terms = [terms[t - 1] for t in bounded]
-
-        def bound(weights: list[tuple], heralds: list[float]) -> list[float]:
-            return list(map(mul, key_bound(bounded_terms, weights), heralds))
-
+        bound = partial(key_bound, [terms[t - 1] for t in bounded])
         return distance_rate(forms, thin, terms, f_ec, include, bb84), bound
 
     return emission, rates_at
@@ -159,12 +154,12 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     """
     (emission, rates_at), grid = _rates(config), mu_grid(config)
     grid_emission = [emission(mu) for mu in grid]
-    grid_weights, grid_heralds = [e[2] for e in grid_emission], [e[4] for e in grid_emission]
+    grid_weights = [e[2] for e in grid_emission]
     log_grid = [math.log(m) for m in grid]
     points = []
     for distance in distances:
         rate, bound = rates_at(distance)
-        bounds = bound(grid_weights, grid_heralds)
+        bounds = bound(grid_weights)
         evaluated, top = {}, -math.inf
         for j in sorted(range(len(grid)), key=bounds.__getitem__, reverse=True):
             if bounds[j] < top:
@@ -193,20 +188,19 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
                 )
                 if searched is not None and searched[1][0] >= row[0]:
                     mu_opt, row = math.exp(searched[0]), searched[1]
-        points.append(_point(distance, mu_opt, row))
+        points.append(_point(config, distance, mu_opt, row))
     return points
 
 
 def _positive(row: tuple) -> tuple[int, ...]:
     """The indices of the positive terms of a rate result of `_rates`, the
-    terms whose sum, times herald, is the rate there."""
+    terms whose sum is the rate there."""
     return tuple([i for i, (g, _) in enumerate(row[1]) if g > 0.0])
 
 
 def _slope(terms: tuple[int, ...]) -> Callable:
-    """A rate result of `_rates` -> the derivative in log mu of herald
-    times the sum of its terms at the indices `terms`, one or both of the
-    two types."""
+    """A rate result of `_rates` -> the derivative in log mu of the sum of
+    its terms at the indices `terms`, one or both of the two types."""
     first, *rest = terms
     if not rest:
         return lambda row: row[1][first][1]
@@ -283,15 +277,25 @@ def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list
     distance."""
     emission, rates_at = _rates(config)
     em = emission(mu)
-    return [_point(d, mu, rates_at(d)[0](em)) for d in distances]
+    return [_point(config, d, mu, rates_at(d)[0](em)) for d in distances]
 
 
-def _point(distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
-    """The row of a rate result (rate, terms, herald, breakdown) of
-    `_rates` at one distance and mu."""
-    rate, _, herald, b = result
+def _point(config: ScenarioConfig, distance_km: float, mu: float, result: tuple) -> RateCurvePoint:
+    """The row of a rate result (rate per pump pulse, terms, breakdown) of
+    `_rates` at one distance and mu: G1, G2 and total per (heralded) pulse
+    pair, the breakdown's over the joint heralding probability, which is
+    1 for unheralded sources.  Where nothing heralds they stay the
+    breakdown's, which are 0 there."""
+    rate, _, b = result
+    herald = 1.0
+    if config.scenario == "spdc_heralded":
+        det = DetectorParams(eta=config.eta, dark=config.dark)
+        # p_herald alone: a cutoff of 0 skips the weights
+        p_herald = spdc_emission(mu, det, 0, config.spdc_pair_statistics)[0]
+        herald = p_herald * p_herald
+    g1, g2, total = (g / herald if herald else g for g in (b.G1, b.G2, b.total))
     return RateCurvePoint(
-        distance_km, mu, b.G1, b.G2, b.total, b.e_tot_1, b.e_tot_2, herald, zero_rate=rate <= 0.0
+        distance_km, mu, g1, g2, total, b.e_tot_1, b.e_tot_2, herald, zero_rate=rate <= 0.0
     )
 
 

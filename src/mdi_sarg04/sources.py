@@ -2,11 +2,14 @@
 
 Covers the phase-randomized coherent (Poisson) source and the heralded
 SPDC source with thermal or Poisson pair statistics and a threshold herald
-detector, as emission probabilities p[n] over photon numbers n, one mean
-photon number at a time, with their log-derivatives d log p[n] / d log mu
-(`poisson_log_slopes`, `spdc_log_slopes`) for the mu optimizer.  Loss and
-the relay's photon-number postselection act on these in `rates`, through
-the channel thinning and arrival table of `optics`.
+detector, one mean photon number at a time: the Poisson emission
+probabilities p[n] over photon numbers n, and the SPDC source's weights
+per pump pulse (`spdc_emission`), since its rate is optimized per pump
+pulse, or its emission conditioned on a herald (`spdc_heralded`).  The
+probabilities and the weights come with their log-derivatives in mu for
+the mu optimizer.  Loss and the relay's photon-number postselection act
+on these in `rates`, through the channel thinning and arrival table of
+`optics`.
 """
 
 from __future__ import annotations
@@ -43,16 +46,40 @@ def poisson_log_slopes(mu: float, n_max: int) -> list[float]:
     return [n - mu for n in range(n_max + 1)]
 
 
-def _herald_click(x: float, dark: float, pair_statistics: str) -> tuple[float, float]:
-    """The herald click probability p_herald, summed over all pair numbers,
-    and its derivative in x = mu eta: (d + x) / (1 + x) and
-    (1-d) / (1 + x)^2 for thermal pairs, d - (1-d) expm1(-x) and
-    (1-d) exp(-x) for Poisson pairs."""
+def spdc_emission(
+    mu: float,
+    herald: DetectorParams,
+    n_max: int = N_MAX_DEFAULT,
+    pair_statistics: str = "thermal",
+) -> tuple[float, list[float], list[float]]:
+    """Heralded SPDC source with a threshold detector on the idler mode at
+    the mean pair number mu, per pump pulse: the herald click probability
+    p_herald, the weights w[n] = pairs_n click_n of a heralded n-photon
+    signal, n <= n_max, and their log-derivatives d log w[n] / d log mu.
+
+    Pair statistics default to single-mode thermal, mu^n / (1+mu)^(n+1);
+    'poisson' is offered as a comparison switch.  Given n pairs the herald
+    clicks with probability click_n = d + (1-d)(1 - (1-eta)^n), which does
+    not depend on mu, so d log w[n] / d log mu is that of pairs_n:
+    n - (n+1) mu / (1 + mu), or n - mu.  p_herald is the sum of w over all
+    n in closed form, (d + mu eta) / (1 + mu eta) for thermal pairs and
+    d - (1-d) expm1(-mu eta) for Poisson pairs: no photon-number cutoff.
+    """
+    mu = _checked(mu, "mean pair number")
+    d, eta = herald.dark, herald.eta
+    x = mu * eta
     if pair_statistics == "thermal":
-        return (dark + x) / (1 + x), (1 - dark) / ((1 + x) * (1 + x))
-    if pair_statistics == "poisson":
-        return dark - (1 - dark) * expm1(-x), (1 - dark) * exp(-x)
-    raise ValueError(f"unknown pair statistics {pair_statistics!r}")
+        p_herald = (d + x) / (1 + x)
+        ratio = mu / (1 + mu)
+        pairs = [ratio**n / (1 + mu) for n in range(n_max + 1)]
+        slopes = [n - (n + 1) * mu / (1 + mu) for n in range(n_max + 1)]
+    elif pair_statistics == "poisson":
+        p_herald = d - (1 - d) * expm1(-x)
+        pairs, slopes = poisson_probs(mu, n_max), poisson_log_slopes(mu, n_max)
+    else:
+        raise ValueError(f"unknown pair statistics {pair_statistics!r}")
+    click = [d + (1 - d) * (1 - (1 - eta) ** n) for n in range(n_max + 1)]
+    return p_herald, [q * c for q, c in zip(pairs, click)], slopes
 
 
 def spdc_heralded(
@@ -61,54 +88,10 @@ def spdc_heralded(
     n_max: int = N_MAX_DEFAULT,
     pair_statistics: str = "thermal",
 ) -> tuple[float, list[float]]:
-    """Heralded SPDC source with a threshold detector on the idler mode at
-    the mean pair number mu: the herald click probability p_herald and the
-    signal-mode photon-number distribution p[n], n <= n_max, conditioned
-    on a herald, the vacuum if nothing heralds (p_herald = 0).
-
-    Pair statistics default to single-mode thermal, mu^n / (1+mu)^(n+1);
-    'poisson' is offered as a comparison switch.  Given n pairs the herald
-    clicks with probability click_n = d + (1-d)(1 - (1-eta)^n), so
-    p[n] = pairs_n click_n / p_herald.  p_herald is the sum over all n in
-    closed form, (d + mu eta) / (1 + mu eta) for thermal pairs and
-    d - (1-d) expm1(-mu eta) for Poisson pairs: no photon-number cutoff.
-    """
-    mu = _checked(mu, "mean pair number")
-    d, eta = herald.dark, herald.eta
-    p_herald, _ = _herald_click(mu * eta, d, pair_statistics)
-    if pair_statistics == "thermal":
-        ratio = mu / (1 + mu)
-        pairs = [ratio**n / (1 + mu) for n in range(n_max + 1)]
-    else:
-        pairs = poisson_probs(mu, n_max)
+    """The `spdc_emission` conditioned on a herald: p_herald and the
+    signal-mode photon-number distribution p[n] = w[n] / p_herald,
+    n <= n_max, the vacuum if nothing heralds (p_herald = 0)."""
+    p_herald, w, _ = spdc_emission(mu, herald, n_max, pair_statistics)
     if p_herald <= 0.0:
         return p_herald, [1.0] + [0.0] * n_max
-    click = [d + (1 - d) * (1 - (1 - eta) ** n) for n in range(n_max + 1)]
-    return p_herald, [q * c / p_herald for q, c in zip(pairs, click)]
-
-
-def spdc_log_slopes(
-    mu: float,
-    herald: DetectorParams,
-    n_max: int = N_MAX_DEFAULT,
-    pair_statistics: str = "thermal",
-) -> tuple[float, list[float]]:
-    """d log p_herald / d log mu and d log p[n] / d log mu of `spdc_heralded`
-    at the same arguments; zeros where nothing heralds.
-
-    With x = mu eta, d log p_herald / d log mu = x p_herald'(x) / p_herald,
-    which is x / (d + x) - x / (1 + x) for thermal pairs; and
-    p[n] = pairs_n click_n / p_herald gives d log pairs_n / d log mu, which
-    is n - (n+1) mu / (1 + mu) or n - mu, less that of p_herald.
-    """
-    mu = _checked(mu, "mean pair number")
-    x = mu * herald.eta
-    p_herald, slope = _herald_click(x, herald.dark, pair_statistics)
-    if p_herald <= 0.0:
-        return 0.0, [0.0] * (n_max + 1)
-    if pair_statistics == "thermal":
-        pairs = [n - (n + 1) * mu / (1 + mu) for n in range(n_max + 1)]
-    else:
-        pairs = poisson_log_slopes(mu, n_max)
-    herald_slope = x * slope / p_herald
-    return herald_slope, [s - herald_slope for s in pairs]
+    return p_herald, [wn / p_herald for wn in w]

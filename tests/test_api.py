@@ -2,6 +2,7 @@
 
 import ast
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -170,3 +171,24 @@ def test_lazy_names_resolve_once_and_are_listed():
     assert vars(mdi_sarg04)["build_povm"] is mdi_sarg04.povm.build_povm
     with pytest.raises(AttributeError):
         mdi_sarg04.no_such_name
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; the package's own
+    re-exports, listed in `__all__`, count as used."""
+    package = pathlib.Path(mdi_sarg04.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(mdi_sarg04.__all__)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused

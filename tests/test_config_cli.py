@@ -12,6 +12,7 @@ import pytest
 import mdi_sarg04
 from mdi_sarg04.cli import COMMANDS, main
 from mdi_sarg04.config import MAX_DISTANCE_POINTS, ConfigError, ScenarioConfig
+from mdi_sarg04.optics import N_MAX_CAP, N_MAX_DEFAULT
 from mdi_sarg04.scenario import optimize_distances, run_sweep
 from tests.test_golden import MU_TABLE
 
@@ -246,6 +247,15 @@ class TestCliRateCurve:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert all(math.isfinite(float(v)) for v in lines[1].split(","))
+
+    def test_nothing_heralds_at_zero_pump(self, tmp_path, capsys):
+        # with no dark counts and no pump nothing heralds: the row is all
+        # zeros, not a division by the zero heralding probability
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "spdc_heralded", "dark": 0}))
+        assert main(["rate-curve", "--config", str(cfg), "--mu", "0", "--distance", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["10,0,0,0,0,0,0,0,0"]
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["rate-curve", "--config", "/nonexistent/cfg.json"]) == 2
@@ -493,6 +503,9 @@ class TestCliSpellings:
         }
         for flag, field in (("--eta", "eta"), ("--dark", "dark"), ("--loss", "loss_db_per_km")):
             assert flag_lines[f"{flag} FLOAT"].endswith(f" (default {defaults[field]})"), flag
+        # the photon-number cutoff's default and range are the relay's
+        n_max_help = f": photon-number cutoff, 0 to {N_MAX_CAP} (default {N_MAX_DEFAULT})"
+        assert flag_lines["--n-max INT"].endswith(n_max_help)
         assert main(["mu-table"]) == 0
         implicit = capsys.readouterr().out
         explicit = [f"--eta={defaults['eta']}", f"--dark={defaults['dark']}"]

@@ -26,7 +26,7 @@ from mdi_sarg04.rates import (
 )
 from mdi_sarg04.optics import detector_table, thinned_cell, thinning_matrix
 from mdi_sarg04.scenario import _rates, points_at
-from mdi_sarg04.sources import poisson_probs, spdc_heralded
+from mdi_sarg04.sources import poisson_probs, spdc_emission, spdc_heralded
 from tests.rate_oracle import oracle_point, oracle_values
 
 IDEAL = DetectorParams(eta=1.0, dark=0.0)
@@ -171,15 +171,22 @@ class TestAssembleGains:
         assert q1[(1, 2)] > 0.0 and q2[(2, 1)] > 0.0
 
     def test_heralded_probability_reported(self):
-        # the SPDC scenario evaluates the bare relay at the conditional
-        # emission probabilities and reports the joint heralding probability
+        # the SPDC scenario evaluates the bare relay at the weights per pump
+        # pulse, reports the joint heralding probability, and divides the
+        # fractions by it: those of the conditional emission probabilities
         config = ScenarioConfig(scenario="spdc_heralded")
         p_herald, cond = spdc_heralded(0.1, GYS)
+        weights = spdc_emission(0.1, GYS)[1]
         point = points_at(config, [0.0], 0.1)[0]
         assert abs(point.p_herald - p_herald**2) < 1e-15
-        values = live_values(cond, GYS, 1.0, "spdc_heralded")
-        bare = key_fractions(values, config.ec_inefficiency, INCLUDED_TYPES["both"])
-        assert (point.G1, point.G2) == (bare.G1, bare.G2)
+        herald = p_herald * p_herald
+        f, both = config.ec_inefficiency, INCLUDED_TYPES["both"]
+        pump, bare = (
+            key_fractions(live_values(p, GYS, 1.0, "spdc_heralded"), f, both)
+            for p in (weights, cond)
+        )
+        assert (point.G1, point.G2) == (pump.G1 / herald, pump.G2 / herald)
+        assert (point.G1, point.G2) == pytest.approx((bare.G1, bare.G2), rel=1e-13, abs=0.0)
 
 
 class TestKeyRate:
@@ -370,11 +377,12 @@ class TestArrivalSpace:
         emission_at, _ = _rates(ScenarioConfig(scenario=scenario))
 
         def oracle_at(mu):
+            # per pump pulse: the SPDC oracle's values at the conditional
+            # emission, times the joint heralding probability
             if scenario == "spdc_heralded":
-                p = spdc_heralded(mu, GYS)[1]
-            else:
-                p = poisson_probs(mu, 2)
-            return oracle_values(GYS, t_arm, p, scenario)
+                p_herald, p = spdc_heralded(mu, GYS)
+                return [p_herald * p_herald * v for v in oracle_values(GYS, t_arm, p, scenario)]
+            return oracle_values(GYS, t_arm, poisson_probs(mu, 2), scenario)
 
         for mu in (0.01, 0.05, 0.3, 1.0, 1.5):
             got, slopes = values_at(emission_at(mu))
@@ -418,7 +426,7 @@ class TestRateDerivative:
         for distance_km in (0.0, 45.0, 200.0):
             rate, _ = rates_at(distance_km)
             for mu in (0.01, 0.03, 0.05, 0.1, 0.3, 1.0, 1.5):
-                r, terms, _, _ = rate(emission_at(mu))
+                r, terms, _ = rate(emission_at(mu))
                 slope = sum(dg for g, dg in terms if g > 0.0)
                 up, down = (
                     self._oracle(config, distance_km, mu * math.exp(s * self.STEP)) for s in (1, -1)

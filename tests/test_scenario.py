@@ -107,7 +107,7 @@ class TestOptimizeMu:
             def recorded_rates_at(distance):
                 rate, bound = rates_at(distance)
                 grid = [emission(mu) for mu in mu_grid(config)]
-                bounds.extend(bound([em[2] for em in grid], [em[4] for em in grid]))
+                bounds.extend(bound([em[2] for em in grid]))
 
                 def recorded_rate(em):
                     evaluated.append(emitted[id(em)][0])
@@ -156,7 +156,7 @@ def _full_grid_optimum(config, distance):
         log_mu, neg = golden_section_minimize(negative_rate, lo, hi, 1e-13)
         if -neg >= row[0]:
             mu_opt, row = math.exp(log_mu), searched[-1]
-    return best, scenario_module._point(distance, mu_opt, row)
+    return best, scenario_module._point(config, distance, mu_opt, row)
 
 
 PRUNING_CONFIGS = {

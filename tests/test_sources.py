@@ -17,7 +17,7 @@ from mdi_sarg04.optics import (
     thinning_matrix,
 )
 from mdi_sarg04.scenario import mu_grid
-from mdi_sarg04.sources import poisson_probs, spdc_heralded
+from mdi_sarg04.sources import poisson_log_slopes, poisson_probs, spdc_emission, spdc_heralded
 
 HERALD = DetectorParams(eta=0.045, dark=8.5e-7)
 MEAN = st.integers(0, 100) | st.floats(0.0, 100.0)
@@ -257,6 +257,41 @@ class TestSpdcHeralded:
         p_float, cond_float = spdc_heralded(2.0, HERALD, pair_statistics=statistics)
         np.testing.assert_array_equal(p_int, p_float)
         np.testing.assert_array_equal(cond_int, cond_float)
+
+
+class TestEmissionSlopes:
+    """d log w[n] / d log mu of the sources' weights against central
+    differences of log w[n], n <= 2, over the default mu grid."""
+
+    STEP = 1e-5  # in log mu
+
+    @classmethod
+    def _assert_slopes(cls, weights_at, slopes, mu):
+        up, down, here = (weights_at(mu * math.exp(s * cls.STEP)) for s in (1, -1, 0))
+        for n, slope in enumerate(slopes):
+            if here[n] == 0.0:
+                # a weight that is 0 at every mu, so w[n] times its slope is 0
+                assert up[n] == down[n] == 0.0 and math.isfinite(slope), (mu, n)
+                continue
+            central = (math.log(up[n]) - math.log(down[n])) / (2 * cls.STEP)
+            assert slope == pytest.approx(central, rel=1e-6, abs=1e-8), (mu, n)
+
+    def test_poisson_slopes(self):
+        for mu in mu_grid(ScenarioConfig()):
+            self._assert_slopes(lambda m: poisson_probs(m, 2), poisson_log_slopes(mu, 2), mu)
+
+    @pytest.mark.parametrize("statistics", ["thermal", "poisson"])
+    @pytest.mark.parametrize("dark", [0.0, 8.5e-7])
+    def test_spdc_slopes(self, statistics, dark):
+        # click_n does not depend on mu, so each slope is that of pairs_n;
+        # with no dark counts w[0] is 0, since no pair means no herald
+        det = DetectorParams(eta=HERALD.eta, dark=dark)
+        for mu in mu_grid(ScenarioConfig()):
+            p_herald, w, slopes = spdc_emission(mu, det, 2, statistics)
+            self._assert_slopes(lambda m: spdc_emission(m, det, 2, statistics)[1], slopes, mu)
+            assert (w[0] == 0.0) == (dark == 0.0)
+            # the conditional emission is the weights over p_herald, bit for bit
+            assert spdc_heralded(mu, det, 2, statistics) == (p_herald, [x / p_herald for x in w])
 
 
 class TestLossPropagation:
