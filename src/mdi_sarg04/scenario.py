@@ -16,8 +16,9 @@ by its channel and evaluates the rate, with its derivative in log mu, at
 each mean photon number of its mu search.  The key terms alone bound the
 rate from above (`rates.key_bound`), so the search evaluates the rate only
 at the grid points whose bound reaches the best rate found, and then
-solves for the root of the derivative next to the best of them (see
-`optimize_distances`).
+solves for the root of the derivative next to the best of them or, where
+none has key, wherever a term's derivative falls to 0 between two grid
+points (see `optimize_distances`).
 """
 
 from __future__ import annotations
@@ -88,17 +89,15 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
     terms of a distance once per distance; the emission does not depend on
     the distance."""
     det = DetectorParams(eta=config.eta, dark=config.dark)
-    f_ec, include = config.ec_inefficiency, INCLUDED_TYPES[config.type_selection]
     n_max, statistics = N_MAX_DEFAULT, config.spdc_pair_statistics
     bb84 = config.scenario == "bb84_baseline"
+    # the comparator's rate merges both types, whatever the selection
+    f_ec, include = config.ec_inefficiency, INCLUDED_TYPES["both" if bb84 else config.type_selection]
     if bb84:
         table, test = (detector_table(det, "bb84", basis) for basis in ("key", "test"))
-        # the comparator's rate merges both types, whatever the selection
-        bounded = INCLUDED_TYPES["both"]
     else:
         table = detector_table(det, qnd=config.scenario == "qnd_coherent")
         cells = KEY_TERMS[:1] if config.photon_terms == "one_one_only" else KEY_TERMS
-        bounded = include
     forms = arrival_forms(table, "bb84" if bb84 else "sarg04")
 
     def emission(mu: float):
@@ -112,7 +111,7 @@ def _rates(config: ScenarioConfig) -> tuple[Callable, Callable]:
             terms = bb84_key_terms(*(thinned_cell(y, thin[1], thin[1]) for y in (table, test)))
         else:
             terms = key_terms([thinned_cell(table, thin[n], thin[m]) for n, m in cells])
-        bound = partial(key_bound, [terms[t - 1] for t in bounded])
+        bound = partial(key_bound, [terms[t - 1] for t in include])
         return distance_rate(forms, thin, terms, f_ec, include, bb84), bound
 
     return emission, rates_at
@@ -140,17 +139,20 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     rounding, so the choice is the full grid's: its largest rate, the
     lowest grid index among equal ones.
 
-    A distance whose best grid rate is 0 keeps that point.  The rate is
-    the largest of the sums of its terms (`rates.distance_rate`) over the
-    sets of them, and each sum is smooth; the sets searched are those
-    positive at the best grid point or at a grid neighbour, so a kink
-    where some G_t crosses 0 near the optimum is searched past.  For each,
-    the grid neighbour its derivative rises towards is taken and, when the
-    derivative falls from positive to at most 0 between the two, its root
-    there is solved for (`_refine`).  The optimum is the best of those
-    roots, unless the best grid point's rate is higher, as at a window edge
-    the derivative points past.  Both senders share the same mu.  Each row
-    is an evaluation already made: the grid's own, or a search's last one.
+    The rate is the largest of the sums of its terms
+    (`rates.distance_rate`) over the sets of them, and each sum is smooth;
+    the sets searched are those positive at the best grid point or at a
+    grid neighbour, so a kink where some G_t crosses 0 near the optimum is
+    searched past.  For each, the grid neighbour its derivative rises
+    towards is taken and, when the derivative falls from positive to at
+    most 0 between the two, its root there is solved for (`_refine`).
+    Where the best grid rate is 0, every grid point is evaluated, and the
+    rate can still be positive between two of them: each term is searched
+    on every grid interval where its derivative falls from positive to at
+    most 0.  The optimum is the best of those roots with a positive rate,
+    unless the best grid point's rate is higher, as at a window edge the
+    derivative points past.  Both senders share the same mu.  Each row is
+    an evaluation already made: the grid's own, or a search's last one.
     """
     (emission, rates_at), grid = _rates(config), mu_grid(config)
     grid_emission = [emission(mu) for mu in grid]
@@ -168,6 +170,9 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
             top = max(top, evaluated[j][0])
         best = max(sorted(evaluated), key=lambda j: evaluated[j][0])
         mu_opt, row = grid[best], evaluated[best]
+        # (terms, start, side): a sum of terms rising from grid point start
+        # towards side
+        searches = []
         if row[0] > 0.0:
             near = [j for j in (best, best - 1, best + 1) if 0 <= j < len(grid)]
             for j in near:
@@ -176,18 +181,25 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
             for terms in dict.fromkeys(_positive(evaluated[j]) for j in near):
                 if not terms:
                     continue
-                slope = _slope(terms)
-                rise = slope(evaluated[best])
+                rise = _slope(terms)(row)
                 # the neighbour the sum rises towards, if the grid has one
                 side = best + (1 if rise > 0.0 else -1)
-                if rise == 0.0 or side not in near:
-                    continue
-                searched = _refine(
-                    lambda x: rate(emission(math.exp(x))), slope,
-                    (log_grid[best], evaluated[best]), (log_grid[side], evaluated[side]),
-                )
-                if searched is not None and searched[1][0] >= row[0]:
-                    mu_opt, row = math.exp(searched[0]), searched[1]
+                if rise != 0.0 and side in near:
+                    searches.append((terms, best, side))
+        else:
+            # every grid point is evaluated, since no bound is below 0
+            for i in range(len(row[1])):
+                slope = _slope((i,))
+                rises = [slope(evaluated[j]) > 0.0 for j in range(len(grid))]
+                falls = [j for j in range(len(grid) - 1) if rises[j] and not rises[j + 1]]
+                searches += [((i,), j, j + 1) for j in falls]
+        for terms, start, side in searches:
+            searched = _refine(
+                lambda x: rate(emission(math.exp(x))), _slope(terms),
+                (log_grid[start], evaluated[start]), (log_grid[side], evaluated[side]),
+            )
+            if searched is not None and searched[1][0] >= row[0] and searched[1][0] > 0.0:
+                mu_opt, row = math.exp(searched[0]), searched[1]
         points.append(_point(config, distance, mu_opt, row))
     return points
 
@@ -210,9 +222,9 @@ def _slope(terms: tuple[int, ...]) -> Callable:
 
 def _refine(evaluate: Callable, slope: Callable, start: tuple, end: tuple) -> tuple | None:
     """The root in log mu of the derivative `slope` of a smooth sum of the
-    rate's terms between two evaluated points (x, evaluation): the best
-    grid point `start`, where the sum rises towards `end`, and its
-    neighbour `end`.  (x, evaluation) of the last point evaluated, once the
+    rate's terms between two evaluated points (x, evaluation): a grid
+    point `start`, where the sum rises towards `end`, and its neighbour
+    `end`.  (x, evaluation) of the last point evaluated, once the
     next step would move x by at most LOG_MU_TOL / 2 or the bracket of the
     root is at most LOG_MU_TOL wide; None if the sum still rises towards
     `end` at `end`, or the first step would not move from `start`.

@@ -71,25 +71,22 @@ def _reduction_check(angle: float) -> CheckResult:
 
 
 def _frontier_checks(angle: float) -> list[CheckResult]:
-    """Every frontier s*bit + t(s)*fil - ph over FRONTIER_GRID is PSD on the
-    blocks at the raised intercept t*(1+1e-6), and tight at every slope:
-    each 1 %-reduced intercept t*(1-1e-2) must fail."""
-    intercepts = {t: [intercept(s) for s in FRONTIER_GRID] for t, intercept in ((1, f_type1), (2, g_type2))}
+    """Every intercept t = f_type1(s) or g_type2(s) over FRONTIER_GRID is the
+    exact frontier t* of s*bit + t*fil - ph on the blocks to 1e-12 of t.
+    Where `fil` is positive definite there, smallest eigenvalue m > 0, the
+    smallest block eigenvalue d(t) rises with slope at least m and is 0 at
+    t*: t - t* has the sign of d, and |t - t*| <= |d|/m.  So t >= t*(1 -
+    1e-12) (valid side) where every d/(m t) >= -1e-12, and t <= t*(1 +
+    1e-12) (tightness) where every d/(m t) <= 1e-12.  With m <= 0 both fail."""
     checks = []
     for label, (case, atype) in MIXED_LABELS.items():
-        # per side, the smallest block eigenvalue at each slope
-        valid, invalid = (
-            [
-                verify_bound_certificate(case, atype, s, t * factor, angle)
-                for s, t in zip(FRONTIER_GRID, intercepts[atype])
-            ]
-            for factor in (1 + 1e-6, 1 - 1e-2)
-        )
-        worst_valid, worst_invalid = min(valid), max(invalid)
-        valid_detail = f"min eigenvalue {worst_valid:.3e} at t*(1+1e-6)"
-        invalid_detail = f"min eigenvalue at most {worst_invalid:.3e} at t*(1-1e-2)"
-        checks.append(_check(f"frontier_{label}_valid_side", worst_valid >= -1e-9, valid_detail))
-        checks.append(_check(f"frontier_{label}_tightness", worst_invalid <= -1e-8, invalid_detail))
+        m = _min_eigenvalue(to_blocks(case, build_povm(case, atype, angle).fil))
+        intercepts = [(s, (f_type1 if atype == 1 else g_type2)(s)) for s in FRONTIER_GRID if m > 0]
+        gaps = [verify_bound_certificate(case, atype, s, t, angle) / (m * t) for s, t in intercepts]
+        lo, hi = min(gaps, default=-math.inf), max(gaps, default=math.inf)
+        below, above = f"(t* - t)/t at most {max(0.0, -lo):.3e}", f"(t - t*)/t at most {max(0.0, hi):.3e}"
+        checks.append(_check(f"frontier_{label}_valid_side", lo >= -1e-12, below))
+        checks.append(_check(f"frontier_{label}_tightness", hi <= 1e-12, above))
     return checks
 
 

@@ -236,6 +236,38 @@ class TestKinks:
         assert grid[best - 1] <= got.mu_opt <= grid[best + 1]
 
 
+class TestZeroRowsSearched:
+    """Where no grid point has key, the rate can still be positive between
+    two of them: each term is searched on every grid interval where its
+    derivative falls from positive to at most 0, and the row is the best
+    positive root, at or above the maximum of a fine grid."""
+
+    @pytest.mark.parametrize(
+        "config, distance",
+        [
+            (ScenarioConfig(photon_terms="one_one_only"), 208.95),
+            (ScenarioConfig(photon_terms="one_one_only"), 209.0),
+            (ScenarioConfig(photon_terms="one_one_only"), 209.03),
+            (ScenarioConfig(type_selection="type2_only"), 211.85),
+            (ScenarioConfig(), 221.4),
+            (ScenarioConfig(scenario="bb84_baseline"), 240.65),
+            (ScenarioConfig(scenario="spdc_heralded"), 263.485),
+        ],
+        ids=["qnd-11-208.95", "qnd-11-209", "qnd-11-209.03", "qnd-type2-211.85", "qnd-221.4",
+             "bb84-240.65", "spdc-263.485"],
+    )
+    def test_key_between_grid_points_is_found(self, config, distance):
+        emission, rates_at = scenario_module._rates(config)
+        rate, _ = rates_at(distance)
+        assert all(rate(emission(mu))[0] == 0.0 for mu in mu_grid(config))
+        lo, hi = math.log(config.mu_min), math.log(config.mu_max)
+        fine = max(rate(emission(math.exp(lo + (hi - lo) * k / 5999)))[0] for k in range(6000))
+        got = optimize_mu(config, distance)
+        assert fine > 0.0 and not got.zero_rate
+        # per pump pulse, as the search compares rates
+        assert got.total_per_pulse >= fine
+
+
 class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_whole_grid_in_one_call_stays_small(self, scenario):
