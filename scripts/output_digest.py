@@ -7,7 +7,9 @@ protocols, cutoffs 0 to 3, at 0, 20 and 100 km; `optimize-mu` for the three
 scenarios at 0, 30 and 100 km; `rate-curve` for the three default sweeps
 and the (1,1)-only sweep; `rate-curve --mu 0.3` for each scenario; and
 0-300 km sweeps at 2 km of the QND scenario (both types, (1,1) terms only,
-Type2 only), of SPDC and of the BB84 comparator.  A call that exits
+Type1 only, Type2 only), of SPDC (thermal and Poisson pairs, dark count
+1e-4, efficiency 0.9, Type2 only) and of the BB84 comparator, so every
+named value of every config option is reached.  A call that exits
 nonzero has its exit code appended to its line.
 
 The package is imported from the path, so listings of two trees compare:
@@ -55,7 +57,12 @@ def calls(config_path):
         "qnd_coherent": {},
         "qnd_coherent:one_one_only": {"photon_terms": "one_one_only"},
         "qnd_coherent:type2_only": {"type_selection": "type2_only"},
+        "qnd_coherent:type1_only": {"type_selection": "type1_only"},
         "spdc_heralded": {"scenario": "spdc_heralded"},
+        "spdc_heralded:poisson": {"scenario": "spdc_heralded", "spdc_pair_statistics": "poisson"},
+        "spdc_heralded:dark=1e-4": {"scenario": "spdc_heralded", "dark": 1e-4},
+        "spdc_heralded:eta=0.9": {"scenario": "spdc_heralded", "eta": 0.9},
+        "spdc_heralded:type2_only": {"scenario": "spdc_heralded", "type_selection": "type2_only"},
         "bb84_baseline": {"scenario": "bb84_baseline"},
     }
     for name, fields in far.items():

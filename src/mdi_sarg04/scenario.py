@@ -16,9 +16,10 @@ by its channel and evaluates the rate, with its derivative in log mu, at
 each mean photon number of its mu search.  The key terms alone bound the
 rate from above (`rates.key_bound`), so the search evaluates the rate only
 at the grid points whose bound reaches the best rate found, and then
-solves for the root of the derivative next to the best of them or, where
-none has key, wherever a term's derivative falls to 0 between two grid
-points (see `optimize_distances`).
+solves for the root of the derivative on each grid interval where a sum of
+terms rises from one end and no longer at the other: next to the best grid
+point or, where none has key, anywhere on the grid (see
+`optimize_distances`).
 """
 
 from __future__ import annotations
@@ -140,19 +141,21 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
     lowest grid index among equal ones.
 
     The rate is the largest of the sums of its terms
-    (`rates.distance_rate`) over the sets of them, and each sum is smooth;
-    the sets searched are those positive at the best grid point or at a
-    grid neighbour, so a kink where some G_t crosses 0 near the optimum is
-    searched past.  For each, the grid neighbour its derivative rises
-    towards is taken and, when the derivative falls from positive to at
-    most 0 between the two, its root there is solved for (`_refine`).
-    Where the best grid rate is 0, every grid point is evaluated, and the
-    rate can still be positive between two of them: each term is searched
-    on every grid interval where its derivative falls from positive to at
-    most 0.  The optimum is the best of those roots with a positive rate,
-    unless the best grid point's rate is higher, as at a window edge the
-    derivative points past.  Both senders share the same mu.  Each row is
-    an evaluation already made: the grid's own, or a search's last one.
+    (`rates.distance_rate`) over the sets of them, and each sum is smooth.
+    One rule picks the searches.  The span is the best grid point and its
+    grid neighbours or, where the best grid rate is 0, the whole grid,
+    every point of which is then evaluated: the rate can still be positive
+    between two of them.  The sums searched are those positive at a span
+    point, so a kink where some G_t crosses 0 near the optimum is searched
+    past, or each term alone where none is.  Each sum is searched on each
+    interval of two adjacent span points, from the best grid point if it
+    is one of them, else from the lower, where the sum rises from there
+    towards the other end and no longer rises at that end: its root there
+    is solved for (`_refine`).  The optimum is the best of those roots with
+    a positive rate, unless the best grid point's rate is higher, as at a
+    window edge the derivative points past.  Both senders share the same
+    mu.  Each row is an evaluation already made: the grid's own, or a
+    search's last one.
     """
     (emission, rates_at), grid = _rates(config), mu_grid(config)
     grid_emission = [emission(mu) for mu in grid]
@@ -170,36 +173,30 @@ def optimize_distances(config: ScenarioConfig, distances: list[float]) -> list[R
             top = max(top, evaluated[j][0])
         best = max(sorted(evaluated), key=lambda j: evaluated[j][0])
         mu_opt, row = grid[best], evaluated[best]
-        # (terms, start, side): a sum of terms rising from grid point start
-        # towards side
-        searches = []
         if row[0] > 0.0:
-            near = [j for j in (best, best - 1, best + 1) if 0 <= j < len(grid)]
-            for j in near:
+            span = [j for j in (best - 1, best, best + 1) if 0 <= j < len(grid)]
+            for j in span:
                 if j not in evaluated:
                     evaluated[j] = rate(grid_emission[j])
-            for terms in dict.fromkeys(_positive(evaluated[j]) for j in near):
-                if not terms:
-                    continue
-                rise = _slope(terms)(row)
-                # the neighbour the sum rises towards, if the grid has one
-                side = best + (1 if rise > 0.0 else -1)
-                if rise != 0.0 and side in near:
-                    searches.append((terms, best, side))
         else:
             # every grid point is evaluated, since no bound is below 0
-            for i in range(len(row[1])):
-                slope = _slope((i,))
-                rises = [slope(evaluated[j]) > 0.0 for j in range(len(grid))]
-                falls = [j for j in range(len(grid) - 1) if rises[j] and not rises[j + 1]]
-                searches += [((i,), j, j + 1) for j in falls]
-        for terms, start, side in searches:
-            searched = _refine(
-                lambda x: rate(emission(math.exp(x))), _slope(terms),
-                (log_grid[start], evaluated[start]), (log_grid[side], evaluated[side]),
-            )
-            if searched is not None and searched[1][0] >= row[0] and searched[1][0] > 0.0:
-                mu_opt, row = math.exp(searched[0]), searched[1]
+            span = range(len(grid))
+        sums = [terms for terms in dict.fromkeys(_positive(evaluated[j]) for j in span) if terms]
+        for terms in sums or [(i,) for i in range(len(row[1]))]:
+            slope = _slope(terms)
+            slopes = {j: slope(evaluated[j]) for j in span}
+            for j, k in zip(span, span[1:]):
+                start, end = (k, j) if k == best else (j, k)
+                toward = end - start
+                # the sum rises from start towards end, and no longer at end
+                if not slopes[start] * toward > 0.0 or slopes[end] * toward > 0.0:
+                    continue
+                searched = _refine(
+                    lambda x: rate(emission(math.exp(x))), slope,
+                    (log_grid[start], evaluated[start]), (log_grid[end], evaluated[end]),
+                )
+                if searched is not None and searched[1][0] >= row[0] and searched[1][0] > 0.0:
+                    mu_opt, row = math.exp(searched[0]), searched[1]
         points.append(_point(config, distance, mu_opt, row))
     return points
 
@@ -224,10 +221,10 @@ def _refine(evaluate: Callable, slope: Callable, start: tuple, end: tuple) -> tu
     """The root in log mu of the derivative `slope` of a smooth sum of the
     rate's terms between two evaluated points (x, evaluation): a grid
     point `start`, where the sum rises towards `end`, and its neighbour
-    `end`.  (x, evaluation) of the last point evaluated, once the
-    next step would move x by at most LOG_MU_TOL / 2 or the bracket of the
-    root is at most LOG_MU_TOL wide; None if the sum still rises towards
-    `end` at `end`, or the first step would not move from `start`.
+    `end`, where it no longer does.  (x, evaluation) of the last point
+    evaluated, once the next step would move x by at most LOG_MU_TOL / 2 or
+    the bracket of the root is at most LOG_MU_TOL wide; None if the first
+    step would not move from `start`.
 
     The sum rises towards `end` where its derivative times the direction of
     `end` is positive; there the point replaces `start` as the bracket's
@@ -240,8 +237,6 @@ def _refine(evaluate: Callable, slope: Callable, start: tuple, end: tuple) -> tu
     (a, end_row), (b, start_row) = end, start
     ra, da, rb, db = end_row[0], slope(end_row), start_row[0], slope(start_row)
     toward = math.copysign(1.0, a - b)
-    if da * toward > 0.0:
-        return None
     near, far = b, a
     row, step = None, math.inf
     while True:
@@ -286,8 +281,9 @@ def optimize_mu(config: ScenarioConfig, distance_km: float) -> RateCurvePoint:
 
 def points_at(config: ScenarioConfig, distances: list[float], mu: float) -> list[RateCurvePoint]:
     """Rate-curve rows of the configured scenario at a fixed mu, one per
-    distance."""
+    distance; a mu of -0.0 is reported as 0, as a distance of -0.0 is."""
     emission, rates_at = _rates(config)
+    mu += 0.0
     em = emission(mu)
     return [_point(config, d, mu, rates_at(d)[0](em)) for d in distances]
 

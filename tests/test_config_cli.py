@@ -311,6 +311,15 @@ class TestCliOptimizeMu:
         assert capsys.readouterr().out.splitlines()[1].startswith("0,")
 
     @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
+    def test_negative_zero_mu_reported_as_zero(self, scenario, capsys):
+        argv = ["rate-curve", "--scenario", scenario, "--distance", "5"]
+        assert main([*argv, "--mu", "-0.0"]) == 0
+        negative = capsys.readouterr().out
+        assert negative.splitlines()[1].startswith("5,0,")
+        assert main([*argv, "--mu", "0"]) == 0
+        assert capsys.readouterr().out == negative
+
+    @pytest.mark.parametrize("scenario", ["qnd_coherent", "spdc_heralded", "bb84_baseline"])
     def test_json_is_the_sweep_row(self, scenario, capsys):
         # no state crosses distances: a sweep's row is optimize-mu's, to the byte
         config = ScenarioConfig(scenario=scenario, distance_stop_km=60.0, distance_step_km=15.0)

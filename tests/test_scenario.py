@@ -268,6 +268,44 @@ class TestZeroRowsSearched:
         assert got.total_per_pulse >= fine
 
 
+FAR = {"distance_stop_km": 300.0, "distance_step_km": 2.0}
+
+
+class TestEvaluationBudget:
+    """The mu search evaluates the rate at the grid points the bound keeps,
+    the best one's neighbours and the searches' steps: a search span wider
+    than the best grid point and its neighbours, where the best rate is
+    positive, shows here as more evaluations."""
+
+    @pytest.mark.parametrize(
+        "config, budget",
+        [
+            (ScenarioConfig(scenario="spdc_heralded"), 620),
+            (ScenarioConfig(distance_step_km=0.5), 722),
+            (ScenarioConfig(**FAR), 2408),
+            (ScenarioConfig(scenario="bb84_baseline", **FAR), 2125),
+            (ScenarioConfig(scenario="spdc_heralded", **FAR), 3841),
+        ],
+        ids=["spdc-default", "qnd-0-60km-0.5km", "qnd-0-300km", "bb84-0-300km", "spdc-0-300km"],
+    )
+    def test_rate_evaluations_within_budget(self, config, budget, monkeypatch):
+        build = scenario_module.distance_rate
+        count = [0]
+
+        def counting(*args):
+            rate = build(*args)
+
+            def counted(em):
+                count[0] += 1
+                return rate(em)
+
+            return counted
+
+        monkeypatch.setattr(scenario_module, "distance_rate", counting)
+        scenario_module.optimize_distances(config, config.distances())
+        assert count[0] <= budget
+
+
 class TestGridMemory:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_whole_grid_in_one_call_stays_small(self, scenario):
